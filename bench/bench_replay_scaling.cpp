@@ -59,8 +59,8 @@ simnet::Topology two_site(int per_side) {
   return topo;
 }
 
-/// Ring shifts + staggered collectives — enough communication that the
-/// replay suspends constantly when ranks outnumber workers.
+/// Ring shifts + staggered collectives — enough point-to-point traffic
+/// that the replay suspends often when ranks outnumber workers.
 simmpi::Program ring_program(int nranks, int steps) {
   simmpi::ProgramBuilder b(nranks);
   for (Rank r = 0; r < nranks; ++r) b.on(r).enter("main");

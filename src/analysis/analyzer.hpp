@@ -62,8 +62,8 @@ struct AnalysisStats {
   std::size_t replay_workers{0};
   /// Rank replay tasks driven to completion (== ranks).
   std::size_t replay_tasks{0};
-  /// Times a task suspended on an unsatisfied Recv / incomplete
-  /// collective instead of blocking a thread.
+  /// Times a task suspended on a Recv whose message had not been sent
+  /// yet, instead of blocking a thread (collectives never suspend).
   std::size_t replay_suspensions{0};
   /// Tasks taken from another worker's run queue.
   std::size_t replay_steals{0};
@@ -113,9 +113,10 @@ AnalysisResult analyze_serial(const tracing::TraceCollection& tc,
                               const ReplayOptions& opts = {});
 
 /// Parallel replay-based pattern search on a bounded worker pool:
-/// message matching re-enacted over lock-striped in-memory channels,
-/// one resumable task per rank. Produces a cube bit-identical to
-/// analyze_serial, for any worker count.
+/// message matching re-enacted over lock-free per-pair channels, one
+/// resumable task per rank that suspends only for a message not yet
+/// sent. Produces a cube bit-identical to analyze_serial, for any worker
+/// count.
 AnalysisResult analyze_parallel(const tracing::TraceCollection& tc,
                                 const ReplayOptions& opts = {});
 

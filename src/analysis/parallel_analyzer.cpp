@@ -1,119 +1,24 @@
 // SCALASCA-style parallel replay analysis on a bounded worker pool.
 // Each application rank becomes a resumable replay task: a cursor over
 // its communication events (precomputed by prepare(), so Enter/Exit are
-// never touched) that re-enacts the recorded communication, moving only
-// the few bytes each pattern formula needs. The exchange protocol per
-// message mirrors the original communication direction:
-//
-//   sender:   push {rank, enter, exit, cnode}  -> forward channel
-//   receiver: pop                              <- forward channel
-//
-// Senders never block, exactly like an eager MPI send. A receiver whose
-// channel is empty — or a collective member whose instance is not yet
-// complete — *suspends* (yields its worker back to the pool) instead of
-// blocking an OS thread, so a pool sized by hardware concurrency drives
-// thousands of ranks. Channels and collective instances live in
-// lock-striped hash maps keyed by (src, dst, tag, comm) / (comm, seq):
-// unrelated channels never contend on one global lock.
-//
-// The replay only *collects* match records; pattern evaluation happens
-// afterwards in the pattern engine's canonical dispatch order, which is
-// what makes the cube bit-identical to analyze_serial for any worker
-// count and any interleaving.
+// never touched) that re-enacts the recorded communication through the
+// shared replay protocol (replay_protocol.hpp). A task suspends only at
+// a receive whose message has not been sent yet, so a pool sized by
+// hardware concurrency drives thousands of ranks.
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <utility>
 #include <vector>
 
 #include "analysis/analyzer.hpp"
 #include "analysis/pattern_engine.hpp"
 #include "analysis/prepare.hpp"
 #include "analysis/replay_core.hpp"
-#include "analysis/replay_scheduler.hpp"
-#include "analysis/striped_map.hpp"
+#include "analysis/replay_protocol.hpp"
 #include "common/error.hpp"
-#include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
 
 namespace metascope::analysis {
-
-using tracing::EventType;
-
-namespace {
-
-/// Timestamps + call path one replay side shares with its peer.
-/// Wire size when packed: rank (4) + two timestamps (16) + cnode (4).
-constexpr std::size_t kPeerWireBytes = 24;
-
-constexpr std::size_t kNoWaiter = static_cast<std::size_t>(-1);
-
-struct PeerInfo {
-  Rank rank{kNoRank};
-  double op_enter{0.0};
-  double op_exit{0.0};
-  CallPathId cnode;
-};
-
-/// One message channel: FIFO of in-flight sends plus at most one
-/// suspended receiver (each channel has a single consumer — the
-/// destination rank replays its events in order).
-struct Channel {
-  std::deque<PeerInfo> q;
-  std::size_t waiter{kNoWaiter};
-};
-
-struct ChannelKey {
-  Rank src{kNoRank};
-  Rank dst{kNoRank};
-  int tag{0};
-  int comm{0};
-  bool operator==(const ChannelKey&) const = default;
-};
-
-struct ChannelKeyHash {
-  std::size_t operator()(const ChannelKey& k) const {
-    std::size_t h = std::hash<int>{}(k.src);
-    h = hash_combine(h, std::hash<int>{}(k.dst));
-    h = hash_combine(h, std::hash<int>{}(k.tag));
-    return hash_combine(h, std::hash<int>{}(k.comm));
-  }
-};
-
-/// One collective instance under construction: arrived members plus the
-/// tasks suspended until the last member arrives.
-struct CollGroup {
-  std::vector<CollMember> members;
-  Rank root{kNoRank};
-  RegionId region;
-  std::vector<std::size_t> waiters;
-};
-
-struct CollKey {
-  int comm{0};
-  int seq{0};
-  bool operator==(const CollKey&) const = default;
-};
-
-struct CollKeyHash {
-  std::size_t operator()(const CollKey& k) const {
-    return hash_combine(std::hash<int>{}(k.comm), std::hash<int>{}(k.seq));
-  }
-};
-
-/// Mutable replay state of one rank task between suspensions.
-struct RankTask {
-  std::size_t cursor{0};       ///< position in the rank's op-event list
-  std::vector<int> coll_seq;   ///< per-communicator instance counter
-  std::vector<P2pRecord> records;
-  /// Wire volume this task re-enacted; tallied locally (a task runs on
-  /// one worker at a time) and added to "replay.bytes" once at the end.
-  std::uint64_t wire_bytes{0};
-};
-
-}  // namespace
 
 AnalysisResult analyze_parallel(const tracing::TraceCollection& tc,
                                 const ReplayOptions& opts) {
@@ -122,151 +27,35 @@ AnalysisResult analyze_parallel(const tracing::TraceCollection& tc,
   AnalysisResult res;
   // Definition unification assigns call-path ids serially (as
   // SCALASCA's does) so ids match the serial analyzer exactly, then
-  // fans the per-rank annotation out on the worker pool. It also
-  // validates collective completeness, so no replay task can wait
-  // forever on an instance that never completes.
+  // fans the per-rank annotation out on the worker pool. It also lays
+  // out the replay's communication tables and validates collective
+  // completeness.
   const PreparedTrace prep = prepare(tc, opts.max_workers);
   PatternRegistry registry = PatternRegistry::standard();
   registry.select(opts.patterns);
   PatternEngine engine(registry, res.cube);
   res.patterns = engine.install(tc, prep);
-  const tracing::TraceDefs& defs = tc.defs;
 
   telemetry::ScopedSpan replay_span("replay");
-  StripedMap<ChannelKey, Channel, ChannelKeyHash> channels;
-  StripedMap<CollKey, CollGroup, CollKeyHash> colls;
-  // Wire-volume counter: tallied per task during the replay, added to
-  // the registry in one batch at the end; the per-run figure for
-  // AnalysisStats is the end-minus-start delta.
-  telemetry::Counter& replay_bytes = telemetry::counter("replay.bytes");
-  const std::uint64_t replay_bytes0 = replay_bytes.value();
-
-  const auto n = static_cast<std::size_t>(tc.num_ranks());
-  std::vector<RankTask> tasks(n);
-  for (auto& t : tasks) t.coll_seq.assign(defs.comms.size(), 0);
-
-  ReplayScheduler sched(n, opts.max_workers, opts.postmortem_events);
-
-  auto step = [&](std::size_t ti) -> StepResult {
-    const Rank me = static_cast<Rank>(ti);
-    const auto& trace = tc.ranks[ti];
-    const auto& ann = prep.per_rank[ti];
-    RankTask& st = tasks[ti];
-
-    while (st.cursor < ann.op_events.size()) {
-      const std::uint32_t i = ann.op_events[st.cursor];
-      const auto& e = trace.events[i];
-      switch (e.type) {
-        case EventType::Send: {
-          std::size_t waiter = kNoWaiter;
-          channels.with(
-              ChannelKey{me, e.peer, e.tag, e.comm.get()},
-              [&](Channel& c) {
-                c.q.push_back(PeerInfo{me, ann.op_enter[i], ann.op_exit[i],
-                                       ann.cnode[i]});
-                std::swap(waiter, c.waiter);
-              });
-          st.wire_bytes += kPeerWireBytes;
-          ++st.cursor;
-          if (waiter != kNoWaiter) sched.resume(waiter);
-          break;
-        }
-        case EventType::Recv: {
-          PeerInfo got;
-          bool have = false;
-          channels.with(ChannelKey{e.peer, me, e.tag, e.comm.get()},
-                        [&](Channel& c) {
-                          if (!c.q.empty()) {
-                            got = c.q.front();
-                            c.q.pop_front();
-                            have = true;
-                          } else {
-                            c.waiter = ti;
-                          }
-                        });
-          // Suspend *before* consuming: the sender that fills the
-          // channel resumes us and the retry is guaranteed to pop.
-          if (!have) return StepResult::Suspend;
-          st.records.push_back(
-              P2pRecord{P2pSide{got.rank, got.op_enter, got.op_exit,
-                                got.cnode,
-                                prep.calls.node(got.cnode).region},
-                        make_side(prep, me, i), i});
-          ++st.cursor;
-          break;
-        }
-        case EventType::CollExit: {
-          const int comm_id = e.comm.get();
-          const int seq =
-              st.coll_seq[static_cast<std::size_t>(comm_id)]++;
-          const auto& comm =
-              defs.comms[static_cast<std::size_t>(comm_id)];
-          bool complete = false;
-          std::vector<std::size_t> waiters;
-          colls.with(CollKey{comm_id, seq}, [&](CollGroup& g) {
-            CollMember m;
-            m.rank = me;
-            m.enter = ann.op_enter[i];
-            m.exit = ann.op_exit[i];
-            m.cnode = ann.cnode[i];
-            g.members.push_back(m);
-            g.root = e.root;
-            g.region = e.region;
-            if (g.members.size() == comm.members.size()) {
-              complete = true;
-              waiters.swap(g.waiters);
-            } else {
-              g.waiters.push_back(ti);
-            }
-          });
-          st.wire_bytes += kPeerWireBytes;
-          // Our arrival is recorded either way: advance past the event
-          // before suspending so the resumed task does not re-enroll.
-          ++st.cursor;
-          if (!complete) return StepResult::Suspend;
-          for (const std::size_t w : waiters) sched.resume(w);
-          break;
-        }
-        case EventType::Enter:
-        case EventType::Exit:
-          // Unreachable: op_events holds communication events only.
-          ++st.cursor;
-          break;
+  ReplayProtocol replay(prep.comm, prep.calls, opts);
+  // Position in each rank's op-event list, saved across suspensions.
+  std::vector<std::size_t> cursor(static_cast<std::size_t>(tc.num_ranks()),
+                                  0);
+  replay.run([&](std::size_t t) {
+    const auto& events = tc.ranks[t].events;
+    const EventAnnotations& ann = prep.per_rank[t];
+    for (std::size_t k = cursor[t]; k < ann.op_events.size(); ++k) {
+      const std::uint32_t i = ann.op_events[k];
+      if (!replay.replay(t, events[i], ann.op_enter[i], ann.op_exit[i],
+                         ann.cnode[i], i)) {
+        cursor[t] = k;
+        return StepResult::Suspend;
       }
     }
     return StepResult::Done;
-  };
-
-  sched.run(step);
-
-  std::vector<P2pRecord> p2p;
-  for (auto& t : tasks) {
-    p2p.insert(p2p.end(), t.records.begin(), t.records.end());
-    t.records.clear();
-  }
-  std::vector<CollInstance> instances;
-  colls.for_each([&](const CollKey& key, CollGroup& g) {
-    CollInstance inst;
-    inst.comm = key.comm;
-    inst.seq = key.seq;
-    inst.members = std::move(g.members);
-    inst.root = g.root;
-    inst.region = g.region;
-    instances.push_back(std::move(inst));
   });
-
-  engine.dispatch(std::move(p2p), std::move(instances), res.stats);
+  replay.finish(engine, res.stats);
   fill_trace_stats(tc, res.stats);
-  std::uint64_t wire_total = 0;
-  for (const RankTask& t : tasks) wire_total += t.wire_bytes;
-  replay_bytes.add(wire_total);
-  res.stats.replay_bytes = replay_bytes.value() - replay_bytes0;
-  const SchedulerStats& ss = sched.stats();
-  res.stats.replay_workers = ss.workers;
-  res.stats.replay_tasks = ss.tasks;
-  res.stats.replay_suspensions = ss.suspensions;
-  res.stats.replay_steals = ss.steals;
-  res.stats.replay_requeues = ss.requeues;
   return res;
 }
 

@@ -40,6 +40,61 @@ struct ExclusiveTime {
   double seconds{0.0};
 };
 
+/// The communication layout the replay runs on, fixed before it starts:
+/// both prepares see every Send, Recv and CollExit, so the replay indexes
+/// dense arrays instead of hashing message envelopes.
+///
+///  - One message channel per communicating (sender, receiver) pair,
+///    numbered sender-major: sender s owns channels
+///    [pair_begin[s], pair_begin[s+1]), whose receivers are
+///    pair_dst[...] in ascending order.
+///  - One record slot per Recv: rank r's k-th receive fills slot
+///    recv_begin[r] + k, so the slots come out in canonical
+///    (receiver, receive position) order.
+///  - One member slot per (collective instance, member): the seq-th
+///    instance on communicator c occupies |c| slots from
+///    member_begin[c] + seq * |c|, one per member in ascending rank
+///    order (comm_ranks[c]); its instance index is instance_begin[c] +
+///    seq.
+struct CommTables {
+  static constexpr std::size_t kNoChannel = static_cast<std::size_t>(-1);
+
+  std::vector<std::size_t> pair_begin;  ///< ranks + 1 entries
+  std::vector<Rank> pair_dst;
+  std::vector<std::size_t> recv_begin;      ///< ranks + 1 entries
+  std::vector<std::size_t> member_begin;    ///< comms + 1 entries
+  std::vector<std::size_t> instance_begin;  ///< comms + 1 entries
+  std::vector<std::vector<Rank>> comm_ranks;
+
+  /// Channel of the pair (src, dst), or kNoChannel when src never sends
+  /// to dst (or either rank is out of range).
+  [[nodiscard]] std::size_t channel(Rank src, Rank dst) const;
+  [[nodiscard]] std::size_t num_channels() const { return pair_dst.size(); }
+  [[nodiscard]] std::size_t num_records() const { return recv_begin.back(); }
+  /// Member slot of `rank` in the seq-th instance on `comm`. The rank
+  /// must be a member (build_comm_tables guarantees it for every
+  /// recorded CollExit).
+  [[nodiscard]] std::size_t member_slot(int comm, int seq, Rank rank) const;
+};
+
+/// What one rank's trace contributes to the CommTables, as a prepare
+/// pass counts it.
+struct RankComm {
+  std::vector<Rank> send_peers;  ///< destination of every Send, any order
+  std::size_t recvs{0};
+  std::vector<int> colls;  ///< CollExit count per communicator id
+};
+
+/// Builds the tables from every rank's contribution (`ranks` is indexed
+/// by rank; its send_peers are sorted in place on up to `max_workers`
+/// threads) and validates collective completeness: every member of a
+/// communicator must record the same number of collectives on it, and
+/// no other rank may record any. Throws Error otherwise, so no replay
+/// task can wait on an instance that never completes.
+CommTables build_comm_tables(const tracing::TraceDefs& defs,
+                             std::vector<RankComm>& ranks,
+                             std::size_t max_workers);
+
 struct PreparedTrace {
   const tracing::TraceCollection* tc{nullptr};
   report::CallTree calls;
@@ -51,6 +106,7 @@ struct PreparedTrace {
   std::vector<std::vector<ExclusiveTime>> excl_time;
   /// Per-rank span (last event time - first event time).
   std::vector<double> rank_span;
+  CommTables comm;
 };
 
 /// Annotates all ranks. Throws Error on malformed traces (unbalanced

@@ -1,7 +1,6 @@
 #include "analysis/replay_core.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/error.hpp"
 #include "telemetry/metrics.hpp"
@@ -21,11 +20,46 @@ P2pSide make_side(const PreparedTrace& prep, Rank rank, std::uint32_t index) {
   return s;
 }
 
+CollectiveSlots::CollectiveSlots(const CommTables& tables)
+    : tables_(&tables),
+      members_(tables.member_begin.back()),
+      heads_(tables.instance_begin.back()) {}
+
+void CollectiveSlots::arrive(int comm, int seq, const CollMember& m,
+                             Rank root, RegionId region) {
+  const auto c = static_cast<std::size_t>(comm);
+  members_[tables_->member_slot(comm, seq, m.rank)] = m;
+  if (m.rank == tables_->comm_ranks[c].back())
+    heads_[tables_->instance_begin[c] + static_cast<std::size_t>(seq)] =
+        Head{root, region};
+}
+
+std::vector<CollInstance> CollectiveSlots::take() const {
+  std::vector<CollInstance> out;
+  out.reserve(heads_.size());
+  const std::size_t ncomm = tables_->comm_ranks.size();
+  for (std::size_t c = 0; c < ncomm; ++c) {
+    const std::size_t size = tables_->comm_ranks[c].size();
+    const std::size_t first = tables_->instance_begin[c];
+    for (std::size_t k = first; k < tables_->instance_begin[c + 1]; ++k) {
+      const auto slot = static_cast<std::ptrdiff_t>(
+          tables_->member_begin[c] + (k - first) * size);
+      CollInstance& inst = out.emplace_back();
+      inst.comm = static_cast<int>(c);
+      inst.seq = static_cast<int>(k - first);
+      inst.members.assign(members_.begin() + slot,
+                          members_.begin() + slot +
+                              static_cast<std::ptrdiff_t>(size));
+      inst.root = heads_[k].root;
+      inst.region = heads_[k].region;
+    }
+  }
+  return out;
+}
+
 std::vector<CollInstance> group_collectives(const tracing::TraceCollection& tc,
                                             const PreparedTrace& prep) {
-  std::vector<CollInstance> out;
-  // (comm, seq) packed into one word -> index into `out`.
-  std::unordered_map<std::uint64_t, std::size_t> index;
+  CollectiveSlots slots(prep.comm);
   std::vector<int> coll_seq(tc.defs.comms.size());
   for (const auto& trace : tc.ranks) {
     const auto ri = static_cast<std::size_t>(trace.rank);
@@ -35,29 +69,13 @@ std::vector<CollInstance> group_collectives(const tracing::TraceCollection& tc,
       const auto& e = trace.events[i];
       if (e.type != EventType::CollExit) continue;
       const int comm = e.comm.get();
-      const int seq = coll_seq[static_cast<std::size_t>(comm)]++;
-      const std::uint64_t key = (static_cast<std::uint64_t>(
-                                     static_cast<std::uint32_t>(comm))
-                                 << 32) |
-                                static_cast<std::uint32_t>(seq);
-      auto [it, fresh] = index.try_emplace(key, out.size());
-      if (fresh) {
-        out.emplace_back();
-        out.back().comm = comm;
-        out.back().seq = seq;
-      }
-      CollInstance& inst = out[it->second];
-      CollMember m;
-      m.rank = trace.rank;
-      m.enter = ann.op_enter[i];
-      m.exit = ann.op_exit[i];
-      m.cnode = ann.cnode[i];
-      inst.members.push_back(m);
-      inst.root = e.root;
-      inst.region = e.region;
+      slots.arrive(comm, coll_seq[static_cast<std::size_t>(comm)]++,
+                   CollMember{trace.rank, ann.op_enter[i], ann.op_exit[i],
+                              ann.cnode[i]},
+                   e.root, e.region);
     }
   }
-  return out;
+  return slots.take();
 }
 
 void fill_trace_stats(const tracing::TraceCollection& tc,

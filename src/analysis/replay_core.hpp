@@ -46,12 +46,42 @@ struct CollInstance {
   RegionId region;
 };
 
+/// Every collective instance of a trace under construction, in the
+/// member-slot layout of CommTables: each arriving member writes its own
+/// slot, so members on different threads never share a lock or a
+/// counter, and nobody waits for an instance to complete — the pattern
+/// engine evaluates instances only after the whole replay.
+class CollectiveSlots {
+ public:
+  explicit CollectiveSlots(const CommTables& tables);
+
+  /// Records `m` as a member of the seq-th instance on `comm`. Safe to
+  /// call concurrently for distinct (comm, seq, rank) — every recorded
+  /// CollExit owns one slot. The instance's root and region are taken
+  /// from its highest-ranked member, as a rank-ordered walk would leave
+  /// them.
+  void arrive(int comm, int seq, const CollMember& m, Rank root,
+              RegionId region);
+
+  /// The filled instances, by (comm, seq), members by rank.
+  [[nodiscard]] std::vector<CollInstance> take() const;
+
+ private:
+  struct Head {
+    Rank root{kNoRank};
+    RegionId region;
+  };
+  const CommTables* tables_;
+  std::vector<CollMember> members_;
+  std::vector<Head> heads_;
+};
+
 /// Builds one side of a p2p transfer from a rank's annotated event.
 P2pSide make_side(const PreparedTrace& prep, Rank rank, std::uint32_t index);
 
-/// Groups every CollExit event into instances keyed by (comm, seq) using
-/// per-rank flat sequence counters. Used by the serial analyzer; the
-/// parallel analyzer builds the same instances during the replay.
+/// Groups every CollExit event into its (comm, seq) instance — the
+/// serial analyzer's walk over each rank's op events. The parallel
+/// analyzers fill the same CollectiveSlots during the replay.
 std::vector<CollInstance> group_collectives(const tracing::TraceCollection& tc,
                                             const PreparedTrace& prep);
 

@@ -11,9 +11,9 @@
 //  - a *light* pass (serial, ranks in order) over the type/time/region/
 //    comm/peer columns only: call-path ids are assigned by the identical
 //    get_or_add walk the materializing prepare runs, every structural
-//    check fires with the identical diagnostic, and collective-instance
-//    completeness is validated up front so no replay task can wait on
-//    an instance that never completes;
+//    check fires with the identical diagnostic, and each rank's
+//    communication is counted for the replay's CommTables (collective
+//    completeness is validated there, before any task runs);
 //  - the *window* pass inside each replay task: per-event annotation
 //    (call-path tags via CallTree::find against the tree the light pass
 //    built, enclosing-op windows, exclusive times) happens as events
@@ -37,7 +37,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <map>
 #include <optional>
@@ -49,8 +48,7 @@
 #include "analysis/pattern_engine.hpp"
 #include "analysis/prepare.hpp"
 #include "analysis/replay_core.hpp"
-#include "analysis/replay_scheduler.hpp"
-#include "analysis/striped_map.hpp"
+#include "analysis/replay_protocol.hpp"
 #include "common/binary_io.hpp"
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -65,61 +63,11 @@ using tracing::EventType;
 
 namespace {
 
-constexpr std::size_t kPeerWireBytes = 24;
-constexpr std::size_t kNoWaiter = static_cast<std::size_t>(-1);
 /// Window size (events per rank) when no memory budget is given.
 constexpr std::size_t kDefaultWindowEvents = 4096;
 /// Decode granularity: events pulled from the column cursors per call.
 /// Bounded so the lookahead ring stays small next to tiny windows.
 constexpr std::size_t kMaxDecodeChunk = 256;
-
-struct PeerInfo {
-  Rank rank{kNoRank};
-  double op_enter{0.0};
-  double op_exit{0.0};
-  CallPathId cnode;
-};
-
-struct Channel {
-  std::deque<PeerInfo> q;
-  std::size_t waiter{kNoWaiter};
-};
-
-struct ChannelKey {
-  Rank src{kNoRank};
-  Rank dst{kNoRank};
-  int tag{0};
-  int comm{0};
-  bool operator==(const ChannelKey&) const = default;
-};
-
-struct ChannelKeyHash {
-  std::size_t operator()(const ChannelKey& k) const {
-    std::size_t h = std::hash<int>{}(k.src);
-    h = hash_combine(h, std::hash<int>{}(k.dst));
-    h = hash_combine(h, std::hash<int>{}(k.tag));
-    return hash_combine(h, std::hash<int>{}(k.comm));
-  }
-};
-
-struct CollGroup {
-  std::vector<CollMember> members;
-  Rank root{kNoRank};
-  RegionId region;
-  std::vector<std::size_t> waiters;
-};
-
-struct CollKey {
-  int comm{0};
-  int seq{0};
-  bool operator==(const CollKey&) const = default;
-};
-
-struct CollKeyHash {
-  std::size_t operator()(const CollKey& k) const {
-    return hash_combine(std::hash<int>{}(k.comm), std::hash<int>{}(k.seq));
-  }
-};
 
 /// One annotated communication event resident in a rank's window.
 struct WinEvent {
@@ -142,8 +90,9 @@ struct QuarantineFilter {
     return peer >= 0 && peer < static_cast<std::int64_t>(rank_q.size()) &&
            rank_q[static_cast<std::size_t>(peer)] != 0;
   }
-  [[nodiscard]] bool degrade_coll(int comm) const {
-    return comm_q[static_cast<std::size_t>(comm)] != 0;
+  [[nodiscard]] bool degrade_coll(std::int64_t comm) const {
+    return comm >= 0 && comm < static_cast<std::int64_t>(comm_q.size()) &&
+           comm_q[static_cast<std::size_t>(comm)] != 0;
   }
 };
 
@@ -192,8 +141,8 @@ struct Frame {
 };
 
 /// Everything one rank task owns: the mapped file and its windowed
-/// cursor, the persistent annotation state bridging windows, the
-/// current window, and the replay-side state.
+/// cursor, the persistent annotation state bridging windows, and the
+/// current window.
 struct RankStream {
   MappedFile file;
   std::optional<tracing::TraceStream> ts;  ///< nullopt: quarantined rank
@@ -214,11 +163,6 @@ struct RankStream {
   std::size_t resident{0};       ///< bytes this rank currently accounts
   std::uint32_t windows_filled{0};
 
-  // Replay state.
-  std::vector<int> coll_seq;
-  std::vector<P2pRecord> records;
-  std::uint64_t wire_bytes{0};
-
   // Tallies from the light pass.
   std::uint64_t events_kept{0};
   std::uint64_t pruned{0};
@@ -232,12 +176,13 @@ struct RankStream {
 
 /// The light pass over one rank: the identical serial walk prepare()'s
 /// pass 1 runs — get_or_add at every Enter, every structural check with
-/// the identical diagnostic — plus per-communicator collective counts
-/// for the completeness validation. Quarantine filtering is applied
-/// first, so indices in diagnostics match the pruned collection's.
+/// the identical diagnostic — plus the rank's share of the replay's
+/// communication tables (prepare()'s pass 2 counts the same). Quarantine
+/// filtering is applied first, so indices in diagnostics match the
+/// pruned collection's.
 void light_pass(Rank rank, const tracing::TraceStream& ts,
                 const QuarantineFilter& filt, report::CallTree& calls,
-                std::vector<std::vector<int>>& coll_counts, RankStream& rs) {
+                RankComm& rc, RankStream& rs) {
   struct Open {
     CallPathId cnode;
     double enter_time;
@@ -251,8 +196,7 @@ void light_pass(Rank rank, const tracing::TraceStream& ts,
       ++rs.pruned;
       return;
     }
-    if (type == EventType::CollExit &&
-        filt.degrade_coll(static_cast<int>(le.comm))) {
+    if (type == EventType::CollExit && filt.degrade_coll(le.comm)) {
       type = EventType::Exit;
       ++rs.pruned;
     }
@@ -270,16 +214,23 @@ void light_pass(Rank rank, const tracing::TraceStream& ts,
         if (stack.empty()) fail_at(rank, idx, "Exit without Enter");
         if (le.time - stack.back().enter_time < 0.0)
           fail_at(rank, idx, "negative region duration");
+        if (type == EventType::CollExit) {
+          if (le.comm < 0 ||
+              static_cast<std::size_t>(le.comm) >= rc.colls.size())
+            fail_at(rank, idx, "collective on an unknown communicator");
+          ++rc.colls[static_cast<std::size_t>(le.comm)];
+        }
         stack.pop_back();
-        if (type == EventType::CollExit)
-          ++coll_counts[static_cast<std::size_t>(le.comm)]
-                       [static_cast<std::size_t>(rank)];
         break;
       }
       case EventType::Send:
       case EventType::Recv: {
         if (stack.empty())
           fail_at(rank, idx, "message event outside any region");
+        if (type == EventType::Send)
+          rc.send_peers.push_back(static_cast<Rank>(le.peer));
+        else
+          ++rc.recvs;
         break;
       }
     }
@@ -314,6 +265,8 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
   report::CallTree calls;
   const RegionClassTable region_table(defs.regions);
   std::vector<RankStream> streams(n);
+  std::vector<RankComm> comm_in(n);
+  CommTables comm_tables;
   Residency residency;
   telemetry::Counter& windows_counter =
       telemetry::counter("analysis.stream.windows");
@@ -324,8 +277,6 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
   // stream zero events.
   {
     telemetry::ScopedSpan span("prepare");
-    std::vector<std::vector<int>> coll_counts(
-        defs.comms.size(), std::vector<int>(n, 0));
     // Opening + header/type-stream validation is per-rank independent
     // and syscall-heavy (open, mmap, first page faults), so it fans out
     // like read_traces' decode. The call-path walk below stays serial in
@@ -346,11 +297,11 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
     });
     for (std::size_t r = 0; r < n; ++r) {
       RankStream& rs = streams[r];
-      rs.coll_seq.assign(defs.comms.size(), 0);
       if (filt.rank_q[r] != 0) continue;
       try {
         if (open_err[r]) std::rethrow_exception(open_err[r]);
-        light_pass(static_cast<Rank>(r), *rs.ts, filt, calls, coll_counts,
+        comm_in[r].colls.assign(defs.comms.size(), 0);
+        light_pass(static_cast<Rank>(r), *rs.ts, filt, calls, comm_in[r],
                    rs);
       } catch (const Error& e) {
         throw e.with_context(
@@ -363,26 +314,7 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
       residency.adjust(static_cast<std::ptrdiff_t>(rs.resident));
     }
 
-    // Collective-completeness validation, identical to prepare()'s:
-    // failing here (instead of mid-replay) means no task can wait on an
-    // instance that never completes.
-    for (const auto& comm : defs.comms) {
-      const auto& counts =
-          coll_counts[static_cast<std::size_t>(comm.id.get())];
-      for (const Rank r : comm.members) {
-        const int expected =
-            counts[static_cast<std::size_t>(comm.members.front())];
-        if (counts[static_cast<std::size_t>(r)] != expected) {
-          std::ostringstream os;
-          os << "incomplete collective instance in trace: rank " << r
-             << " recorded " << counts[static_cast<std::size_t>(r)]
-             << " collectives on communicator " << comm.id.get()
-             << " but rank " << comm.members.front() << " recorded "
-             << expected;
-          throw Error(os.str());
-        }
-      }
-    }
+    comm_tables = build_comm_tables(defs, comm_in, opts.max_workers);
     telemetry::counter("prepare.ranks").add(n);
     telemetry::counter("prepare.call_paths").add(calls.size());
   }
@@ -492,15 +424,9 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
   };
 
   telemetry::ScopedSpan replay_span("replay");
-  StripedMap<ChannelKey, Channel, ChannelKeyHash> channels;
-  StripedMap<CollKey, CollGroup, CollKeyHash> colls;
-  telemetry::Counter& replay_bytes = telemetry::counter("replay.bytes");
-  const std::uint64_t replay_bytes0 = replay_bytes.value();
-
-  ReplayScheduler sched(n, opts.max_workers, opts.postmortem_events);
+  ReplayProtocol replay(comm_tables, calls, opts);
 
   auto step = [&](std::size_t ti) -> StepResult {
-    const Rank me = static_cast<Rank>(ti);
     RankStream& rs = streams[ti];
     if (!rs.ts) return StepResult::Done;  // quarantined: zero events
     for (;;) {
@@ -531,96 +457,22 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
         // ranks' windows interleave under tiny budgets, but only every
         // 32nd window — yielding on every fill dominates the replay
         // wall once single-event windows make fills cheap and frequent.
-        // Self-resume before Suspend is the pool's sanctioned yield
-        // (the Notified state requeues us). Correctness never depends
-        // on this: blocking ops suspend on their own.
+        // Correctness never depends on this: receives suspend on their
+        // own.
         if (++rs.windows_filled % 32 == 0) {
-          sched.resume(ti);
+          replay.yield(ti);
           return StepResult::Suspend;
         }
         continue;
       }
       const WinEvent& w = rs.win[rs.wpos];
-      switch (w.e.type) {
-        case EventType::Send: {
-          std::size_t waiter = kNoWaiter;
-          channels.with(
-              ChannelKey{me, w.e.peer, w.e.tag, w.e.comm.get()},
-              [&](Channel& c) {
-                c.q.push_back(
-                    PeerInfo{me, w.op_enter, w.op_exit, w.cnode});
-                std::swap(waiter, c.waiter);
-              });
-          rs.wire_bytes += kPeerWireBytes;
-          ++rs.wpos;
-          if (waiter != kNoWaiter) sched.resume(waiter);
-          break;
-        }
-        case EventType::Recv: {
-          PeerInfo got;
-          bool have = false;
-          channels.with(ChannelKey{w.e.peer, me, w.e.tag, w.e.comm.get()},
-                        [&](Channel& c) {
-                          if (!c.q.empty()) {
-                            got = c.q.front();
-                            c.q.pop_front();
-                            have = true;
-                          } else {
-                            c.waiter = ti;
-                          }
-                        });
-          // Suspend *before* consuming: the sender that fills the
-          // channel resumes us and the retry is guaranteed to pop.
-          if (!have) return StepResult::Suspend;
-          rs.records.push_back(P2pRecord{
-              P2pSide{got.rank, got.op_enter, got.op_exit, got.cnode,
-                      calls.node(got.cnode).region},
-              P2pSide{me, w.op_enter, w.op_exit, w.cnode,
-                      calls.node(w.cnode).region},
-              w.index});
-          ++rs.wpos;
-          break;
-        }
-        case EventType::CollExit: {
-          const int comm_id = w.e.comm.get();
-          const int seq = rs.coll_seq[static_cast<std::size_t>(comm_id)]++;
-          const auto& comm = defs.comms[static_cast<std::size_t>(comm_id)];
-          bool complete = false;
-          std::vector<std::size_t> waiters;
-          colls.with(CollKey{comm_id, seq}, [&](CollGroup& g) {
-            CollMember m;
-            m.rank = me;
-            m.enter = w.op_enter;
-            m.exit = w.op_exit;
-            m.cnode = w.cnode;
-            g.members.push_back(m);
-            g.root = w.e.root;
-            g.region = w.e.region;
-            if (g.members.size() == comm.members.size()) {
-              complete = true;
-              waiters.swap(g.waiters);
-            } else {
-              g.waiters.push_back(ti);
-            }
-          });
-          rs.wire_bytes += kPeerWireBytes;
-          // Our arrival is recorded either way: advance past the event
-          // before suspending so the resumed task does not re-enroll.
-          ++rs.wpos;
-          if (!complete) return StepResult::Suspend;
-          for (const std::size_t wt : waiters) sched.resume(wt);
-          break;
-        }
-        case EventType::Enter:
-        case EventType::Exit:
-          // Unreachable: windows retain communication events only.
-          ++rs.wpos;
-          break;
-      }
+      if (!replay.replay(ti, w.e, w.op_enter, w.op_exit, w.cnode, w.index))
+        return StepResult::Suspend;
+      ++rs.wpos;
     }
   };
 
-  sched.run(step);
+  replay.run(step);
 
   // Region pass before dispatch — the same cube add order as the
   // materializing analyzers (install's region pass precedes their
@@ -634,31 +486,13 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
       et.push_back(ExclusiveTime{CallPathId{cnode}, seconds});
   }
   engine.region_pass(excl_time);
-
-  std::vector<P2pRecord> p2p;
-  for (auto& rs : streams) {
-    p2p.insert(p2p.end(), rs.records.begin(), rs.records.end());
-    rs.records.clear();
-  }
-  std::vector<CollInstance> instances;
-  colls.for_each([&](const CollKey& key, CollGroup& g) {
-    CollInstance inst;
-    inst.comm = key.comm;
-    inst.seq = key.seq;
-    inst.members = std::move(g.members);
-    inst.root = g.root;
-    inst.region = g.region;
-    instances.push_back(std::move(inst));
-  });
-  engine.dispatch(std::move(p2p), std::move(instances), res.stats);
+  replay.finish(engine, res.stats);
 
   std::uint64_t total_events = 0;
   std::uint64_t pruned = 0;
-  std::uint64_t wire_total = 0;
   for (const RankStream& rs : streams) {
     total_events += rs.events_kept;
     pruned += rs.pruned;
-    wire_total += rs.wire_bytes;
   }
   res.stats.events = total_events;
   // "Resident" under streaming = the high-water mark of bytes the
@@ -670,14 +504,6 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
       .add(res.stats.trace_bytes_in_memory);
   if (pruned > 0)
     telemetry::counter("archive.read.pruned_events").add(pruned);
-  replay_bytes.add(wire_total);
-  res.stats.replay_bytes = replay_bytes.value() - replay_bytes0;
-  const SchedulerStats& ss = sched.stats();
-  res.stats.replay_workers = ss.workers;
-  res.stats.replay_tasks = ss.tasks;
-  res.stats.replay_suspensions = ss.suspensions;
-  res.stats.replay_steals = ss.steals;
-  res.stats.replay_requeues = ss.requeues;
   return res;
 }
 

@@ -72,11 +72,14 @@ WorkerPool::WorkerPool(std::size_t num_tasks, std::size_t max_workers)
   stats_.tasks = num_tasks_;
 }
 
-void WorkerPool::push(std::size_t wid, std::size_t task) {
+void WorkerPool::push(std::size_t wid, std::size_t task, bool next) {
   std::size_t depth;
   {
     std::lock_guard<std::mutex> lock(queues_[wid].m);
-    queues_[wid].dq.push_back(task);
+    if (next)
+      queues_[wid].dq.push_front(task);
+    else
+      queues_[wid].dq.push_back(task);
     depth = queues_[wid].dq.size();
   }
   if (sample_ && sample_tick())
@@ -124,7 +127,10 @@ void WorkerPool::resume(std::size_t task) {
       if (state_[task].compare_exchange_strong(s, kRunning)) {
         inflight_.fetch_add(1);
         tls_tally.requeues += 1;
-        push(tls_worker, task);
+        // The resource it waited on was just produced on this worker, so
+        // the task runs next while that data is still in cache; thieves
+        // take from the other end of the deque.
+        push(tls_worker, task, /*next=*/true);
         return;
       }
     } else if (s == kRunning) {

@@ -15,7 +15,10 @@
 //    that satisfies the resource calls resume(). A fixed pool of
 //    workers — hardware concurrency by default — drives all tasks, each
 //    worker owning a deque of runnable tasks and stealing from its
-//    peers when it runs dry. The suspend/resume race is resolved with a
+//    peers when it runs dry. A resumed task goes to the front of the
+//    resuming worker's deque and runs next, while the data that woke it
+//    is still in cache; thieves steal from the back, where the coldest
+//    tasks wait. The suspend/resume race is resolved with a
 //    per-task Running/Parked/Notified state machine, so a wakeup is
 //    never lost and a task never runs on two workers at once. If every
 //    unfinished task is parked, the pool throws DeadlockError instead
@@ -150,10 +153,10 @@ class WorkerPool {
   /// raised.
   void run(const StepFn& step);
 
-  /// Marks a suspended task runnable. Must be called from inside a
-  /// running step (i.e. on a worker thread). Safe against the
-  /// suspend/resume race; at most one resume may be issued per
-  /// suspension.
+  /// Marks a suspended task runnable; it runs next on the calling
+  /// worker. Must be called from inside a running step (i.e. on a worker
+  /// thread). Safe against the suspend/resume race; at most one resume
+  /// may be issued per suspension.
   void resume(std::size_t task);
 
   [[nodiscard]] const PoolStats& stats() const { return stats_; }
@@ -166,7 +169,9 @@ class WorkerPool {
 
   void worker_loop(std::size_t wid, const StepFn& step);
   void run_task(std::size_t task, const StepFn& step);
-  void push(std::size_t wid, std::size_t task);
+  /// Queues `task` on worker `wid`: at the back, or at the front (to run
+  /// next) when `next` is set.
+  void push(std::size_t wid, std::size_t task, bool next = false);
   bool pop_local(std::size_t wid, std::size_t& task);
   bool steal(std::size_t wid, std::size_t& task);
   void fail(std::exception_ptr err);
