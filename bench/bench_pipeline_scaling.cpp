@@ -16,7 +16,6 @@
 //   max_ranks caps the sweep (CI smoke runs "bench_pipeline_scaling 64").
 #include <algorithm>
 #include <chrono>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -94,19 +93,6 @@ class StageTimer {
   std::chrono::steady_clock::time_point last_{
       std::chrono::steady_clock::now()};
 };
-
-/// Encoded bytes an archive occupies: every defs + trace file across the
-/// partial archives (manifests excluded — identical in every format).
-std::uintmax_t archive_bytes(const archive::ExperimentArchive& ar) {
-  std::uintmax_t total = 0;
-  for (const std::string& dir : ar.partial_dirs())
-    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-      const std::string name = entry.path().filename().string();
-      if (name.ends_with(".elg") || name.ends_with(".defs"))
-        total += entry.file_size();
-    }
-  return total;
-}
 
 }  // namespace
 
@@ -209,75 +195,6 @@ int main(int argc, char** argv) {
               .set("cube_matches_serial", Json(cube_ok)));
       (void)prep;
     }
-
-    // ---- trace-format comparison: same traces written as v2 and v3 ----
-    // One pass per format (single worker — this isolates the encode +
-    // byte-volume effect from thread scaling): archive size on disk,
-    // write + read wall, and the severity cube after the full pipeline,
-    // which must be bit-identical across formats.
-    struct FormatRun {
-      std::uintmax_t bytes{0};
-      double write_ms{0.0};
-      double read_ms{0.0};
-      report::Cube cube;
-    };
-    FormatRun runs[2];
-    const std::uint32_t versions[2] = {2, 3};
-    for (int fi = 0; fi < 2; ++fi) {
-      const std::string dir =
-          base + "/fmt_r" + std::to_string(ranks) + "_v" +
-          std::to_string(versions[fi]);
-      const auto layout =
-          archive::FileSystemLayout::per_metahost(dir, topo.num_metahosts());
-      const auto ar =
-          archive::ExperimentArchive::create(topo, layout, "pipeline");
-      archive::WriteOptions wopts;
-      wopts.max_workers = 1;
-      wopts.format_version = versions[fi];
-      StageTimer timer;
-      ar.write_traces(topo, data.traces, wopts);
-      runs[fi].write_ms = timer.take_ms();
-      archive::ReadOptions ropts;
-      ropts.max_workers = 1;
-      auto tc = ar.read_traces(ropts);
-      runs[fi].read_ms = timer.take_ms();
-      runs[fi].bytes = archive_bytes(ar);
-      clocksync::synchronize(tc, 1);
-      clocksync::AmortizationConfig acfg;
-      acfg.max_workers = 1;
-      clocksync::amortize_violations(tc, acfg);
-      runs[fi].cube = analysis::analyze_serial(tc).cube;
-    }
-    const double shrink = static_cast<double>(runs[0].bytes) /
-                          static_cast<double>(runs[1].bytes);
-    const double rw_speedup =
-        (runs[0].write_ms + runs[0].read_ms) /
-        (runs[1].write_ms + runs[1].read_ms);
-    const bool fmt_cube_ok = runs[0].cube.approx_equal(runs[1].cube, 0.0) &&
-                             runs[0].cube.approx_equal(ref_cube, 0.0);
-    std::printf(
-        "format v2 vs v3 at %d ranks: %ju -> %ju bytes (%.2fx smaller), "
-        "write+read %.1f -> %.1f ms (%.2fx), cubes identical: %s\n",
-        ranks, runs[0].bytes, runs[1].bytes, shrink,
-        runs[0].write_ms + runs[0].read_ms,
-        runs[1].write_ms + runs[1].read_ms, rw_speedup,
-        fmt_cube_ok ? "yes" : "NO");
-    for (int fi = 0; fi < 2; ++fi)
-      report.add_row("format",
-                     Json{Json::Object{}}
-                         .set("ranks", Json(ranks))
-                         .set("format_version",
-                              Json(static_cast<int>(versions[fi])))
-                         .set("archive_bytes",
-                              Json(static_cast<std::size_t>(runs[fi].bytes)))
-                         .set("write_ms", Json(runs[fi].write_ms))
-                         .set("read_ms", Json(runs[fi].read_ms)));
-    report.add_row("format_summary",
-                   Json{Json::Object{}}
-                       .set("ranks", Json(ranks))
-                       .set("v2_over_v3_bytes", Json(shrink))
-                       .set("v2_over_v3_read_write_wall", Json(rw_speedup))
-                       .set("cubes_identical", Json(fmt_cube_ok)));
 
     // ---- streamed vs materialized replay over the same v3 archive ----
     // The archive is written after synchronization (streaming replays

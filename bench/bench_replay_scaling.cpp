@@ -1,13 +1,7 @@
-// Replay-scheduler scaling: thread-per-rank vs a bounded worker pool.
-//
-// The old parallel analyzer spawned one OS thread per application rank;
-// this bench reproduces that regime by pinning the pool size to the rank
-// count, and compares it against the default pool (hardware
-// concurrency) at 64 / 256 / 1024 ranks. The point of record: the
-// bounded pool analyzes a 1024-rank trace without 1024 threads, with
-// wall-clock that does not degrade under thread-spawn and
-// context-switch pressure, and its cube stays bit-identical to the
-// serial analyzer's.
+// Replay-scheduler scaling: the bounded worker pool (hardware
+// concurrency) at 64 / 256 / 1024 ranks, with its scheduler counters,
+// and the cube bit-identical to the serial analyzer's at every size;
+// then the telemetry overhead on the full 1024-rank pipeline.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -17,10 +11,7 @@
 #include <vector>
 
 #include "analysis/analyzer.hpp"
-#include "analysis/pattern_engine.hpp"
 #include "analysis/prepare.hpp"
-#include "analysis/replay_core.hpp"
-#include "analysis/wait_rules.hpp"
 #include "archive/archive.hpp"
 #include "clocksync/correction.hpp"
 #include "common/table.hpp"
@@ -29,7 +20,6 @@
 #include "simnet/topology.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/recorder.hpp"
-#include "tracing/matching.hpp"
 #include "workloads/experiment.hpp"
 
 using namespace metascope;
@@ -85,15 +75,15 @@ double ms_between(std::chrono::steady_clock::time_point a,
 }  // namespace
 
 int main() {
-  bench::banner("Replay scaling", "thread-per-rank vs bounded worker pool");
+  bench::banner("Replay scaling", "bounded worker pool");
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   std::printf("hardware concurrency: %u\n\n", hw);
 
   bench::BenchReport report("replay_scaling");
   report.set("hardware_concurrency", Json(static_cast<int>(hw)));
 
-  TextTable t({"ranks", "events", "mode", "workers", "wall [ms]",
-               "suspensions", "requeues", "steals", "cube==serial"});
+  TextTable t({"ranks", "events", "workers", "wall [ms]", "suspensions",
+               "requeues", "steals", "cube==serial"});
   workloads::ExperimentData data1024;  // kept for the overhead section
   for (int per_side : {32, 128, 512}) {
     const int ranks = 2 * per_side;
@@ -106,172 +96,30 @@ int main() {
     const auto& tc = data.traces;
     const auto serial = analysis::analyze_serial(tc);
 
-    struct Mode {
-      const char* name;
-      std::size_t workers;
-    };
-    const Mode modes[] = {
-        {"thread/rank", static_cast<std::size_t>(ranks)},
-        {"pooled", static_cast<std::size_t>(hw)},
-    };
-    for (const Mode& m : modes) {
-      analysis::ReplayOptions opts;
-      opts.max_workers = m.workers;
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto p = analysis::analyze_parallel(tc, opts);
-      const auto t1 = std::chrono::steady_clock::now();
-      const double wall_ms = ms_between(t0, t1);
-      t.add_row({std::to_string(ranks), std::to_string(p.stats.events),
-                 m.name, std::to_string(p.stats.replay_workers),
-                 TextTable::fixed(wall_ms, 1),
-                 std::to_string(p.stats.replay_suspensions),
-                 std::to_string(p.stats.replay_requeues),
-                 std::to_string(p.stats.replay_steals),
-                 serial.cube.approx_equal(p.cube, 0.0) ? "yes" : "NO"});
-      report.add_row("scaling",
-                     Json{Json::Object{}}
-                         .set("ranks", Json(ranks))
-                         .set("mode", Json(m.name))
-                         .set("workers", Json(p.stats.replay_workers))
-                         .set("wall_ms", Json(wall_ms))
-                         .set("suspensions", Json(p.stats.replay_suspensions))
-                         .set("cube_matches_serial",
-                              Json(serial.cube.approx_equal(p.cube, 0.0))));
-    }
+    analysis::ReplayOptions opts;
+    opts.max_workers = hw;
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto p = analysis::analyze_parallel(tc, opts);
+    const auto t1 = std::chrono::steady_clock::now();
+    const double wall_ms = ms_between(t0, t1);
+    t.add_row({std::to_string(ranks), std::to_string(p.stats.events),
+               std::to_string(p.stats.replay_workers),
+               TextTable::fixed(wall_ms, 1),
+               std::to_string(p.stats.replay_suspensions),
+               std::to_string(p.stats.replay_requeues),
+               std::to_string(p.stats.replay_steals),
+               serial.cube.approx_equal(p.cube, 0.0) ? "yes" : "NO"});
+    report.add_row("scaling",
+                   Json{Json::Object{}}
+                       .set("ranks", Json(ranks))
+                       .set("workers", Json(p.stats.replay_workers))
+                       .set("wall_ms", Json(wall_ms))
+                       .set("suspensions", Json(p.stats.replay_suspensions))
+                       .set("cube_matches_serial",
+                            Json(serial.cube.approx_equal(p.cube, 0.0))));
     if (ranks == 1024) data1024 = std::move(data);
   }
   std::printf("%s", t.render().c_str());
-
-  // --- Pattern-engine dispatch overhead at 1024 ranks ------------------
-  // The engine routes every matched message and collective instance
-  // through virtual detector callbacks where the pre-refactor layer
-  // called the wait formulas directly. This times evaluation only —
-  // records are collected once outside the loop, each rep gets a fresh
-  // installed cube, and the timed region is the canonical-order sweep —
-  // and gates the engine (legacy detector selection, the apples-to-apples
-  // configuration) at <= 5% over the direct calls. The detector-count
-  // rows show how dispatch cost scales with enabled patterns.
-  bench::banner("Pattern-engine dispatch",
-                "1024 ranks, evaluation only, best of 9");
-  {
-    const auto& tc = data1024.traces;
-    const auto prep = analysis::prepare(tc, hw);
-    const auto pairs = tracing::match_messages(tc);
-    std::vector<analysis::P2pRecord> p2p;
-    p2p.reserve(pairs.size());
-    for (const auto& p : pairs)
-      p2p.push_back(analysis::P2pRecord{
-          analysis::make_side(prep, p.send.rank, p.send.index),
-          analysis::make_side(prep, p.recv.rank, p.recv.index),
-          p.recv.index});
-    const auto colls = analysis::group_collectives(tc, prep);
-    constexpr int kReps = 9;
-
-    // Direct calls: the pre-engine hardwired loop, same canonical order.
-    auto direct_ms = [&]() {
-      double best = 1e300;
-      for (int i = 0; i < kReps; ++i) {
-        report::Cube cube;
-        auto registry = analysis::PatternRegistry::standard();
-        analysis::PatternEngine engine(registry, cube);
-        const auto ps = engine.install(tc, prep);
-        auto p2pc = p2p;
-        auto collc = colls;
-        std::vector<analysis::WaitHit> hits;
-        const auto t0 = std::chrono::steady_clock::now();
-        std::sort(p2pc.begin(), p2pc.end(),
-                  [](const analysis::P2pRecord& a,
-                     const analysis::P2pRecord& b) {
-                    if (a.recv.rank != b.recv.rank)
-                      return a.recv.rank < b.recv.rank;
-                    return a.recv_index < b.recv_index;
-                  });
-        std::sort(collc.begin(), collc.end(),
-                  [](const analysis::CollInstance& a,
-                     const analysis::CollInstance& b) {
-                    if (a.comm != b.comm) return a.comm < b.comm;
-                    return a.seq < b.seq;
-                  });
-        for (const auto& r : p2pc) {
-          hits.clear();
-          analysis::p2p_hits(ps, tc.defs, prep.region_table, r.send, r.recv,
-                             hits);
-          for (const auto& h : hits) analysis::apply_hit(cube, h);
-        }
-        for (auto& inst : collc) {
-          std::sort(inst.members.begin(), inst.members.end(),
-                    [](const analysis::CollMember& a,
-                       const analysis::CollMember& b) {
-                      return a.rank < b.rank;
-                    });
-          hits.clear();
-          analysis::collective_hits(
-              ps, tc.defs, prep.region_table.kind(inst.region),
-              tc.defs.comms[static_cast<std::size_t>(inst.comm)].members,
-              inst.members, inst.root, hits);
-          for (const auto& h : hits) analysis::apply_hit(cube, h);
-        }
-        const auto t1 = std::chrono::steady_clock::now();
-        best = std::min(best, ms_between(t0, t1));
-      }
-      return best;
-    };
-
-    auto engine_ms = [&](const std::vector<std::string>& sel) {
-      double best = 1e300;
-      for (int i = 0; i < kReps; ++i) {
-        report::Cube cube;
-        auto registry = analysis::PatternRegistry::standard();
-        registry.select(sel);
-        analysis::PatternEngine engine(registry, cube);
-        (void)engine.install(tc, prep);
-        auto p2pc = p2p;
-        auto collc = colls;
-        analysis::AnalysisStats stats;
-        const auto t0 = std::chrono::steady_clock::now();
-        engine.dispatch(std::move(p2pc), std::move(collc), stats);
-        const auto t1 = std::chrono::steady_clock::now();
-        best = std::min(best, ms_between(t0, t1));
-      }
-      return best;
-    };
-
-    const std::vector<std::string> legacy = {
-        "late_sender",    "late_receiver", "early_reduce",
-        "late_broadcast", "wait_nxn",      "wait_barrier"};
-    const std::vector<std::string> p2p_only = {"late_sender",
-                                               "late_receiver"};
-    const double direct = direct_ms();
-    const double eng_legacy = engine_ms(legacy);
-    const double eng_all = engine_ms({});
-    const double eng_p2p = engine_ms(p2p_only);
-
-    TextTable dt({"configuration", "detectors", "wall [ms]", "vs direct"});
-    auto pct = [&](double v) {
-      return TextTable::fixed((v - direct) / direct * 100.0, 1) + " %";
-    };
-    dt.add_row({"direct calls (pre-engine)", "6", TextTable::fixed(direct, 2),
-                "--"});
-    dt.add_row({"engine, legacy selection", "6",
-                TextTable::fixed(eng_legacy, 2), pct(eng_legacy)});
-    dt.add_row({"engine, all patterns", "8", TextTable::fixed(eng_all, 2),
-                pct(eng_all)});
-    dt.add_row({"engine, p2p only", "2", TextTable::fixed(eng_p2p, 2),
-                pct(eng_p2p)});
-    std::printf("%s", dt.render().c_str());
-    const double dispatch_overhead_pct =
-        (eng_legacy - direct) / direct * 100.0;
-    std::printf("dispatch overhead (legacy selection): %+.2f %%  "
-                "(budget: <= 5%%) %s\n",
-                dispatch_overhead_pct,
-                dispatch_overhead_pct <= 5.0 ? "[ok]" : "[OVER BUDGET]");
-    report.set("dispatch_direct_ms", Json(direct));
-    report.set("dispatch_engine_legacy_ms", Json(eng_legacy));
-    report.set("dispatch_engine_all_ms", Json(eng_all));
-    report.set("dispatch_engine_p2p_only_ms", Json(eng_p2p));
-    report.set("dispatch_overhead_pct", Json(dispatch_overhead_pct));
-    report.set("dispatch_overhead_budget_pct", Json(5.0));
-  }
 
   // --- Telemetry overhead at 1024 ranks --------------------------------
   // The registry's whole design brief is that instrumentation must not
@@ -390,10 +238,8 @@ int main() {
   report.set("recorder_events_per_pass",
              Json(static_cast<double>(events_per_pass)));
   bench::note(
-      "\nShape check: the pooled mode matches or beats thread-per-rank\n"
-      "wall-clock while holding the worker count at hardware concurrency;\n"
-      "at 1024 ranks thread-per-rank pays for a thousand thread spawns and\n"
-      "the ensuing context-switch storm. cube==serial must read 'yes' in\n"
+      "\nShape check: the pool holds the worker count at hardware\n"
+      "concurrency at every rank count. cube==serial must read 'yes' in\n"
       "every row: canonical-order accumulation makes the pooled replay\n"
       "bit-identical to the serial analyzer regardless of schedule.");
   report.write();

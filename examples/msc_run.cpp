@@ -6,7 +6,7 @@
 //           [--timeline] [--metrics out.json] [--progress]
 //           [--trace-out trace.json] [--sample-interval-ms n]
 //           [--patterns key[,key...]] [--list-patterns]
-//           [--archive-dir dir] [--permissive] [--trace-format n]
+//           [--archive-dir dir] [--permissive]
 //           [--stream] [--memory-budget bytes]
 //           [--log-level {debug,info,warn,error,off}]
 //
@@ -18,10 +18,8 @@
 // permissive-recovery mode: undecodable ranks are quarantined and
 // reported instead of aborting the run (see DESIGN.md "Ingestion
 // hardening"). --permissive without --archive-dir is accepted and has
-// no effect (in-memory traces never need decoding). --trace-format
-// selects the trace format version the archive writes (1–3; default is
-// the current columnar v3) — useful for producing legacy fixtures and
-// for measuring v2-vs-v3 archive sizes; readers auto-detect.
+// no effect (in-memory traces never need decoding). Archives are written
+// in the columnar v3 trace format.
 //
 // --stream analyzes the archive *out of core* instead of materializing
 // it: clock synchronization runs first (streaming needs synchronized
@@ -31,8 +29,8 @@
 // --memory-budget caps the decoded trace bytes resident across all
 // ranks at once (default: a generous 4096-event window per rank). The
 // severity cube is bit-identical to the in-memory analysis. --stream
-// requires --archive-dir and the v3 format; --permissive composes
-// (quarantined ranks stream zero events).
+// requires --archive-dir; --permissive composes (quarantined ranks
+// stream zero events).
 //
 // --metrics writes the full telemetry snapshot (pipeline-stage spans,
 // counters, histograms, run metadata, and — when the sampler ran — the
@@ -79,7 +77,6 @@
 #include "telemetry/sampler.hpp"
 #include "telemetry/snapshot.hpp"
 #include "telemetry/trace_export.hpp"
-#include "tracing/epilog_io.hpp"
 #include "workloads/config.hpp"
 #include "workloads/experiment.hpp"
 
@@ -142,7 +139,6 @@ int main(int argc, char** argv) {
   std::string trace_path;
   int sample_interval_ms = -1;  // -1 = not given on the CLI
   std::string archive_dir;
-  int trace_format = 0;  // 0 = current (tracing::kTraceFormatVersion)
   bool permissive = false;
   bool streaming = false;
   long long memory_budget = 0;
@@ -190,10 +186,6 @@ int main(int argc, char** argv) {
       archive_dir = argv[++i];
     } else if (std::strncmp(argv[i], "--archive-dir=", 14) == 0) {
       archive_dir = argv[i] + 14;
-    } else if (std::strcmp(argv[i], "--trace-format") == 0 && i + 1 < argc) {
-      trace_format = std::atoi(argv[++i]);
-    } else if (std::strncmp(argv[i], "--trace-format=", 15) == 0) {
-      trace_format = std::atoi(argv[i] + 15);
     } else if (std::strcmp(argv[i], "--permissive") == 0) {
       permissive = true;
     } else if (std::strcmp(argv[i], "--stream") == 0) {
@@ -215,28 +207,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (trace_format != 0 &&
-      (trace_format < static_cast<int>(tracing::kMinTraceFormatVersion) ||
-       trace_format > static_cast<int>(tracing::kTraceFormatVersion))) {
-    std::fprintf(stderr,
-                 "msc_run: --trace-format %d out of range (supported: "
-                 "%u..%u)\n",
-                 trace_format, tracing::kMinTraceFormatVersion,
-                 tracing::kTraceFormatVersion);
-    return 1;
-  }
   if (streaming && archive_dir.empty()) {
     std::fprintf(stderr,
                  "msc_run: --stream requires --archive-dir (streaming "
                  "replays the on-disk archive)\n");
-    return 1;
-  }
-  if (streaming && trace_format != 0 &&
-      trace_format < static_cast<int>(tracing::kTraceFormatVersion)) {
-    std::fprintf(stderr,
-                 "msc_run: --stream requires the columnar v%u trace format "
-                 "(row-wise v%d archives must be materialized)\n",
-                 tracing::kTraceFormatVersion, trace_format);
     return 1;
   }
   if (memory_budget < 0) {
@@ -305,9 +279,7 @@ int main(int argc, char** argv) {
           archive_dir, spec.topology.num_metahosts());
       const auto arch =
           archive::ExperimentArchive::create(spec.topology, layout, spec.name);
-      archive::WriteOptions wopts;
-      wopts.format_version = static_cast<std::uint32_t>(trace_format);
-      arch.write_traces(spec.topology, data.traces, wopts);
+      arch.write_traces(spec.topology, data.traces);
       archive::ReadOptions ropts;
       ropts.permissive = permissive;
       archive::ReadReport rep;
@@ -374,7 +346,7 @@ int main(int argc, char** argv) {
           archive_dir, spec.topology.num_metahosts());
       const auto arch = archive::ExperimentArchive::create(
           spec.topology, layout, spec.name);
-      arch.write_traces(spec.topology, data.traces, archive::WriteOptions{});
+      arch.write_traces(spec.topology, data.traces);
       archive::ReadOptions ropts;
       ropts.permissive = permissive;
       archive::ReadReport rep;

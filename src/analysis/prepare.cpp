@@ -16,15 +16,60 @@ namespace metascope::analysis {
 using tracing::Event;
 using tracing::EventType;
 
-namespace {
+RankWalk::RankWalk(Rank rank, std::size_t num_comms, report::CallTree& calls,
+                   RankComm& rc)
+    : rank_(rank), calls_(calls), rc_(rc) {
+  rc_ = RankComm{};
+  rc_.colls.assign(num_comms, 0);
+}
 
-[[noreturn]] void fail_at(Rank rank, std::uint32_t i, const char* what) {
+void RankWalk::fail(const char* what) const {
   std::ostringstream os;
-  os << "malformed trace: rank " << rank << " event " << i << ": " << what;
+  os << "malformed trace: rank " << rank_ << " event " << index_ << ": "
+     << what;
   throw Error(os.str());
 }
 
-}  // namespace
+CallPathId RankWalk::step(const Event& e) {
+  CallPathId c;
+  switch (e.type) {
+    case EventType::Enter:
+      c = calls_.get_or_add(stack_.empty() ? CallPathId{} : stack_.back().cnode,
+                            e.region);
+      stack_.push_back(Frame{c, e.time});
+      break;
+    case EventType::Exit:
+    case EventType::CollExit:
+      if (stack_.empty()) fail("Exit without Enter");
+      if (e.time - stack_.back().enter_time < 0.0)
+        fail("negative region duration");
+      if (e.type == EventType::CollExit) {
+        const auto comm = static_cast<std::size_t>(e.comm.get());
+        if (e.comm.get() < 0 || comm >= rc_.colls.size())
+          fail("collective on an unknown communicator");
+        ++rc_.colls[comm];
+      }
+      c = stack_.back().cnode;
+      stack_.pop_back();
+      break;
+    case EventType::Send:
+    case EventType::Recv:
+      if (stack_.empty()) fail("message event outside any region");
+      if (e.type == EventType::Send)
+        rc_.send_peers.push_back(e.peer);
+      else
+        ++rc_.recvs;
+      c = stack_.back().cnode;
+      break;
+  }
+  ++index_;
+  return c;
+}
+
+std::uint32_t RankWalk::finish() const {
+  if (!stack_.empty()) fail("unclosed region");
+  return index_;
+}
 
 std::size_t CommTables::channel(Rank src, Rank dst) const {
   if (src < 0 || static_cast<std::size_t>(src) + 1 >= pair_begin.size())
@@ -152,71 +197,32 @@ PreparedTrace prepare(const tracing::TraceCollection& tc,
   out.per_rank.resize(static_cast<std::size_t>(tc.num_ranks()));
   out.excl_time.resize(static_cast<std::size_t>(tc.num_ranks()));
   out.rank_span.resize(static_cast<std::size_t>(tc.num_ranks()), 0.0);
-  const std::size_t ncomm = tc.defs.comms.size();
 
-  // Pass 1 (serial): call-path id assignment + structural validation.
-  // Ids must be identical to the historical single-pass walk — ranks in
-  // order, events in order, get_or_add at every Enter — so serial and
-  // parallel cubes stay bit-identical for any worker count. The walk
-  // also performs every structural check (unbalanced Enter/Exit,
-  // message outside a region, negative durations), so the parallel
-  // annotation pass below runs on validated input and cannot fail.
-  // Per rank it records the assigned id of each Enter, in order; the
-  // annotation pass replays the stack from that list without touching
-  // the (single-threaded) call-tree index.
+  // Pass 1 (serial): the structural walk, ranks in order — call-path
+  // ids, every structural check and the communication counts — so the
+  // parallel annotation pass below runs on validated input and cannot
+  // fail. Per rank it records the assigned id of each Enter, in order;
+  // the annotation pass replays the stack from that list without
+  // touching the (single-threaded) call-tree index.
   std::vector<std::vector<CallPathId>> enter_cnodes(
       static_cast<std::size_t>(tc.num_ranks()));
+  std::vector<RankComm> comm_in(static_cast<std::size_t>(tc.num_ranks()));
   for (const auto& trace : tc.ranks) {
-    auto& enters = enter_cnodes[static_cast<std::size_t>(trace.rank)];
-    struct OpenFrame {
-      CallPathId cnode;
-      double enter_time;
-    };
-    std::vector<OpenFrame> stack;
-    for (std::uint32_t i = 0; i < trace.events.size(); ++i) {
-      const Event& e = trace.events[i];
-      switch (e.type) {
-        case EventType::Enter: {
-          const CallPathId parent =
-              stack.empty() ? CallPathId{} : stack.back().cnode;
-          const CallPathId c = out.calls.get_or_add(parent, e.region);
-          stack.push_back(OpenFrame{c, e.time});
-          enters.push_back(c);
-          break;
-        }
-        case EventType::Exit:
-        case EventType::CollExit: {
-          if (stack.empty()) fail_at(trace.rank, i, "Exit without Enter");
-          if (e.time - stack.back().enter_time < 0.0)
-            fail_at(trace.rank, i, "negative region duration");
-          if (e.type == EventType::CollExit &&
-              (e.comm.get() < 0 ||
-               static_cast<std::size_t>(e.comm.get()) >= ncomm))
-            fail_at(trace.rank, i, "collective on an unknown communicator");
-          stack.pop_back();
-          break;
-        }
-        case EventType::Send:
-        case EventType::Recv: {
-          if (stack.empty())
-            fail_at(trace.rank, i, "message event outside any region");
-          break;
-        }
-      }
+    const auto ri = static_cast<std::size_t>(trace.rank);
+    RankWalk walk(trace.rank, tc.defs.comms.size(), out.calls, comm_in[ri]);
+    for (const Event& e : trace.events) {
+      const CallPathId c = walk.step(e);
+      if (e.type == EventType::Enter) enter_cnodes[ri].push_back(c);
     }
-    if (!stack.empty())
-      fail_at(trace.rank, static_cast<std::uint32_t>(trace.events.size()),
-              "unclosed region");
+    (void)walk.finish();
   }
 
   // Pass 2 (parallel, one task per rank): the heavy per-event
   // annotation — call-path tags, enclosing-op windows, the op-event
-  // index the replay iterates, exclusive times, rank spans, and the
-  // rank's share of the communication tables. Each task writes only its
-  // own rank's slots and reads the call tree ids from its private enter
-  // list, so results are deterministic and identical for every worker
-  // count.
-  std::vector<RankComm> comm_in(static_cast<std::size_t>(tc.num_ranks()));
+  // index the replay iterates, exclusive times and rank spans. Each task
+  // writes only its own rank's slots and reads the call tree ids from
+  // its private enter list, so results are deterministic and identical
+  // for every worker count.
   telemetry::RecordingObserver rec_obs(
       "prepare", telemetry::RecordingObserver::fanout_stride(tc.ranks.size()));
   const auto pst = parallel_for(
@@ -226,8 +232,6 @@ PreparedTrace prepare(const tracing::TraceCollection& tc,
         const auto ri = static_cast<std::size_t>(trace.rank);
         const auto& enters = enter_cnodes[ri];
         auto& ann = out.per_rank[ri];
-        RankComm& rc = comm_in[ri];
-        rc.colls.assign(ncomm, 0);
         const std::size_t n = trace.events.size();
         ann.cnode.assign(n, CallPathId{});
         ann.op_enter.assign(n, 0.0);
@@ -278,18 +282,12 @@ PreparedTrace prepare(const tracing::TraceCollection& tc,
               if (e.type == EventType::CollExit) {
                 ann.op_enter[i] = f.enter_time;
                 ann.op_exit[i] = e.time;
-                ++rc.colls[static_cast<std::size_t>(e.comm.get())];
                 ann.op_events.push_back(i);
               }
               break;
             }
             case EventType::Send:
-              rc.send_peers.push_back(e.peer);
-              ann.cnode[i] = stack.back().cnode;
-              ann.op_events.push_back(i);
-              break;
             case EventType::Recv:
-              ++rc.recvs;
               ann.cnode[i] = stack.back().cnode;
               ann.op_events.push_back(i);
               break;

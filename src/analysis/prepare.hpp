@@ -77,12 +77,50 @@ struct CommTables {
   [[nodiscard]] std::size_t member_slot(int comm, int seq, Rank rank) const;
 };
 
-/// What one rank's trace contributes to the CommTables, as a prepare
-/// pass counts it.
+/// What one rank's trace contributes to the CommTables, as RankWalk
+/// counts it.
 struct RankComm {
   std::vector<Rank> send_peers;  ///< destination of every Send, any order
   std::size_t recvs{0};
   std::vector<int> colls;  ///< CollExit count per communicator id
+};
+
+/// The structural walk of one rank, shared by both prepares: prepare()
+/// feeds it the rank's event vector, analyze_streaming the events
+/// TraceStream::scan_light decodes (after the quarantine rule, so event
+/// indices match the pruned collection's). Fed every event in order, it
+/// assigns call-path ids — get_or_add at every Enter; walking the ranks
+/// in ascending order makes the ids identical for every analyzer and
+/// worker count — runs every structural check, and counts the rank's
+/// share of the CommTables.
+class RankWalk {
+ public:
+  /// `rc` is reset to zero counts over `num_comms` communicators.
+  RankWalk(Rank rank, std::size_t num_comms, report::CallTree& calls,
+           RankComm& rc);
+
+  /// Walks the next event and returns its call path (for an Enter, the
+  /// entered one). Throws Error ("malformed trace: rank R event I: ...")
+  /// on an Exit without Enter, a negative region duration, a collective
+  /// on an unknown communicator, or a message event outside any region.
+  CallPathId step(const tracing::Event& e);
+
+  /// Ends the rank; throws Error on an unclosed region. Returns the
+  /// number of events walked.
+  std::uint32_t finish() const;
+
+ private:
+  struct Frame {
+    CallPathId cnode;
+    double enter_time;
+  };
+  [[noreturn]] void fail(const char* what) const;
+
+  Rank rank_;
+  report::CallTree& calls_;
+  RankComm& rc_;
+  std::vector<Frame> stack_;
+  std::uint32_t index_{0};
 };
 
 /// Builds the tables from every rank's contribution (`ranks` is indexed

@@ -8,12 +8,12 @@
 //
 // Two streaming passes replace prepare():
 //
-//  - a *light* pass (serial, ranks in order) over the type/time/region/
-//    comm/peer columns only: call-path ids are assigned by the identical
-//    get_or_add walk the materializing prepare runs, every structural
-//    check fires with the identical diagnostic, and each rank's
-//    communication is counted for the replay's CommTables (collective
-//    completeness is validated there, before any task runs);
+//  - a *light* pass (serial, ranks in order) feeds the type/time/region/
+//    comm/peer columns (TraceStream::scan_light) through RankWalk, the
+//    structural walk the materializing prepare runs: identical call-path
+//    ids, identical diagnostics, and each rank's communication counted
+//    for the replay's CommTables (collective completeness is validated
+//    there, before any task runs);
 //  - the *window* pass inside each replay task: per-event annotation
 //    (call-path tags via CallTree::find against the tree the light pass
 //    built, enclosing-op windows, exclusive times) happens as events
@@ -28,10 +28,9 @@
 // bit-identical to analyze_serial / analyze_parallel for any budget.
 //
 // Permissive sources (StreamSource::quarantined) are filtered on the
-// fly, mirroring tracing::prune_quarantined: events of quarantined
-// ranks never decode, surviving ranks drop Send/Recv with a
-// quarantined peer, and CollExit on a communicator containing one
-// degrades to a plain Exit.
+// fly: events of quarantined ranks never decode, and both passes run
+// every surviving event through tracing::Quarantine::apply, the rule
+// tracing::prune_quarantined applies to a materialized collection.
 
 #include <algorithm>
 #include <atomic>
@@ -40,7 +39,6 @@
 #include <exception>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -79,21 +77,6 @@ struct WinEvent {
   /// receive-order sort key (monotone per rank, like the materialized
   /// analyzers' raw event index over the pruned collection).
   std::uint32_t index{0};
-};
-
-/// Quarantine filtering state, mirroring tracing::prune_quarantined.
-struct QuarantineFilter {
-  std::vector<char> rank_q;  ///< by rank: events of these never decode
-  std::vector<char> comm_q;  ///< by comm: collectives here degrade
-
-  [[nodiscard]] bool drop_msg(std::int64_t peer) const {
-    return peer >= 0 && peer < static_cast<std::int64_t>(rank_q.size()) &&
-           rank_q[static_cast<std::size_t>(peer)] != 0;
-  }
-  [[nodiscard]] bool degrade_coll(std::int64_t comm) const {
-    return comm >= 0 && comm < static_cast<std::int64_t>(comm_q.size()) &&
-           comm_q[static_cast<std::size_t>(comm)] != 0;
-  }
 };
 
 /// Trace-resident byte accounting shared by every rank task: the live
@@ -163,82 +146,10 @@ struct RankStream {
   std::size_t resident{0};       ///< bytes this rank currently accounts
   std::uint32_t windows_filled{0};
 
-  // Tallies from the light pass.
+  // Tallies from the structural walk.
   std::uint64_t events_kept{0};
   std::uint64_t pruned{0};
 };
-
-[[noreturn]] void fail_at(Rank rank, std::uint32_t i, const char* what) {
-  std::ostringstream os;
-  os << "malformed trace: rank " << rank << " event " << i << ": " << what;
-  throw Error(os.str());
-}
-
-/// The light pass over one rank: the identical serial walk prepare()'s
-/// pass 1 runs — get_or_add at every Enter, every structural check with
-/// the identical diagnostic — plus the rank's share of the replay's
-/// communication tables (prepare()'s pass 2 counts the same). Quarantine
-/// filtering is applied first, so indices in diagnostics match the
-/// pruned collection's.
-void light_pass(Rank rank, const tracing::TraceStream& ts,
-                const QuarantineFilter& filt, report::CallTree& calls,
-                RankComm& rc, RankStream& rs) {
-  struct Open {
-    CallPathId cnode;
-    double enter_time;
-  };
-  std::vector<Open> stack;
-  std::uint32_t idx = 0;
-  ts.scan_light([&](const tracing::LightEvent& le) {
-    EventType type = le.type;
-    if ((type == EventType::Send || type == EventType::Recv) &&
-        filt.drop_msg(le.peer)) {
-      ++rs.pruned;
-      return;
-    }
-    if (type == EventType::CollExit && filt.degrade_coll(le.comm)) {
-      type = EventType::Exit;
-      ++rs.pruned;
-    }
-    switch (type) {
-      case EventType::Enter: {
-        const CallPathId parent =
-            stack.empty() ? CallPathId{} : stack.back().cnode;
-        const CallPathId c =
-            calls.get_or_add(parent, RegionId{static_cast<int>(le.region)});
-        stack.push_back(Open{c, le.time});
-        break;
-      }
-      case EventType::Exit:
-      case EventType::CollExit: {
-        if (stack.empty()) fail_at(rank, idx, "Exit without Enter");
-        if (le.time - stack.back().enter_time < 0.0)
-          fail_at(rank, idx, "negative region duration");
-        if (type == EventType::CollExit) {
-          if (le.comm < 0 ||
-              static_cast<std::size_t>(le.comm) >= rc.colls.size())
-            fail_at(rank, idx, "collective on an unknown communicator");
-          ++rc.colls[static_cast<std::size_t>(le.comm)];
-        }
-        stack.pop_back();
-        break;
-      }
-      case EventType::Send:
-      case EventType::Recv: {
-        if (stack.empty())
-          fail_at(rank, idx, "message event outside any region");
-        if (type == EventType::Send)
-          rc.send_peers.push_back(static_cast<Rank>(le.peer));
-        else
-          ++rc.recvs;
-        break;
-      }
-    }
-    ++idx;
-  });
-  if (!stack.empty()) fail_at(rank, idx, "unclosed region");
-  rs.events_kept = idx;
-}
 
 }  // namespace
 
@@ -251,15 +162,7 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
   MSC_CHECK(src.paths.size() == n, "stream source paths/defs mismatch");
   const tracing::TraceDefs& defs = tc.defs;
 
-  QuarantineFilter filt;
-  filt.rank_q.assign(n, 0);
-  for (const Rank r : src.quarantined)
-    filt.rank_q[static_cast<std::size_t>(r)] = 1;
-  filt.comm_q.assign(defs.comms.size(), 0);
-  for (const auto& comm : defs.comms)
-    for (const Rank r : comm.members)
-      if (filt.rank_q[static_cast<std::size_t>(r)] != 0)
-        filt.comm_q[static_cast<std::size_t>(comm.id.get())] = 1;
+  const tracing::Quarantine quarantine(tc, src.quarantined);
 
   AnalysisResult res;
   report::CallTree calls;
@@ -286,7 +189,7 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
     // is the lowest failing one exactly as under the old serial loop.
     std::vector<std::exception_ptr> open_err(n);
     parallel_for(n, opts.max_workers, [&](std::size_t r) {
-      if (filt.rank_q[r] != 0) return;
+      if (quarantine.holds(static_cast<Rank>(r))) return;
       RankStream& rs = streams[r];
       try {
         rs.file = MappedFile::open(src.paths[r], src.use_mmap);
@@ -297,12 +200,18 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
     });
     for (std::size_t r = 0; r < n; ++r) {
       RankStream& rs = streams[r];
-      if (filt.rank_q[r] != 0) continue;
+      if (quarantine.holds(static_cast<Rank>(r))) continue;
       try {
         if (open_err[r]) std::rethrow_exception(open_err[r]);
-        comm_in[r].colls.assign(defs.comms.size(), 0);
-        light_pass(static_cast<Rank>(r), *rs.ts, filt, calls, comm_in[r],
-                   rs);
+        RankWalk walk(static_cast<Rank>(r), defs.comms.size(), calls,
+                      comm_in[r]);
+        rs.ts->scan_light([&](const Event& scanned) {
+          Event e = scanned;
+          const tracing::Pruned p = quarantine.apply(e);
+          if (p != tracing::Pruned::No) ++rs.pruned;
+          if (p != tracing::Pruned::Dropped) (void)walk.step(e);
+        });
+        rs.events_kept = walk.finish();
       } catch (const Error& e) {
         throw e.with_context(
             ErrorContext{src.paths[r], static_cast<Rank>(r), -1});
@@ -353,14 +262,9 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
         ts.next(rs.raw, chunk);
         continue;
       }
-      const Event& e = rs.raw[rs.rpos++];
-      EventType type = e.type;
-      if ((type == EventType::Send || type == EventType::Recv) &&
-          filt.drop_msg(e.peer))
-        continue;
-      if (type == EventType::CollExit && filt.degrade_coll(e.comm.get()))
-        type = EventType::Exit;
-      switch (type) {
+      Event& e = rs.raw[rs.rpos++];
+      if (quarantine.apply(e) == tracing::Pruned::Dropped) continue;
+      switch (e.type) {
         case EventType::Enter: {
           const CallPathId parent =
               rs.stack.empty() ? CallPathId{} : rs.stack.back().cnode;
@@ -382,7 +286,7 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
             rs.win[slot].op_exit = e.time;
           }
           rs.open_ops -= f.open_ops.size();
-          if (type == EventType::CollExit) {
+          if (e.type == EventType::CollExit) {
             WinEvent w;
             w.e = e;
             w.cnode = f.cnode;

@@ -10,14 +10,6 @@ double clamp_wait(double wait, double op_dur) {
   return std::clamp(wait, 0.0, std::max(op_dur, 0.0));
 }
 
-void apply_hit(report::Cube& cube, const WaitHit& hit) {
-  if (hit.seconds <= 0.0) return;
-  cube.add(hit.metric, hit.cnode, hit.rank, hit.seconds);
-  cube.add(hit.category, hit.cnode, hit.rank, -hit.seconds);
-  cube.add_pair_breakdown(hit.metric, hit.waiter_mh, hit.peer_mh,
-                          hit.seconds);
-}
-
 double late_sender_wait(const P2pSide& send, const P2pSide& recv) {
   return clamp_wait(send.op_enter - recv.op_enter,
                     recv.op_exit - recv.op_enter);
@@ -43,142 +35,6 @@ bool comm_spans_metahosts(const tracing::TraceDefs& defs,
   for (Rank r : comm_members)
     if (defs.metahost_of(r) != first) return true;
   return false;
-}
-
-void p2p_hits(const PatternSet& ps, const tracing::TraceDefs& defs,
-              const RegionClassTable& rct, const P2pSide& send,
-              const P2pSide& recv, std::vector<WaitHit>& out) {
-  const bool grid = defs.crosses_metahosts(send.rank, recv.rank);
-  const double ls = late_sender_wait(send, recv);
-  if (ls > 0.0) {
-    WaitHit h;
-    h.metric = ps.late_sender_of(grid);
-    h.category = ps.p2p;
-    h.cnode = recv.cnode;
-    h.rank = recv.rank;
-    h.seconds = ls;
-    h.waiter_mh = defs.metahost_of(recv.rank);
-    h.peer_mh = defs.metahost_of(send.rank);
-    out.push_back(h);
-  }
-  const double lr = late_receiver_wait(
-      send, recv, rct.is_blocking_standard_send(send.region));
-  if (lr > 0.0) {
-    WaitHit h;
-    h.metric = ps.late_receiver_of(grid);
-    h.category = ps.p2p;
-    h.cnode = send.cnode;
-    h.rank = send.rank;
-    h.seconds = lr;
-    h.waiter_mh = defs.metahost_of(send.rank);
-    h.peer_mh = defs.metahost_of(recv.rank);
-    out.push_back(h);
-  }
-}
-
-void collective_hits(const PatternSet& ps, const tracing::TraceDefs& defs,
-                     CollectiveKind kind,
-                     const std::vector<Rank>& comm_members,
-                     const std::vector<CollMember>& members, Rank root,
-                     std::vector<WaitHit>& out) {
-  MSC_CHECK(!members.empty(), "collective with no members");
-  const bool grid = comm_spans_metahosts(defs, comm_members);
-
-  // The participant entering last (peer of NxN/barrier waits).
-  std::size_t last_idx = 0;
-  for (std::size_t i = 1; i < members.size(); ++i)
-    if (members[i].enter > members[last_idx].enter) last_idx = i;
-  const double last_enter = members[last_idx].enter;
-  const MetahostId last_mh = defs.metahost_of(members[last_idx].rank);
-
-  switch (kind) {
-    case CollectiveKind::NxN:
-    case CollectiveKind::Barrier: {
-      const bool barrier = kind == CollectiveKind::Barrier;
-      const MetricId metric =
-          barrier ? ps.wait_barrier_of(grid) : ps.wait_nxn_of(grid);
-      const MetricId category =
-          barrier ? ps.synchronization : ps.collective;
-      for (const auto& m : members) {
-        const double w =
-            clamp_wait(last_enter - m.enter, m.exit - m.enter);
-        if (w <= 0.0) continue;
-        WaitHit h;
-        h.metric = metric;
-        h.category = category;
-        h.cnode = m.cnode;
-        h.rank = m.rank;
-        h.seconds = w;
-        h.waiter_mh = defs.metahost_of(m.rank);
-        h.peer_mh = last_mh;
-        out.push_back(h);
-      }
-      break;
-    }
-    case CollectiveKind::OneToN: {
-      // Non-roots entering before the root wait for the root's data.
-      MSC_CHECK(root != kNoRank, "1-to-N collective without root");
-      double root_enter = 0.0;
-      bool found = false;
-      for (const auto& m : members) {
-        if (m.rank == root) {
-          root_enter = m.enter;
-          found = true;
-        }
-      }
-      MSC_CHECK(found, "root not among collective members");
-      for (const auto& m : members) {
-        if (m.rank == root) continue;
-        const double w =
-            clamp_wait(root_enter - m.enter, m.exit - m.enter);
-        if (w <= 0.0) continue;
-        WaitHit h;
-        h.metric = ps.late_broadcast_of(grid);
-        h.category = ps.collective;
-        h.cnode = m.cnode;
-        h.rank = m.rank;
-        h.seconds = w;
-        h.waiter_mh = defs.metahost_of(m.rank);
-        h.peer_mh = defs.metahost_of(root);
-        out.push_back(h);
-      }
-      break;
-    }
-    case CollectiveKind::NToOne: {
-      // The root waits until the last contribution was sent.
-      MSC_CHECK(root != kNoRank, "N-to-1 collective without root");
-      const CollMember* root_m = nullptr;
-      double last_sender_enter = -kInfTime;
-      MetahostId last_sender_mh;
-      for (const auto& m : members) {
-        if (m.rank == root) {
-          root_m = &m;
-        } else if (m.enter > last_sender_enter) {
-          last_sender_enter = m.enter;
-          last_sender_mh = defs.metahost_of(m.rank);
-        }
-      }
-      MSC_CHECK(root_m != nullptr, "root not among collective members");
-      if (members.size() > 1) {
-        const double w = clamp_wait(last_sender_enter - root_m->enter,
-                                    root_m->exit - root_m->enter);
-        if (w > 0.0) {
-          WaitHit h;
-          h.metric = ps.early_reduce_of(grid);
-          h.category = ps.collective;
-          h.cnode = root_m->cnode;
-          h.rank = root_m->rank;
-          h.seconds = w;
-          h.waiter_mh = defs.metahost_of(root_m->rank);
-          h.peer_mh = last_sender_mh;
-          out.push_back(h);
-        }
-      }
-      break;
-    }
-    case CollectiveKind::NotACollective:
-      MSC_ASSERT(false, "collective_hits on non-collective");
-  }
 }
 
 }  // namespace metascope::analysis

@@ -1,8 +1,6 @@
 // The pure wait-state formulas (paper §3–§4). Detectors in
 // detectors.cpp evaluate these from pattern-engine callbacks; the
-// formulas stay free functions so tests can probe edge cases directly
-// and bench_replay_scaling can reproduce the pre-engine "direct call"
-// accumulation as its dispatch-overhead baseline.
+// formulas stay free functions so tests can probe edge cases directly.
 //
 // Waits are always clamped into the waiting operation's own duration, so
 // severity never exceeds measured time even under residual clock error.
@@ -15,23 +13,6 @@
 #include "tracing/defs.hpp"
 
 namespace metascope::analysis {
-
-/// One detected wait: `metric` gains `seconds` at (cnode, rank) and the
-/// owning category metric loses the same amount (severity stays a
-/// partition of total time).
-struct WaitHit {
-  MetricId metric;
-  MetricId category;
-  CallPathId cnode;
-  Rank rank{kNoRank};
-  double seconds{0.0};
-  /// Metahosts for the grid breakdown (waiter first).
-  MetahostId waiter_mh;
-  MetahostId peer_mh;
-};
-
-/// Applies a hit to the cube (pattern +, category -, pair breakdown).
-void apply_hit(report::Cube& cube, const WaitHit& hit);
 
 /// clamp(wait, 0, max(op_dur, 0)) — every formula routes through this,
 /// which is why severities are never negative and never exceed the
@@ -85,28 +66,5 @@ double collective_completion_wait(double last_enter, const CollMember& m);
 /// True if the communicator spans more than one metahost.
 bool comm_spans_metahosts(const tracing::TraceDefs& defs,
                           const std::vector<Rank>& comm_members);
-
-// --- pre-engine direct emitters -----------------------------------------
-// These reproduce the hardwired accumulation exactly as it ran before the
-// pattern engine (Late Sender/Receiver per message; the wait patterns per
-// collective instance — no Completion). bench_replay_scaling uses them as
-// the direct-call baseline its <=5% dispatch-overhead gate compares
-// against; they are not called on any analyzer path.
-
-/// Emits Late Sender / Late Receiver hits (with grid specialization) for
-/// one matched message.
-void p2p_hits(const PatternSet& ps, const tracing::TraceDefs& defs,
-              const RegionClassTable& rct, const P2pSide& send,
-              const P2pSide& recv, std::vector<WaitHit>& out);
-
-/// Emits hits for one completed collective instance. `root` is the
-/// global root rank (kNoRank for rootless); `kind` from the class table.
-/// The grid flag is decided from the communicator's full member list
-/// (paper: "the entire communicator is searched for processes differing
-/// in their machine location component").
-void collective_hits(const PatternSet& ps, const tracing::TraceDefs& defs,
-                     CollectiveKind kind, const std::vector<Rank>& comm_members,
-                     const std::vector<CollMember>& members, Rank root,
-                     std::vector<WaitHit>& out);
 
 }  // namespace metascope::analysis

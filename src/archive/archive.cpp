@@ -90,6 +90,25 @@ bool is_visible(const std::string& path, CreationStats* stats) {
   return fs::exists(path);
 }
 
+/// The shared definitions from the first replica that decodes (every
+/// partial archive in `dirs` holds one). In permissive mode a corrupt
+/// copy just means trying the next one; strict mode fails on the first.
+tracing::TraceCollection read_first_defs(
+    const std::vector<std::string>& dirs, const ReadOptions& opts,
+    std::atomic<std::uint64_t>& bytes_read) {
+  for (std::size_t i = 0;; ++i) {
+    const std::string path = dirs[i] + "/" + tracing::defs_filename();
+    try {
+      const MappedFile f = MappedFile::open(path, opts.use_mmap);
+      auto tc = tracing::decode_defs(f.data(), f.size(), path);
+      bytes_read.fetch_add(f.size(), std::memory_order_relaxed);
+      return tc;
+    } catch (const Error&) {
+      if (!opts.permissive || i + 1 == dirs.size()) throw;
+    }
+  }
+}
+
 }  // namespace
 
 ExperimentArchive ExperimentArchive::create(const simnet::Topology& topo,
@@ -210,14 +229,11 @@ void ExperimentArchive::write_traces(const simnet::Topology& topo,
                                      const WriteOptions& opts) const {
   MSC_CHECK(tc.num_ranks() == topo.num_ranks(),
             "collection/topology rank mismatch");
-  const std::uint32_t version = opts.format_version != 0
-                                    ? opts.format_version
-                                    : tracing::kTraceFormatVersion;
   telemetry::ScopedSpan span("archive_write");
   // Definitions + manifest go into every partial archive; each rank's
   // trace goes only where that rank can write.
   std::atomic<std::uint64_t> bytes_on_disk{0};
-  const auto defs_bytes = tracing::encode_defs(tc, version);
+  const auto defs_bytes = tracing::encode_defs(tc);
   for (const std::string& dir : partial_dirs()) {
     write_file_bytes(dir + "/" + tracing::defs_filename(), defs_bytes);
     bytes_on_disk.fetch_add(defs_bytes.size(), std::memory_order_relaxed);
@@ -233,7 +249,7 @@ void ExperimentArchive::write_traces(const simnet::Topology& topo,
       [&](std::size_t i) {
         const auto& t = tc.ranks[i];
         const std::string& dir = dir_of(topo.metahost_of(t.rank));
-        const auto bytes = tracing::encode_local_trace(t, version);
+        const auto bytes = tracing::encode_local_trace(t);
         write_file_bytes(dir + "/" + tracing::trace_filename(t.rank), bytes);
         bytes_on_disk.fetch_add(bytes.size(), std::memory_order_relaxed);
       },
@@ -248,7 +264,8 @@ void ExperimentArchive::write_traces(const simnet::Topology& topo,
     const MetahostId mh{m};
     Json manifest;
     manifest.set("experiment", name_);
-    manifest.set("format_version", static_cast<int>(version));
+    manifest.set("format_version",
+                 static_cast<int>(tracing::kTraceFormatVersion));
     manifest.set("metahost_id", m);
     Json ranks;
     for (Rank r :
@@ -282,27 +299,9 @@ tracing::TraceCollection ExperimentArchive::read_traces(
   telemetry::ScopedSpan span("archive_read");
   if (report) *report = ReadReport{};
 
-  // Definitions are replicated into every partial archive; in permissive
-  // mode a corrupt copy just means trying the next replica.
-  tracing::TraceCollection tc;
   std::atomic<std::uint64_t> bytes_read{0};
-  {
-    const auto dirs = partial_dirs();
-    bool have_defs = false;
-    for (std::size_t i = 0; i < dirs.size(); ++i) {
-      const std::string path = dirs[i] + "/" + tracing::defs_filename();
-      try {
-        const MappedFile f = MappedFile::open(path, opts.use_mmap);
-        tc = tracing::decode_defs(f.data(), f.size(), path);
-        bytes_read.fetch_add(f.size(), std::memory_order_relaxed);
-        have_defs = true;
-        break;
-      } catch (const Error&) {
-        if (!opts.permissive || i + 1 == dirs.size()) throw;
-      }
-    }
-    MSC_ASSERT(have_defs, "defs decode fell through");
-  }
+  tracing::TraceCollection tc =
+      read_first_defs(partial_dirs(), opts, bytes_read);
   // The defs header names the rank count, so each rank's Trace slot is
   // pre-sized before any trace file is opened; the per-rank decoders
   // then fill their slots straight from the mappings.
@@ -390,23 +389,7 @@ tracing::StreamSource ExperimentArchive::stream_source(
   tracing::StreamSource src;
   src.use_mmap = opts.use_mmap;
   std::atomic<std::uint64_t> bytes{0};
-  {
-    const auto dirs = partial_dirs();
-    bool have_defs = false;
-    for (std::size_t i = 0; i < dirs.size(); ++i) {
-      const std::string path = dirs[i] + "/" + tracing::defs_filename();
-      try {
-        const MappedFile f = MappedFile::open(path, opts.use_mmap);
-        src.defs = tracing::decode_defs(f.data(), f.size(), path);
-        bytes.fetch_add(f.size(), std::memory_order_relaxed);
-        have_defs = true;
-        break;
-      } catch (const Error&) {
-        if (!opts.permissive || i + 1 == dirs.size()) throw;
-      }
-    }
-    MSC_ASSERT(have_defs, "defs decode fell through");
-  }
+  src.defs = read_first_defs(partial_dirs(), opts, bytes);
 
   src.paths.resize(static_cast<std::size_t>(src.defs.num_ranks()));
   std::vector<std::pair<std::size_t, Rank>> files;

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -59,10 +58,6 @@ struct ReadOptions {
 struct WriteOptions {
   /// Like ReadOptions::max_workers.
   std::size_t max_workers{0};
-  /// Trace format version to write (see tracing/epilog_io.hpp). Older
-  /// versions stay writable so cross-version fixtures and migration
-  /// tests can produce them; readers accept every version.
-  std::uint32_t format_version{0};  // 0 = kTraceFormatVersion
 };
 
 /// One quarantined rank and why.
@@ -182,8 +177,8 @@ class ExperimentArchive {
   /// first failure with file/rank context. Permissive mode quarantines
   /// undecodable ranks in the source (and the report): they stream
   /// zero events and analysis::analyze_streaming filters surviving
-  /// ranks' events against them on the fly, mirroring
-  /// tracing::prune_quarantined. Requires a v3 archive (older versions
+  /// ranks' events against them on the fly with the rule
+  /// tracing::prune_quarantined applies. Requires a v3 archive (older versions
   /// are VersionMismatch — materialize them with read_traces).
   [[nodiscard]] tracing::StreamSource stream_source(
       const ReadOptions& opts, ReadReport* report = nullptr) const;

@@ -225,10 +225,13 @@ void put_xor_stream(BufWriter& w, const double* v, std::size_t n) {
 }  // namespace
 
 void encode_int_column(BufWriter& w, const std::int64_t* v, std::size_t n) {
-  std::int64_t prev = 0;
+  // Subtract in uint64 so extreme neighbours wrap instead of hitting
+  // signed overflow; the decoder's wrapping accumulation undoes it.
+  std::uint64_t prev = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    w.put_svarint(v[i] - prev);
-    prev = v[i];
+    const auto cur = static_cast<std::uint64_t>(v[i]);
+    w.put_svarint(static_cast<std::int64_t>(cur - prev));
+    prev = cur;
   }
 }
 

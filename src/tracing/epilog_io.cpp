@@ -5,12 +5,14 @@
 #include "common/binary_io.hpp"
 #include "common/column_codec.hpp"
 #include "common/error.hpp"
+#include "tracing/v3_blocks.hpp"
 
 namespace metascope::tracing {
 
 namespace {
 constexpr std::uint32_t kDefsMagic = 0x4453434DU;   // "MCSD"
-constexpr std::uint32_t kTraceMagic = 0x5453434DU;  // "MCST"
+using v3::kNumEventTypes;
+using v3::kTraceMagic;
 
 // Cheapest possible encodings, used to validate header counts against
 // the bytes actually present before reserving anything: a row-wise
@@ -28,35 +30,21 @@ constexpr std::size_t kMinMetahostBytes = 2;  // id + name prefix
 constexpr std::size_t kMinLocationBytes = 4;  // four svarints
 constexpr std::size_t kMinCommBytes = 3;      // id + name prefix + count
 
-constexpr std::size_t kNumEventTypes = 5;
-
-void check_encode_version(std::uint32_t version) {
-  if (version < kMinTraceFormatVersion || version > kTraceFormatVersion)
-    throw Error(ErrorCode::VersionMismatch,
-                "cannot encode trace format version " +
-                    std::to_string(version) + " (supported: " +
-                    std::to_string(kMinTraceFormatVersion) + ".." +
-                    std::to_string(kTraceFormatVersion) + ")");
+/// One id field of a row-wise (v1/v2) record, named like its v3 column.
+std::int32_t get_id(Decoder& d, const char* what) {
+  const std::int64_t v = d.get_svarint();
+  v3::check_int32(&v, 1, what, d.context());
+  return static_cast<std::int32_t>(v);
 }
 
 // ---- sync records (row layout, v1/v2) -------------------------------
-
-void encode_sync_rows(BufWriter& w, const std::vector<OffsetRecord>& sync) {
-  for (const auto& s : sync) {
-    w.put_u8(static_cast<std::uint8_t>(s.phase));
-    w.put_svarint(s.ref_rank);
-    w.put_f64(s.local_mid);
-    w.put_f64(s.offset);
-    w.put_f64(s.error_bound);
-  }
-}
 
 void decode_sync_rows(Decoder& d, LocalTrace& t, std::uint64_t nsync) {
   t.sync.reserve(static_cast<std::size_t>(nsync));
   for (std::uint64_t i = 0; i < nsync; ++i) {
     OffsetRecord s;
     s.phase = d.get_u8();
-    s.ref_rank = static_cast<Rank>(d.get_svarint());
+    s.ref_rank = get_id(d, "sync.ref_rank");
     s.local_mid = d.get_f64();
     s.offset = d.get_f64();
     s.error_bound = d.get_f64();
@@ -65,35 +53,6 @@ void decode_sync_rows(Decoder& d, LocalTrace& t, std::uint64_t nsync) {
 }
 
 // ---- row-wise events (v1/v2) ----------------------------------------
-
-void encode_event_rows(BufWriter& w, const std::vector<Event>& events) {
-  for (const auto& e : events) {
-    w.put_u8(static_cast<std::uint8_t>(e.type));
-    w.put_f64(e.time);
-    switch (e.type) {
-      case EventType::Enter:
-        w.put_svarint(e.region.get());
-        break;
-      case EventType::Exit:
-        break;
-      case EventType::Send:
-      case EventType::Recv:
-        w.put_svarint(e.peer);
-        w.put_svarint(e.tag);
-        w.put_f64(e.bytes);
-        w.put_svarint(e.comm.get());
-        break;
-      case EventType::CollExit:
-        w.put_svarint(e.region.get());
-        w.put_svarint(e.comm.get());
-        w.put_svarint(e.root);
-        w.put_f64(e.bytes);
-        w.put_f64(e.sent_bytes);
-        w.put_f64(e.recvd_bytes);
-        break;
-    }
-  }
-}
 
 void decode_event_rows(Decoder& d, LocalTrace& t, std::uint64_t nev) {
   t.events.reserve(static_cast<std::size_t>(nev));
@@ -104,24 +63,26 @@ void decode_event_rows(Decoder& d, LocalTrace& t, std::uint64_t nev) {
     switch (static_cast<EventType>(type)) {
       case EventType::Enter:
         e.type = EventType::Enter;
-        e.region = RegionId{static_cast<int>(d.get_svarint())};
+        e.region = RegionId{get_id(d, "enter.region")};
         break;
       case EventType::Exit:
         e.type = EventType::Exit;
         break;
       case EventType::Send:
-      case EventType::Recv:
+      case EventType::Recv: {
         e.type = static_cast<EventType>(type);
-        e.peer = static_cast<Rank>(d.get_svarint());
-        e.tag = static_cast<int>(d.get_svarint());
+        const bool send = e.type == EventType::Send;
+        e.peer = get_id(d, send ? "send.peer" : "recv.peer");
+        e.tag = get_id(d, send ? "send.tag" : "recv.tag");
         e.bytes = d.get_f64();
-        e.comm = CommId{static_cast<int>(d.get_svarint())};
+        e.comm = CommId{get_id(d, send ? "send.comm" : "recv.comm")};
         break;
+      }
       case EventType::CollExit:
         e.type = EventType::CollExit;
-        e.region = RegionId{static_cast<int>(d.get_svarint())};
-        e.comm = CommId{static_cast<int>(d.get_svarint())};
-        e.root = static_cast<Rank>(d.get_svarint());
+        e.region = RegionId{get_id(d, "collexit.region")};
+        e.comm = CommId{get_id(d, "collexit.comm")};
+        e.root = get_id(d, "collexit.root");
         e.bytes = d.get_f64();
         e.sent_bytes = d.get_f64();
         e.recvd_bytes = d.get_f64();
@@ -181,19 +142,6 @@ void put_double_column(BufWriter& w, const std::vector<double>& v) {
   });
 }
 
-/// Reads a column frame's byte-length prefix and returns the position
-/// at which the column must end. Truncated if the declared length
-/// overruns the file.
-std::size_t begin_column(Decoder& d, const char* what) {
-  const std::uint64_t len = d.get_varint();
-  if (len > d.remaining())
-    d.fail(ErrorCode::Truncated,
-           std::string("truncated ") + what + " column: frame declares " +
-               std::to_string(len) + " bytes but only " +
-               std::to_string(d.remaining()) + " remain");
-  return d.pos() + static_cast<std::size_t>(len);
-}
-
 /// Corrupt if the codec consumed a different number of bytes than the
 /// frame declared (a column-length/count mismatch).
 void end_column(const Decoder& d, const char* what, std::size_t end) {
@@ -209,16 +157,17 @@ void get_int_column(Decoder& d, std::vector<std::int64_t>& out,
                     std::size_t n, const char* what) {
   out.resize(n);
   if (n == 0) return;
-  const std::size_t end = begin_column(d, what);
+  const std::size_t end = v3::begin_column(d, what);
   colcodec::decode_int_column(d, out.data(), n);
   end_column(d, what, end);
+  v3::check_int32(out.data(), n, what, d.context());
 }
 
 void get_double_column(Decoder& d, std::vector<double>& out, std::size_t n,
                        const char* what) {
   out.resize(n);
   if (n == 0) return;
-  const std::size_t end = begin_column(d, what);
+  const std::size_t end = v3::begin_column(d, what);
   colcodec::decode_double_column(d, out.data(), n);
   end_column(d, what, end);
 }
@@ -248,27 +197,7 @@ void encode_sync_v3(BufWriter& w, const std::vector<OffsetRecord>& sync) {
   put_double_column(w, error_bound);
 }
 
-void decode_sync_v3(Decoder& d, LocalTrace& t, std::uint64_t nsync) {
-  const auto n = static_cast<std::size_t>(nsync);
-  std::vector<std::int64_t> phase, ref_rank;
-  std::vector<double> local_mid, offset, error_bound;
-  get_int_column(d, phase, n, "sync.phase");
-  get_int_column(d, ref_rank, n, "sync.ref_rank");
-  get_double_column(d, local_mid, n, "sync.local_mid");
-  get_double_column(d, offset, n, "sync.offset");
-  get_double_column(d, error_bound, n, "sync.error_bound");
-  t.sync.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    OffsetRecord& s = t.sync[i];
-    s.phase = static_cast<int>(phase[i]);
-    s.ref_rank = static_cast<Rank>(ref_rank[i]);
-    s.local_mid = local_mid[i];
-    s.offset = offset[i];
-    s.error_bound = error_bound[i];
-  }
-}
-
-void encode_events_v3(BufWriter& w, const std::vector<Event>& events,
+void encode_events_v3(BufWriter& w, const EventVector& events,
                       const std::array<std::uint64_t, kNumEventTypes>& counts) {
   EventColumns c;
   c.time.reserve(events.size());
@@ -334,36 +263,10 @@ void encode_events_v3(BufWriter& w, const std::vector<Event>& events,
   put_double_column(w, c.coll_recvd);
 }
 
-void decode_events_v3(Decoder& d, LocalTrace& t, std::uint64_t nev,
-                      const std::array<std::uint64_t, kNumEventTypes>& counts) {
-  // Type stream first: every nibble must name a known event type, the
-  // per-type tallies must reproduce the header's counts, and an odd
-  // stream's trailing high nibble must be zero.
-  const std::size_t nbytes = static_cast<std::size_t>((nev + 1) / 2);
-  const std::uint8_t* nibbles = d.get_raw(nbytes, "event type stream");
-  std::array<std::uint64_t, kNumEventTypes> seen{};
-  std::vector<std::uint8_t> types(static_cast<std::size_t>(nev));
-  for (std::uint64_t i = 0; i < nev; ++i) {
-    const std::uint8_t ty = (i % 2 == 0)
-                                ? static_cast<std::uint8_t>(nibbles[i / 2] & 0xF)
-                                : static_cast<std::uint8_t>(nibbles[i / 2] >> 4);
-    if (ty >= kNumEventTypes)
-      d.fail(ErrorCode::Corrupt, "corrupt trace: unknown event type " +
-                                     std::to_string(static_cast<int>(ty)) +
-                                     " in type stream at event " +
-                                     std::to_string(i));
-    ++seen[ty];
-    types[static_cast<std::size_t>(i)] = ty;
-  }
-  if (nev % 2 != 0 && (nibbles[nbytes - 1] >> 4) != 0)
-    d.fail(ErrorCode::Corrupt,
-           "corrupt trace: nonzero padding nibble in type stream");
-  for (std::size_t ty = 0; ty < kNumEventTypes; ++ty)
-    if (seen[ty] != counts[ty])
-      d.fail(ErrorCode::Corrupt,
-             "corrupt trace: type stream has " + std::to_string(seen[ty]) +
-                 " events of type " + std::to_string(ty) +
-                 " but the header declares " + std::to_string(counts[ty]));
+void decode_events_v3(Decoder& d, LocalTrace& t, const v3::Header& h) {
+  const std::uint64_t nev = h.nev;
+  const auto& counts = h.counts;
+  const std::uint8_t* nibbles = v3::get_type_stream(d, h);
 
   EventColumns c;
   get_double_column(d, c.time, static_cast<std::size_t>(nev), "time");
@@ -389,12 +292,13 @@ void decode_events_v3(Decoder& d, LocalTrace& t, std::uint64_t nev,
 
   // Interleave the columns back into the event stream. The type-stream
   // tallies were checked against the header counts above, so every
-  // cursor lands exactly at its column's end.
+  // cursor lands exactly at its column's end; get_int_column checked
+  // every id against int32, so the narrowing casts are exact.
   t.events.resize(static_cast<std::size_t>(nev));
   std::size_t i_enter = 0, i_send = 0, i_recv = 0, i_coll = 0;
   for (std::uint64_t i = 0; i < nev; ++i) {
     Event& e = t.events[static_cast<std::size_t>(i)];
-    e.type = static_cast<EventType>(types[static_cast<std::size_t>(i)]);
+    e.type = v3::type_at(nibbles, static_cast<std::size_t>(i));
     e.time = c.time[static_cast<std::size_t>(i)];
     switch (e.type) {
       case EventType::Enter:
@@ -431,12 +335,97 @@ void decode_events_v3(Decoder& d, LocalTrace& t, std::uint64_t nev,
 
 }  // namespace
 
-std::vector<std::uint8_t> encode_defs(const TraceCollection& tc,
-                                      std::uint32_t version) {
-  check_encode_version(version);
+std::size_t v3::begin_column(Decoder& d, const char* what) {
+  const std::uint64_t len = d.get_varint();
+  if (len > d.remaining())
+    d.fail(ErrorCode::Truncated,
+           std::string("truncated ") + what + " column: frame declares " +
+               std::to_string(len) + " bytes but only " +
+               std::to_string(d.remaining()) + " remain");
+  return d.pos() + static_cast<std::size_t>(len);
+}
+
+void v3::check_int32(const std::int64_t* v, std::size_t n, const char* what,
+                     const ErrorContext& ctx) {
+  for (std::size_t i = 0; i < n; ++i)
+    if (v[i] != static_cast<std::int32_t>(v[i]))
+      throw Error(ErrorCode::Corrupt,
+                  std::string("corrupt trace: ") + what + " value " +
+                      std::to_string(v[i]) + " does not fit in 32 bits",
+                  ctx);
+}
+
+v3::Header v3::get_header(Decoder& d) {
+  Header h;
+  h.nsync = d.get_count("sync records", kMinSyncRecordBytesV3);
+  h.nev = d.get_count("events", kMinEventBytesV3);
+  std::uint64_t sum = 0;
+  for (std::uint64_t& c : h.counts) {
+    c = d.get_varint();
+    sum += c;
+  }
+  if (sum != h.nev)
+    d.fail(ErrorCode::Corrupt,
+           "per-type event counts sum to " + std::to_string(sum) +
+               " but the header declares " + std::to_string(h.nev) +
+               " events");
+  return h;
+}
+
+std::vector<OffsetRecord> v3::get_sync(Decoder& d, std::uint64_t nsync) {
+  const auto n = static_cast<std::size_t>(nsync);
+  std::vector<std::int64_t> phase, ref_rank;
+  std::vector<double> local_mid, offset, error_bound;
+  get_int_column(d, phase, n, "sync.phase");
+  get_int_column(d, ref_rank, n, "sync.ref_rank");
+  get_double_column(d, local_mid, n, "sync.local_mid");
+  get_double_column(d, offset, n, "sync.offset");
+  get_double_column(d, error_bound, n, "sync.error_bound");
+  std::vector<OffsetRecord> sync(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    OffsetRecord& s = sync[i];
+    s.phase = static_cast<int>(phase[i]);
+    s.ref_rank = static_cast<Rank>(ref_rank[i]);
+    s.local_mid = local_mid[i];
+    s.offset = offset[i];
+    s.error_bound = error_bound[i];
+  }
+  return sync;
+}
+
+// Every nibble must name a known event type, the per-type tallies must
+// reproduce the header's counts, and an odd stream's trailing high
+// nibble must be zero.
+const std::uint8_t* v3::get_type_stream(Decoder& d, const Header& h) {
+  const auto nbytes = static_cast<std::size_t>((h.nev + 1) / 2);
+  const std::uint8_t* nibbles = d.get_raw(nbytes, "event type stream");
+  std::array<std::uint64_t, kNumEventTypes> seen{};
+  for (std::uint64_t i = 0; i < h.nev; ++i) {
+    const auto ty =
+        static_cast<std::size_t>(type_at(nibbles, static_cast<std::size_t>(i)));
+    if (ty >= kNumEventTypes)
+      d.fail(ErrorCode::Corrupt, "corrupt trace: unknown event type " +
+                                     std::to_string(ty) +
+                                     " in type stream at event " +
+                                     std::to_string(i));
+    ++seen[ty];
+  }
+  if (h.nev % 2 != 0 && (nibbles[nbytes - 1] >> 4) != 0)
+    d.fail(ErrorCode::Corrupt,
+           "corrupt trace: nonzero padding nibble in type stream");
+  for (std::size_t ty = 0; ty < kNumEventTypes; ++ty)
+    if (seen[ty] != h.counts[ty])
+      d.fail(ErrorCode::Corrupt,
+             "corrupt trace: type stream has " + std::to_string(seen[ty]) +
+                 " events of type " + std::to_string(ty) +
+                 " but the header declares " + std::to_string(h.counts[ty]));
+  return nibbles;
+}
+
+std::vector<std::uint8_t> encode_defs(const TraceCollection& tc) {
   BufWriter w;
   w.put_u32(kDefsMagic);
-  w.put_u32(version);
+  w.put_u32(kTraceFormatVersion);
   w.put_u8(static_cast<std::uint8_t>(tc.scheme));
   w.put_u8(tc.synchronized ? 1 : 0);
   w.put_varint(static_cast<std::uint64_t>(tc.num_ranks()));
@@ -541,36 +530,17 @@ TraceCollection decode_defs(const std::vector<std::uint8_t>& bytes,
   return decode_defs(bytes.data(), bytes.size(), path);
 }
 
-std::vector<std::uint8_t> encode_local_trace(const LocalTrace& trace,
-                                             std::uint32_t version) {
-  check_encode_version(version);
+std::vector<std::uint8_t> encode_local_trace(const LocalTrace& trace) {
   BufWriter w;
   w.put_u32(kTraceMagic);
-  w.put_u32(version);
+  w.put_u32(kTraceFormatVersion);
   w.put_svarint(trace.rank);
 
-  if (version == 1) {
-    // v1: each section's count immediately precedes it.
-    w.put_varint(trace.sync.size());
-    encode_sync_rows(w, trace.sync);
-    w.put_varint(trace.events.size());
-    encode_event_rows(w, trace.events);
-    return w.data();
-  }
-
-  // v2/v3 header: both counts precede their payloads so the decoder can
-  // reserve once and detect truncation before parsing.
+  // Both counts precede their payloads so the decoder can reserve once
+  // and detect truncation before parsing; the per-type counts let it
+  // size every column before touching the payload.
   w.put_varint(trace.sync.size());
   w.put_varint(trace.events.size());
-
-  if (version == 2) {
-    encode_sync_rows(w, trace.sync);
-    encode_event_rows(w, trace.events);
-    return w.data();
-  }
-
-  // v3 header additionally carries per-type counts, so the decoder can
-  // size every column before touching the payload.
   std::array<std::uint64_t, kNumEventTypes> counts{};
   for (const auto& e : trace.events)
     ++counts[static_cast<std::size_t>(e.type)];
@@ -602,35 +572,19 @@ LocalTrace decode_local_trace(const std::uint8_t* data, std::size_t size,
     t.rank = static_cast<Rank>(rank);
     d.set_rank(static_cast<int>(rank));
 
-    if (version == 1) {
-      const auto nsync = d.get_count("sync records", kMinSyncRecordBytes);
-      decode_sync_rows(d, t, nsync);
-      nev = d.get_count("events", kMinEventBytes);
-      decode_event_rows(d, t, nev);
+    if (version == 3) {
+      const v3::Header h = v3::get_header(d);
+      nev = h.nev;
+      t.sync = v3::get_sync(d, h.nsync);
+      decode_events_v3(d, t, h);
     } else {
-      const auto nsync = d.get_count(
-          "sync records",
-          version >= 3 ? kMinSyncRecordBytesV3 : kMinSyncRecordBytes);
-      nev = d.get_count("events", version >= 3 ? kMinEventBytesV3
-                                               : kMinEventBytes);
-      if (version == 2) {
-        decode_sync_rows(d, t, nsync);
-        decode_event_rows(d, t, nev);
-      } else {
-        std::array<std::uint64_t, kNumEventTypes> counts{};
-        std::uint64_t sum = 0;
-        for (std::size_t ty = 0; ty < kNumEventTypes; ++ty) {
-          counts[ty] = d.get_varint();
-          sum += counts[ty];
-        }
-        if (sum != nev)
-          d.fail(ErrorCode::Corrupt,
-                 "per-type event counts sum to " + std::to_string(sum) +
-                     " but the header declares " + std::to_string(nev) +
-                     " events");
-        decode_sync_v3(d, t, nsync);
-        decode_events_v3(d, t, nev, counts);
-      }
+      // v1: each section's count immediately precedes it; v2: both
+      // counts first.
+      const auto nsync = d.get_count("sync records", kMinSyncRecordBytes);
+      if (version == 1) decode_sync_rows(d, t, nsync);
+      nev = d.get_count("events", kMinEventBytes);
+      if (version == 2) decode_sync_rows(d, t, nsync);
+      decode_event_rows(d, t, nev);
     }
     d.require_end("trace file");
   } catch (const Error& e) {
@@ -656,12 +610,11 @@ std::string trace_filename(Rank rank) {
   return "trace." + std::to_string(rank) + ".elg";
 }
 
-void write_collection(const std::string& dir, const TraceCollection& tc,
-                      std::uint32_t version) {
-  write_file_bytes(dir + "/" + defs_filename(), encode_defs(tc, version));
+void write_collection(const std::string& dir, const TraceCollection& tc) {
+  write_file_bytes(dir + "/" + defs_filename(), encode_defs(tc));
   for (const auto& t : tc.ranks)
     write_file_bytes(dir + "/" + trace_filename(t.rank),
-                     encode_local_trace(t, version));
+                     encode_local_trace(t));
 }
 
 TraceCollection read_collection(const std::string& dir) {

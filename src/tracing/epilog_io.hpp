@@ -4,9 +4,9 @@
 // management") natural: each metahost's partial archive holds exactly the
 // files of its own processes.
 //
-// Format versions (decode accepts all of them; encode takes a version
-// knob defaulting to the newest — see DESIGN.md §5e for the byte-level
-// v3 layout):
+// Format versions (decode accepts all of them; encode writes v3 only —
+// see DESIGN.md §5e for the byte-level v3 layout; tests/golden/legacy
+// holds v1/v2 sample files):
 //
 //   v1  row-wise events; each section's count immediately precedes it.
 //   v2  row-wise events; both counts moved into the header so a decoder
@@ -34,6 +34,10 @@
 // The pointer+size decode overloads are the zero-copy entry points: the
 // archive layer passes a MappedFile's view straight in, and the decoder
 // reads out of the mapping without an intermediate copy.
+//
+// Id fields (region, peer, tag, comm, root, sync phase/reference rank)
+// are 64-bit on disk but 32-bit in memory; every decoder rejects a value
+// outside int32 as Corrupt, naming the column, instead of narrowing it.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +48,7 @@
 
 namespace metascope::tracing {
 
-/// Newest (and default-written) trace format version.
+/// Newest (and only written) trace format version.
 inline constexpr std::uint32_t kTraceFormatVersion = 3;
 /// Oldest version the decoders still read.
 inline constexpr std::uint32_t kMinTraceFormatVersion = 1;
@@ -54,10 +58,7 @@ inline constexpr std::uint32_t kMinTraceFormatVersion = 1;
 inline constexpr std::uint64_t kMaxRanksPerArchive = 1ULL << 22;
 
 /// Serialization of the shared definition records (+ collection flags).
-/// `version` must be in [kMinTraceFormatVersion, kTraceFormatVersion].
-std::vector<std::uint8_t> encode_defs(const TraceCollection& tc,
-                                      std::uint32_t version =
-                                          kTraceFormatVersion);
+std::vector<std::uint8_t> encode_defs(const TraceCollection& tc);
 
 /// Decodes definitions into an empty collection (ranks left empty but
 /// sized; scheme/synchronized restored). Accepts every known version.
@@ -66,11 +67,8 @@ TraceCollection decode_defs(const std::uint8_t* data, std::size_t size,
 TraceCollection decode_defs(const std::vector<std::uint8_t>& bytes,
                             const std::string& path = {});
 
-/// Serialization of one process's events + sync records in the given
-/// format version.
-std::vector<std::uint8_t> encode_local_trace(const LocalTrace& trace,
-                                             std::uint32_t version =
-                                                 kTraceFormatVersion);
+/// Serialization of one process's events + sync records.
+std::vector<std::uint8_t> encode_local_trace(const LocalTrace& trace);
 
 /// Decodes a trace file of any known version (the header's version
 /// field selects the layout). The pointer overload borrows the buffer —
@@ -85,8 +83,7 @@ std::string defs_filename();
 std::string trace_filename(Rank rank);
 
 /// Writes defs + all rank traces into `dir` (must exist).
-void write_collection(const std::string& dir, const TraceCollection& tc,
-                      std::uint32_t version = kTraceFormatVersion);
+void write_collection(const std::string& dir, const TraceCollection& tc);
 
 /// Reads a collection previously written by write_collection.
 TraceCollection read_collection(const std::string& dir);

@@ -1,57 +1,24 @@
 #include "tracing/stream.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "common/binary_io.hpp"
 #include "common/error.hpp"
+#include "tracing/v3_blocks.hpp"
 
 namespace metascope::tracing {
 
 namespace {
 
-// Mirrors the batch reader's constants (tracing/epilog_io.cpp).
-constexpr std::uint32_t kTraceMagic = 0x5453434DU;  // "MCST"
-constexpr std::size_t kMinSyncRecordBytesV3 = 1;
-constexpr std::size_t kMinEventBytesV3 = 1;
-constexpr std::size_t kNumEventTypes = 5;
+using v3::kNumEventTypes;
+using v3::type_at;
 constexpr std::size_t kScanChunk = 4096;
 
-/// Frame helpers, identical to the batch reader's begin/end_column.
-std::size_t begin_column(Decoder& d, const char* what) {
-  const std::uint64_t len = d.get_varint();
-  if (len > d.remaining())
-    d.fail(ErrorCode::Truncated,
-           std::string("truncated ") + what + " column: frame declares " +
-               std::to_string(len) + " bytes but only " +
-               std::to_string(d.remaining()) + " remain");
-  return d.pos() + static_cast<std::size_t>(len);
-}
-
-void end_column(const Decoder& d, const char* what, std::size_t end) {
-  if (d.pos() != end)
-    d.fail(ErrorCode::Corrupt,
-           std::string("column length mismatch for ") + what +
-               " column: codec consumed through byte " +
-               std::to_string(d.pos()) + " but the frame ends at byte " +
-               std::to_string(end));
-}
-
-void get_int_column(Decoder& d, std::vector<std::int64_t>& out,
-                    std::size_t n, const char* what) {
-  out.resize(n);
-  if (n == 0) return;
-  const std::size_t end = begin_column(d, what);
-  colcodec::decode_int_column(d, out.data(), n);
-  end_column(d, what, end);
-}
-
-void get_double_column(Decoder& d, std::vector<double>& out, std::size_t n,
-                       const char* what) {
-  out.resize(n);
-  if (n == 0) return;
-  const std::size_t end = begin_column(d, what);
-  colcodec::decode_double_column(d, out.data(), n);
-  end_column(d, what, end);
+void pull_doubles(colcodec::DoubleColumnCursor& cur, std::vector<double>& buf,
+                  std::size_t k) {
+  buf.resize(k);
+  if (k != 0) cur.next(buf.data(), k);
 }
 
 }  // namespace
@@ -66,30 +33,35 @@ void TraceStream::rethrow(const Error& e, std::size_t events_done) const {
               e.context());
 }
 
-colcodec::IntColumnCursor TraceStream::int_cursor(const Col& c,
-                                                  const char* what) const {
+colcodec::IntColumnCursor TraceStream::int_cursor(const Col& c) const {
   return colcodec::IntColumnCursor(data_ + c.start, size_ - c.start, c.len,
-                                   c.n, what,
+                                   c.n, c.what,
                                    ErrorContext{path_, rank_, -1});
 }
 
-colcodec::DoubleColumnCursor TraceStream::double_cursor(
-    const Col& c, const char* what) const {
+colcodec::DoubleColumnCursor TraceStream::double_cursor(const Col& c) const {
   return colcodec::DoubleColumnCursor(data_ + c.start, size_ - c.start,
-                                      c.len, c.n, what,
+                                      c.len, c.n, c.what,
                                       ErrorContext{path_, rank_, -1});
+}
+
+void TraceStream::pull(colcodec::IntColumnCursor& cur, const Col& c,
+                       std::vector<std::int64_t>& buf, std::size_t k) const {
+  buf.resize(k);
+  if (k == 0) return;
+  cur.next(buf.data(), k);
+  v3::check_int32(buf.data(), k, c.what, ErrorContext{path_, rank_, -1});
 }
 
 TraceStream::TraceStream(const std::uint8_t* data, std::size_t size,
                          std::string path)
     : data_(data), size_(size), path_(std::move(path)) {
   Decoder d(data_, size_, ErrorContext{path_, -1, -1});
-  d.expect_magic(kTraceMagic, "trace file");
+  d.expect_magic(v3::kTraceMagic, "trace file");
   // Streaming is a v3-only feature: the columnar layout is what makes a
   // windowed read possible at all.
   d.expect_version_in(kTraceFormatVersion, kTraceFormatVersion,
                       "streamed trace file");
-  std::uint64_t nsync = 0;
   try {
     const std::int64_t rank = d.get_svarint();
     if (rank < -1 || rank > static_cast<std::int64_t>(kMaxRanksPerArchive))
@@ -98,76 +70,27 @@ TraceStream::TraceStream(const std::uint8_t* data, std::size_t size,
     rank_ = static_cast<Rank>(rank);
     d.set_rank(static_cast<int>(rank));
 
-    nsync = d.get_count("sync records", kMinSyncRecordBytesV3);
-    nev_ = d.get_count("events", kMinEventBytesV3);
-    std::uint64_t sum = 0;
-    for (std::size_t ty = 0; ty < kNumEventTypes; ++ty) {
-      counts_[ty] = d.get_varint();
-      sum += counts_[ty];
-    }
-    if (sum != nev_)
-      d.fail(ErrorCode::Corrupt,
-             "per-type event counts sum to " + std::to_string(sum) +
-                 " but the header declares " + std::to_string(nev_) +
-                 " events");
-
     // Sync records are tiny (a handful per rank) — decode them eagerly.
-    {
-      const auto n = static_cast<std::size_t>(nsync);
-      std::vector<std::int64_t> phase, ref_rank;
-      std::vector<double> local_mid, offset, error_bound;
-      get_int_column(d, phase, n, "sync.phase");
-      get_int_column(d, ref_rank, n, "sync.ref_rank");
-      get_double_column(d, local_mid, n, "sync.local_mid");
-      get_double_column(d, offset, n, "sync.offset");
-      get_double_column(d, error_bound, n, "sync.error_bound");
-      sync_.resize(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        OffsetRecord& s = sync_[i];
-        s.phase = static_cast<int>(phase[i]);
-        s.ref_rank = static_cast<Rank>(ref_rank[i]);
-        s.local_mid = local_mid[i];
-        s.offset = offset[i];
-        s.error_bound = error_bound[i];
-      }
-    }
-
-    // Validate the whole type stream up front: it is the per-event
+    // The whole type stream is validated up front: it is the per-event
     // decode schedule, so a bad nibble anywhere must surface before any
-    // window is trusted. Same checks and wording as the batch reader.
-    const std::size_t nbytes = static_cast<std::size_t>((nev_ + 1) / 2);
-    nibbles_ = d.get_raw(nbytes, "event type stream");
-    std::array<std::uint64_t, kNumEventTypes> seen{};
-    for (std::uint64_t i = 0; i < nev_; ++i) {
-      const std::uint8_t ty = type_at(static_cast<std::size_t>(i));
-      if (ty >= kNumEventTypes)
-        d.fail(ErrorCode::Corrupt,
-               "corrupt trace: unknown event type " +
-                   std::to_string(static_cast<int>(ty)) +
-                   " in type stream at event " + std::to_string(i));
-      ++seen[ty];
-    }
-    if (nev_ % 2 != 0 && (nibbles_[nbytes - 1] >> 4) != 0)
-      d.fail(ErrorCode::Corrupt,
-             "corrupt trace: nonzero padding nibble in type stream");
-    for (std::size_t ty = 0; ty < kNumEventTypes; ++ty)
-      if (seen[ty] != counts_[ty])
-        d.fail(ErrorCode::Corrupt,
-               "corrupt trace: type stream has " + std::to_string(seen[ty]) +
-                   " events of type " + std::to_string(ty) +
-                   " but the header declares " + std::to_string(counts_[ty]));
+    // window is trusted.
+    const v3::Header h = v3::get_header(d);
+    nev_ = h.nev;
+    sync_ = v3::get_sync(d, h.nsync);
+    nibbles_ = v3::get_type_stream(d, h);
 
     // Walk the column frames without decoding their payloads: record
     // where each column lives, bounds-check every frame against the
     // file, and require the last one to end exactly at the file's end.
-    const auto n_enter = static_cast<std::size_t>(counts_[0]);
-    const auto n_send = static_cast<std::size_t>(counts_[2]);
-    const auto n_recv = static_cast<std::size_t>(counts_[3]);
-    const auto n_coll = static_cast<std::size_t>(counts_[4]);
+    const auto n_enter = static_cast<std::size_t>(h.counts[0]);
+    const auto n_send = static_cast<std::size_t>(h.counts[2]);
+    const auto n_recv = static_cast<std::size_t>(h.counts[3]);
+    const auto n_coll = static_cast<std::size_t>(h.counts[4]);
     const auto walk = [&](Col& col, std::size_t n, const char* what) {
       col.n = n;
+      col.what = what;
       if (n == 0) return;
-      const std::size_t end = begin_column(d, what);
+      const std::size_t end = v3::begin_column(d, what);
       col.start = d.pos();
       col.len = end - col.start;
       (void)d.get_raw(col.len, what);
@@ -194,42 +117,40 @@ TraceStream::TraceStream(const std::uint8_t* data, std::size_t size,
     // for residual-mode double columns, skip-scans to the residual
     // stream), so malformed codec headers surface now, with the same
     // codes the batch reader raises mid-decode.
-    if (time_.n != 0) c_time_ = double_cursor(time_, "time");
-    if (n_enter != 0)
-      c_enter_region_ = int_cursor(enter_region_, "enter.region");
+    if (time_.n != 0) c_time_ = double_cursor(time_);
+    if (n_enter != 0) c_enter_region_ = int_cursor(enter_region_);
     if (n_send != 0) {
-      c_send_peer_ = int_cursor(send_peer_, "send.peer");
-      c_send_tag_ = int_cursor(send_tag_, "send.tag");
-      c_send_bytes_ = double_cursor(send_bytes_, "send.bytes");
-      c_send_comm_ = int_cursor(send_comm_, "send.comm");
+      c_send_peer_ = int_cursor(send_peer_);
+      c_send_tag_ = int_cursor(send_tag_);
+      c_send_bytes_ = double_cursor(send_bytes_);
+      c_send_comm_ = int_cursor(send_comm_);
     }
     if (n_recv != 0) {
-      c_recv_peer_ = int_cursor(recv_peer_, "recv.peer");
-      c_recv_tag_ = int_cursor(recv_tag_, "recv.tag");
-      c_recv_bytes_ = double_cursor(recv_bytes_, "recv.bytes");
-      c_recv_comm_ = int_cursor(recv_comm_, "recv.comm");
+      c_recv_peer_ = int_cursor(recv_peer_);
+      c_recv_tag_ = int_cursor(recv_tag_);
+      c_recv_bytes_ = double_cursor(recv_bytes_);
+      c_recv_comm_ = int_cursor(recv_comm_);
     }
     if (n_coll != 0) {
-      c_coll_region_ = int_cursor(coll_region_, "collexit.region");
-      c_coll_comm_ = int_cursor(coll_comm_, "collexit.comm");
-      c_coll_root_ = int_cursor(coll_root_, "collexit.root");
-      c_coll_bytes_ = double_cursor(coll_bytes_, "collexit.bytes");
-      c_coll_sent_ = double_cursor(coll_sent_, "collexit.sent");
-      c_coll_recvd_ = double_cursor(coll_recvd_, "collexit.recvd");
+      c_coll_region_ = int_cursor(coll_region_);
+      c_coll_comm_ = int_cursor(coll_comm_);
+      c_coll_root_ = int_cursor(coll_root_);
+      c_coll_bytes_ = double_cursor(coll_bytes_);
+      c_coll_sent_ = double_cursor(coll_sent_);
+      c_coll_recvd_ = double_cursor(coll_recvd_);
     }
   } catch (const Error& e) {
     rethrow(e, 0);
   }
 }
 
-void TraceStream::scan_light(
-    const std::function<void(const LightEvent&)>& cb) const {
-  auto time = double_cursor(time_, "time");
-  auto enter_region = int_cursor(enter_region_, "enter.region");
-  auto send_peer = int_cursor(send_peer_, "send.peer");
-  auto recv_peer = int_cursor(recv_peer_, "recv.peer");
-  auto coll_region = int_cursor(coll_region_, "collexit.region");
-  auto coll_comm = int_cursor(coll_comm_, "collexit.comm");
+void TraceStream::scan_light(const std::function<void(const Event&)>& cb) const {
+  auto time = double_cursor(time_);
+  auto enter_region = int_cursor(enter_region_);
+  auto send_peer = int_cursor(send_peer_);
+  auto recv_peer = int_cursor(recv_peer_);
+  auto coll_region = int_cursor(coll_region_);
+  auto coll_comm = int_cursor(coll_comm_);
 
   std::vector<double> t;
   std::vector<std::int64_t> er, sp, rp, cr, cc;
@@ -239,41 +160,34 @@ void TraceStream::scan_light(
       const std::size_t k =
           std::min(kScanChunk, static_cast<std::size_t>(nev_) - done);
       std::array<std::size_t, kNumEventTypes> cnt{};
-      for (std::size_t i = 0; i < k; ++i) ++cnt[type_at(done + i)];
-      t.resize(k);
-      time.next(t.data(), k);
-      er.resize(cnt[0]);
-      if (cnt[0] != 0) enter_region.next(er.data(), cnt[0]);
-      sp.resize(cnt[2]);
-      if (cnt[2] != 0) send_peer.next(sp.data(), cnt[2]);
-      rp.resize(cnt[3]);
-      if (cnt[3] != 0) recv_peer.next(rp.data(), cnt[3]);
-      cr.resize(cnt[4]);
-      cc.resize(cnt[4]);
-      if (cnt[4] != 0) {
-        coll_region.next(cr.data(), cnt[4]);
-        coll_comm.next(cc.data(), cnt[4]);
-      }
+      for (std::size_t i = 0; i < k; ++i)
+        ++cnt[static_cast<std::size_t>(type_at(nibbles_, done + i))];
+      pull_doubles(time, t, k);
+      pull(enter_region, enter_region_, er, cnt[0]);
+      pull(send_peer, send_peer_, sp, cnt[2]);
+      pull(recv_peer, recv_peer_, rp, cnt[3]);
+      pull(coll_region, coll_region_, cr, cnt[4]);
+      pull(coll_comm, coll_comm_, cc, cnt[4]);
       std::size_t ie = 0, is = 0, ir = 0, ic = 0;
       for (std::size_t i = 0; i < k; ++i) {
-        LightEvent ev;
-        ev.type = static_cast<EventType>(type_at(done + i));
+        Event ev;
+        ev.type = type_at(nibbles_, done + i);
         ev.time = t[i];
         switch (ev.type) {
           case EventType::Enter:
-            ev.region = er[ie++];
+            ev.region = RegionId{static_cast<int>(er[ie++])};
             break;
           case EventType::Exit:
             break;
           case EventType::Send:
-            ev.peer = sp[is++];
+            ev.peer = static_cast<Rank>(sp[is++]);
             break;
           case EventType::Recv:
-            ev.peer = rp[ir++];
+            ev.peer = static_cast<Rank>(rp[ir++]);
             break;
           case EventType::CollExit:
-            ev.region = cr[ic];
-            ev.comm = cc[ic];
+            ev.region = RegionId{static_cast<int>(cr[ic])};
+            ev.comm = CommId{static_cast<int>(cc[ic])};
             ++ic;
             break;
         }
@@ -328,56 +242,34 @@ std::size_t TraceStream::next(std::vector<Event>& out,
   try {
     const std::size_t base = decoded_;
     std::array<std::size_t, kNumEventTypes> cnt{};
-    for (std::size_t i = 0; i < k; ++i) ++cnt[type_at(base + i)];
-
-    b_time_.resize(k);
-    c_time_.next(b_time_.data(), k);
-    b_enter_region_.resize(cnt[0]);
-    if (cnt[0] != 0) c_enter_region_.next(b_enter_region_.data(), cnt[0]);
+    for (std::size_t i = 0; i < k; ++i)
+      ++cnt[static_cast<std::size_t>(type_at(nibbles_, base + i))];
 
     // Per-type field buffers are pulled in column order; the interleave
     // below walks them with independent indices exactly like the batch
     // reader's reassembly loop.
-    b_send_peer_.resize(cnt[2]);
-    b_send_tag_.resize(cnt[2]);
-    b_send_bytes_.resize(cnt[2]);
-    b_send_comm_.resize(cnt[2]);
-    if (cnt[2] != 0) {
-      c_send_peer_.next(b_send_peer_.data(), cnt[2]);
-      c_send_tag_.next(b_send_tag_.data(), cnt[2]);
-      c_send_bytes_.next(b_send_bytes_.data(), cnt[2]);
-      c_send_comm_.next(b_send_comm_.data(), cnt[2]);
-    }
-    b_recv_peer_.resize(cnt[3]);
-    b_recv_tag_.resize(cnt[3]);
-    b_recv_bytes_.resize(cnt[3]);
-    b_recv_comm_.resize(cnt[3]);
-    if (cnt[3] != 0) {
-      c_recv_peer_.next(b_recv_peer_.data(), cnt[3]);
-      c_recv_tag_.next(b_recv_tag_.data(), cnt[3]);
-      c_recv_bytes_.next(b_recv_bytes_.data(), cnt[3]);
-      c_recv_comm_.next(b_recv_comm_.data(), cnt[3]);
-    }
-    b_coll_region_.resize(cnt[4]);
-    b_coll_comm_.resize(cnt[4]);
-    b_coll_root_.resize(cnt[4]);
-    b_coll_bytes_.resize(cnt[4]);
-    b_coll_sent_.resize(cnt[4]);
-    b_coll_recvd_.resize(cnt[4]);
-    if (cnt[4] != 0) {
-      c_coll_region_.next(b_coll_region_.data(), cnt[4]);
-      c_coll_comm_.next(b_coll_comm_.data(), cnt[4]);
-      c_coll_root_.next(b_coll_root_.data(), cnt[4]);
-      c_coll_bytes_.next(b_coll_bytes_.data(), cnt[4]);
-      c_coll_sent_.next(b_coll_sent_.data(), cnt[4]);
-      c_coll_recvd_.next(b_coll_recvd_.data(), cnt[4]);
-    }
+    pull_doubles(c_time_, b_time_, k);
+    pull(c_enter_region_, enter_region_, b_enter_region_, cnt[0]);
+    pull(c_send_peer_, send_peer_, b_send_peer_, cnt[2]);
+    pull(c_send_tag_, send_tag_, b_send_tag_, cnt[2]);
+    pull_doubles(c_send_bytes_, b_send_bytes_, cnt[2]);
+    pull(c_send_comm_, send_comm_, b_send_comm_, cnt[2]);
+    pull(c_recv_peer_, recv_peer_, b_recv_peer_, cnt[3]);
+    pull(c_recv_tag_, recv_tag_, b_recv_tag_, cnt[3]);
+    pull_doubles(c_recv_bytes_, b_recv_bytes_, cnt[3]);
+    pull(c_recv_comm_, recv_comm_, b_recv_comm_, cnt[3]);
+    pull(c_coll_region_, coll_region_, b_coll_region_, cnt[4]);
+    pull(c_coll_comm_, coll_comm_, b_coll_comm_, cnt[4]);
+    pull(c_coll_root_, coll_root_, b_coll_root_, cnt[4]);
+    pull_doubles(c_coll_bytes_, b_coll_bytes_, cnt[4]);
+    pull_doubles(c_coll_sent_, b_coll_sent_, cnt[4]);
+    pull_doubles(c_coll_recvd_, b_coll_recvd_, cnt[4]);
 
     out.reserve(out.size() + k);
     std::size_t ie = 0, is = 0, ir = 0, ic = 0;
     for (std::size_t i = 0; i < k; ++i) {
       Event e;
-      e.type = static_cast<EventType>(type_at(base + i));
+      e.type = type_at(nibbles_, base + i);
       e.time = b_time_[i];
       switch (e.type) {
         case EventType::Enter:

@@ -22,7 +22,6 @@
 // decoding would save nothing — materialize them instead).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -33,18 +32,6 @@
 #include "tracing/trace.hpp"
 
 namespace metascope::tracing {
-
-/// The slice of one event the streaming prepare pass consumes: type and
-/// time (structural validation), the region/comm columns (call-path ids
-/// and collective instance counting) and the message peer (quarantine
-/// filtering) — never the tag/byte-count columns.
-struct LightEvent {
-  EventType type{EventType::Enter};
-  double time{0.0};
-  std::int64_t region{-1};  ///< Enter/CollExit
-  std::int64_t comm{-1};    ///< CollExit
-  std::int64_t peer{-1};    ///< Send/Recv
-};
 
 class TraceStream {
  public:
@@ -61,9 +48,11 @@ class TraceStream {
   }
   [[nodiscard]] const std::string& path() const { return path_; }
 
-  /// One cheap pass over the light columns (fresh cursors; does not
-  /// move the window position). Used by the streaming prepare pass.
-  void scan_light(const std::function<void(const LightEvent&)>& cb) const;
+  /// One cheap pass over the columns the structural walk reads (fresh
+  /// cursors; does not move the window position): each event carries
+  /// its type, time, region, comm and peer — tag, root and byte counts
+  /// stay at their defaults. Used by the streaming prepare pass.
+  void scan_light(const std::function<void(const Event&)>& cb) const;
 
   /// Decodes the next up-to-`max_events` events, appending fully
   /// populated Events to `out`. Returns how many were produced (0 at
@@ -82,17 +71,16 @@ class TraceStream {
     std::size_t start{0};  ///< payload offset into the file
     std::size_t len{0};    ///< framed byte length
     std::size_t n{0};      ///< row count
+    const char* what{""};  ///< column name, for diagnostics
   };
 
-  [[nodiscard]] std::uint8_t type_at(std::size_t i) const {
-    const std::uint8_t b = nibbles_[i / 2];
-    return i % 2 == 0 ? static_cast<std::uint8_t>(b & 0xF)
-                      : static_cast<std::uint8_t>(b >> 4);
-  }
-  [[nodiscard]] colcodec::IntColumnCursor int_cursor(const Col& c,
-                                                     const char* what) const;
+  [[nodiscard]] colcodec::IntColumnCursor int_cursor(const Col& c) const;
   [[nodiscard]] colcodec::DoubleColumnCursor double_cursor(
-      const Col& c, const char* what) const;
+      const Col& c) const;
+  /// Decodes the next k rows of an integer column into `buf`, each
+  /// checked against int32 like the batch reader's columns.
+  void pull(colcodec::IntColumnCursor& cur, const Col& c,
+            std::vector<std::int64_t>& buf, std::size_t k) const;
   /// Re-throws a Truncated error under the canonical "truncated trace
   /// file" diagnosis (progress = events decoded so far); other codes
   /// pass through.
@@ -104,7 +92,6 @@ class TraceStream {
   std::string path_;
   Rank rank_{kNoRank};
   std::uint64_t nev_{0};
-  std::array<std::uint64_t, 5> counts_{};
   std::vector<OffsetRecord> sync_;
   const std::uint8_t* nibbles_{nullptr};
 
@@ -145,9 +132,9 @@ struct StreamSource {
   std::vector<std::string> paths;
   bool use_mmap{true};
   /// Ranks whose files failed open-time validation under a permissive
-  /// read: they stream zero events, and surviving ranks' events are
-  /// filtered against them exactly like tracing::prune_quarantined
-  /// (sorted ascending).
+  /// read: they stream zero events, and surviving ranks' events go
+  /// through the rule tracing::prune_quarantined applies
+  /// (tracing::Quarantine). Sorted ascending.
   std::vector<Rank> quarantined;
 };
 

@@ -117,61 +117,57 @@ std::vector<TraceCollection::GlobalRef> TraceCollection::global_order()
   return order;
 }
 
+Quarantine::Quarantine(const TraceCollection& tc,
+                       const std::vector<Rank>& ranks)
+    : rank_(static_cast<std::size_t>(tc.num_ranks()), 0),
+      comm_(tc.defs.comms.size(), 0) {
+  for (const Rank r : ranks)
+    if (r >= 0 && r < tc.num_ranks()) rank_[static_cast<std::size_t>(r)] = 1;
+  // Communicators with at least one quarantined member can never again
+  // complete a collective instance.
+  for (std::size_t c = 0; c < comm_.size(); ++c)
+    for (const Rank m : tc.defs.comms[c].members)
+      if (holds(m)) comm_[c] = 1;
+}
+
+bool Quarantine::holds(Rank r) const {
+  return r >= 0 && static_cast<std::size_t>(r) < rank_.size() &&
+         rank_[static_cast<std::size_t>(r)] != 0;
+}
+
+Pruned Quarantine::apply(Event& e) const {
+  switch (e.type) {
+    case EventType::Send:
+    case EventType::Recv:
+      return holds(e.peer) ? Pruned::Dropped : Pruned::No;
+    case EventType::CollExit: {
+      const auto c = static_cast<std::size_t>(e.comm.get());
+      if (!e.comm.valid() || c >= comm_.size() || comm_[c] == 0)
+        return Pruned::No;
+      Event exit_ev;
+      exit_ev.type = EventType::Exit;
+      exit_ev.time = e.time;
+      e = exit_ev;
+      return Pruned::Degraded;
+    }
+    default:
+      return Pruned::No;
+  }
+}
+
 std::size_t prune_quarantined(TraceCollection& tc,
                               const std::vector<Rank>& quarantined) {
   if (quarantined.empty()) return 0;
-  std::vector<bool> is_quarantined(
-      static_cast<std::size_t>(tc.num_ranks()), false);
-  for (Rank r : quarantined)
-    if (r >= 0 && r < tc.num_ranks())
-      is_quarantined[static_cast<std::size_t>(r)] = true;
-
-  // Communicators with at least one quarantined member can never again
-  // complete a collective instance.
-  std::vector<bool> comm_tainted(tc.defs.comms.size(), false);
-  for (std::size_t c = 0; c < tc.defs.comms.size(); ++c)
-    for (Rank m : tc.defs.comms[c].members)
-      if (m >= 0 && m < tc.num_ranks() &&
-          is_quarantined[static_cast<std::size_t>(m)]) {
-        comm_tainted[c] = true;
-        break;
-      }
-
+  const Quarantine q(tc, quarantined);
   std::size_t pruned = 0;
   for (auto& t : tc.ranks) {
-    if (t.rank >= 0 && t.rank < tc.num_ranks() &&
-        is_quarantined[static_cast<std::size_t>(t.rank)])
-      continue;
-    std::vector<Event> kept;
+    if (q.holds(t.rank)) continue;
+    EventVector kept;
     kept.reserve(t.events.size());
     for (Event e : t.events) {
-      switch (e.type) {
-        case EventType::Send:
-        case EventType::Recv:
-          if (e.peer >= 0 && e.peer < tc.num_ranks() &&
-              is_quarantined[static_cast<std::size_t>(e.peer)]) {
-            ++pruned;
-            continue;
-          }
-          break;
-        case EventType::CollExit:
-          if (e.comm.valid() &&
-              static_cast<std::size_t>(e.comm.get()) < comm_tainted.size() &&
-              comm_tainted[static_cast<std::size_t>(e.comm.get())]) {
-            // Keep the Exit so the region nesting stays balanced; only
-            // the collective semantics are gone.
-            Event exit_ev;
-            exit_ev.type = EventType::Exit;
-            exit_ev.time = e.time;
-            kept.push_back(exit_ev);
-            ++pruned;
-            continue;
-          }
-          break;
-        default:
-          break;
-      }
-      kept.push_back(e);
+      const Pruned p = q.apply(e);
+      if (p != Pruned::No) ++pruned;
+      if (p != Pruned::Dropped) kept.push_back(e);
     }
     t.events = std::move(kept);
   }

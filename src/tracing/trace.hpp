@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "common/page_allocator.hpp"
 #include "common/types.hpp"
 #include "tracing/defs.hpp"
 #include "tracing/event.hpp"
@@ -25,11 +26,16 @@ struct OffsetRecord {
   bool operator==(const OffsetRecord&) const = default;
 };
 
+/// One rank's events. Arrays of 128 KiB (2048 events) or more are
+/// page-backed, so dropping a collection returns them to the OS whichever
+/// thread decoded them.
+using EventVector = std::vector<Event, PageAllocator<Event>>;
+
 /// The events of one process, in its own clock domain, plus the offset
 /// measurements the runtime recorded for post-mortem synchronization.
 struct LocalTrace {
   Rank rank{kNoRank};
-  std::vector<Event> events;
+  EventVector events;
   std::vector<OffsetRecord> sync;
 
   bool operator==(const LocalTrace&) const = default;
@@ -80,18 +86,39 @@ struct TraceCollection {
 std::size_t in_memory_bytes(const LocalTrace& t);
 std::size_t in_memory_bytes(const TraceCollection& tc);
 
-/// Permissive-recovery support: removes from the surviving ranks every
-/// event that can no longer be matched once the given ranks are
-/// quarantined (their traces emptied) —
-///  - Send/Recv events whose peer is quarantined are dropped (the
-///    enclosing MPI region stays as plain time);
-///  - CollExit events on a communicator containing a quarantined rank
-///    degrade to plain Exit events (the instance is incomplete on every
-///    surviving rank, so the whole instance disappears consistently).
-/// Region nesting stays balanced, so prepare()'s structural validation
-/// and the replay still hold. Returns the number of events dropped or
-/// degraded. Deterministic: depends only on the collection and the
-/// quarantined set, never on reader parallelism.
+/// What the quarantine rule did to one event.
+enum class Pruned : std::uint8_t { No, Dropped, Degraded };
+
+/// Permissive-recovery support: the ranks a read quarantined (their
+/// traces emptied) and the rule every surviving rank's events follow
+/// once they are gone. Out-of-range ranks, members and comm ids are
+/// ignored.
+class Quarantine {
+ public:
+  Quarantine(const TraceCollection& tc, const std::vector<Rank>& ranks);
+
+  [[nodiscard]] bool holds(Rank r) const;
+
+  /// The quarantine rule, applied to `e` in place:
+  ///  - Send/Recv events whose peer is quarantined are dropped (the
+  ///    enclosing MPI region stays as plain time);
+  ///  - CollExit events on a communicator containing a quarantined rank
+  ///    degrade to plain Exit events at the same time (the instance is
+  ///    incomplete on every surviving rank, so the whole instance
+  ///    disappears consistently).
+  /// Region nesting stays balanced, so prepare()'s structural validation
+  /// and the replay still hold.
+  Pruned apply(Event& e) const;
+
+ private:
+  std::vector<char> rank_;  ///< by rank
+  std::vector<char> comm_;  ///< by communicator index: has a quarantined member
+};
+
+/// Applies the quarantine rule to every surviving rank of `tc` and
+/// returns the number of events dropped or degraded. Deterministic:
+/// depends only on the collection and the quarantined set, never on
+/// reader parallelism.
 std::size_t prune_quarantined(TraceCollection& tc,
                               const std::vector<Rank>& quarantined);
 

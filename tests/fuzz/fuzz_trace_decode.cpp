@@ -7,8 +7,9 @@
 // Both decoders run on the same input: the magic words ("MCSD" vs
 // "MCST") disambiguate real files, so a single corpus exercises both
 // paths and the mutator can freely morph one format into the other.
-// The corpus seeds all three trace format versions; the v3 columnar
-// seeds and mutants (make_fuzz_corpus) aim the mutator at the type
+// The corpus seeds all three trace format versions (v1/v2 from the
+// committed fixtures in tests/golden/legacy); the v3 columnar seeds and
+// mutants (make_fuzz_corpus) aim the mutator at the type
 // stream, per-type count cross-checks, column frames, and the double
 // codec's validated fields (XOR lead bytes, scale indices, residual
 // bit widths).
@@ -40,7 +41,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   }
   try {
     metascope::tracing::TraceStream s(bytes.data(), bytes.size(), "<fuzz>");
-    s.scan_light([](const metascope::tracing::LightEvent&) {});
+    s.scan_light([](const metascope::tracing::Event&) {});
     // Tiny windows put every chunked cursor through mid-column refills.
     std::vector<metascope::tracing::Event> sink;
     while (!s.at_end()) {

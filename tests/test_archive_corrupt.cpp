@@ -254,6 +254,23 @@ TEST_F(ArchiveCorruptTest, UnknownEventTypeIsCorruptRowWise) {
   expect_strict_failure(ErrorCode::Corrupt, victim, "unknown event type");
 }
 
+TEST_F(ArchiveCorruptTest, OutOfRangeIdIsCorruptRowWise) {
+  // v2 stores ids as 64-bit svarints; a region id past int32 must be
+  // rejected, not narrowed into some other region.
+  const Rank victim = 2;
+  BufWriter w;
+  w.put_u32(0x5453434DU);
+  w.put_u32(2);
+  w.put_svarint(victim);
+  w.put_varint(0);
+  w.put_varint(1);
+  w.put_u8(0);  // Enter
+  w.put_f64(1.0);
+  w.put_svarint(std::int64_t{1} << 40);
+  write_file_bytes(trace_path(victim), w.data());
+  expect_strict_failure(ErrorCode::Corrupt, victim, "enter.region 2^40");
+}
+
 TEST_F(ArchiveCorruptTest, UnknownEventTypeIsCorruptColumnar) {
   // v3 carries the event types as a nibble-packed stream right after
   // the header; flip the first event's nibble to an undefined type.
@@ -262,7 +279,7 @@ TEST_F(ArchiveCorruptTest, UnknownEventTypeIsCorruptColumnar) {
   // starts at a computable offset.
   const Rank victim = 2;
   const auto& trace = data_.traces.ranks[static_cast<std::size_t>(victim)];
-  auto bytes = tracing::encode_local_trace(trace, 3);
+  auto bytes = tracing::encode_local_trace(trace);
   ASSERT_LT(trace.events.size(), 128u) << "varint offsets shift";
   ASSERT_LT(trace.sync.size(), 64u);
   const std::size_t type_stream = 8 + 1 + 1 + 1 + 5;

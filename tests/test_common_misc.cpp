@@ -1,12 +1,15 @@
 // Tests for the smaller common utilities: strong ids, name table, text
-// table, logging.
+// table, logging, page allocator.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "common/name_table.hpp"
+#include "common/page_allocator.hpp"
 #include "common/table.hpp"
 #include "common/types.hpp"
 
@@ -123,6 +126,26 @@ TEST(TextTableTest, NumberFormatters) {
   EXPECT_EQ(TextTable::sci(988e-6, 2), "9.88E-04");
   EXPECT_EQ(TextTable::fixed(3.14159, 2), "3.14");
   EXPECT_EQ(TextTable::percent(0.231, 1), "23.1 %");
+}
+
+TEST(PageAllocatorTest, LargeBlocksGetTheirOwnMapping) {
+  using Vec = std::vector<double, PageAllocator<double>>;
+  const std::size_t big_n = detail::kPageBackedBytes / sizeof(double);
+  Vec big(big_n, 1.5);
+#if defined(__unix__) || defined(__APPLE__)
+  // A mapping starts on a page boundary; a glibc malloc chunk, behind
+  // its header, does not.
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(big.data()) % 4096, 0u);
+#endif
+  big.push_back(2.5);  // regrows into a new mapping, contents carried over
+  EXPECT_EQ(big.size(), big_n + 1);
+  EXPECT_EQ(big.front(), 1.5);
+  EXPECT_EQ(big.back(), 2.5);
+
+  Vec small(16, 0.5);
+  small.push_back(0.25);
+  EXPECT_EQ(small.front(), 0.5);
+  EXPECT_EQ(small.back(), 0.25);
 }
 
 TEST(Logging, LevelGate) {

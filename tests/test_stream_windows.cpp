@@ -4,8 +4,9 @@
 // falling mid-collective under a pathologically tiny budget, the
 // resident-bytes accounting contract (only resident windows count, the
 // high-water mark responds to the budget and sits far below the
-// materialized collection), and ErrorCode parity with the batch reader
-// for damaged archives.
+// materialized collection), and error parity with the materialized
+// path: the same ErrorCode for damaged archives and out-of-range ids,
+// the same diagnostic for structurally malformed traces.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,6 +17,7 @@
 #include "analysis/analyzer.hpp"
 #include "archive/archive.hpp"
 #include "common/binary_io.hpp"
+#include "common/column_codec.hpp"
 #include "common/error.hpp"
 #include "simmpi/program.hpp"
 #include "simnet/topology.hpp"
@@ -381,6 +383,144 @@ TEST_F(StreamWindowTest, ZeroByteFileQuarantinedPermissivelyLikeBatch) {
   const auto want = analyze_serial(pruned);
   const auto res = analyze_streaming(src, ReplayOptions{});
   EXPECT_TRUE(want.cube.approx_equal(res.cube, 0.0));
+}
+
+// --- one structural walk, one id range ------------------------------------
+
+tracing::Event event_at(EventType type, double time) {
+  tracing::Event e;
+  e.type = type;
+  e.time = time;
+  return e;
+}
+
+tracing::Event enter_at(RegionId region, double time) {
+  tracing::Event e = event_at(EventType::Enter, time);
+  e.region = region;
+  return e;
+}
+
+/// One rank holding exactly `events`, with regions main (0) and
+/// MPI_Barrier (1) and a one-member world communicator.
+tracing::TraceCollection one_rank(std::vector<tracing::Event> events) {
+  tracing::TraceCollection tc;
+  tc.scheme = tracing::SyncScheme::None;
+  tc.defs.regions.intern("main");
+  tc.defs.regions.intern("MPI_Barrier");
+  tc.defs.metahosts.push_back({MetahostId{0}, "A"});
+  tc.defs.locations.push_back({MetahostId{0}, NodeId{0}, 0, 0});
+  tc.defs.comms.push_back({CommId{0}, "world", {0}});
+  tracing::LocalTrace t;
+  t.rank = 0;
+  t.events.assign(events.begin(), events.end());
+  tc.ranks.push_back(std::move(t));
+  return tc;
+}
+
+/// main { MPI_Barrier on `comm` }.
+std::vector<tracing::Event> barrier_events(int comm) {
+  tracing::Event coll = event_at(EventType::CollExit, 0.2);
+  coll.region = RegionId{1};
+  coll.comm = CommId{comm};
+  return {enter_at(RegionId{0}, 0.0), enter_at(RegionId{1}, 0.1), coll,
+          event_at(EventType::Exit, 0.3)};
+}
+
+TEST_F(StreamWindowTest, StructuralErrorsMatchBetweenModes) {
+  tracing::Event send = event_at(EventType::Send, 0.0);
+  send.peer = 0;
+  const struct {
+    const char* what;
+    std::vector<tracing::Event> events;
+  } shapes[] = {
+      {"Exit without Enter", {event_at(EventType::Exit, 0.0)}},
+      {"unclosed region", {enter_at(RegionId{0}, 0.0)}},
+      {"negative region duration",
+       {enter_at(RegionId{0}, 1.0), event_at(EventType::Exit, 0.5)}},
+      {"message event outside any region", {send}},
+      {"collective on an unknown communicator", barrier_events(7)},
+  };
+  const auto topo = local_topo(1);
+  for (const auto& shape : shapes) {
+    const auto tc = one_rank(shape.events);
+    std::string materialized, streamed;
+    try {
+      (void)analyze_parallel(tc);
+    } catch (const Error& e) {
+      materialized = e.base_message();
+    }
+    const auto arch = write_archive(topo, tc);
+    try {
+      (void)analyze_streaming(arch.stream_source(archive::ReadOptions{}),
+                              ReplayOptions{});
+    } catch (const Error& e) {
+      streamed = e.base_message();
+    }
+    EXPECT_NE(materialized.find(shape.what), std::string::npos)
+        << shape.what << ": " << materialized;
+    EXPECT_EQ(streamed, materialized) << shape.what;
+  }
+}
+
+/// The trace file of one_rank(barrier_events(...)), built column by
+/// column so CollExit's comm column can hold a value no Event can carry.
+std::vector<std::uint8_t> barrier_file(std::int64_t comm) {
+  BufWriter w;
+  w.put_u32(0x5453434DU);  // "MCST"
+  w.put_u32(tracing::kTraceFormatVersion);
+  w.put_svarint(0);  // rank
+  w.put_varint(0);   // sync records
+  w.put_varint(4);   // events
+  for (const std::uint64_t n : {2, 1, 0, 0, 1}) w.put_varint(n);  // by type
+  w.put_u8(0x00);  // Enter, Enter
+  w.put_u8(0x14);  // CollExit, Exit
+  const auto frame = [&w](const BufWriter& col) {
+    w.put_varint(col.size());
+    w.put_bytes(col.data().data(), col.size());
+  };
+  const auto ints = [&](const std::vector<std::int64_t>& v) {
+    BufWriter col;
+    colcodec::encode_int_column(col, v.data(), v.size());
+    frame(col);
+  };
+  const auto doubles = [&](const std::vector<double>& v) {
+    BufWriter col;
+    colcodec::encode_double_column(col, v.data(), v.size());
+    frame(col);
+  };
+  doubles({0.0, 0.1, 0.2, 0.3});  // time
+  ints({0, 1});                   // enter.region
+  ints({1});                      // collexit.region
+  ints({comm});                   // collexit.comm
+  ints({kNoRank});                // collexit.root
+  for (int i = 0; i < 3; ++i) doubles({0.0});  // collexit byte counts
+  return w.data();
+}
+
+TEST_F(StreamWindowTest, OutOfRangeIdIsCorruptInBothModes) {
+  const auto tc = one_rank(barrier_events(0));
+  ASSERT_EQ(barrier_file(0), tracing::encode_local_trace(tc.ranks[0]));
+  const auto arch = write_archive(local_topo(1), tc);
+  write_file_bytes(trace_path(0), barrier_file(std::int64_t{1} << 32));
+
+  const auto expect_corrupt = [](const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::Corrupt) << e.what();
+    EXPECT_NE(std::string(e.what()).find("collexit.comm"), std::string::npos)
+        << e.what();
+  };
+  try {
+    (void)arch.read_traces();
+    ADD_FAILURE() << "materialized read accepted comm 2^32";
+  } catch (const Error& e) {
+    expect_corrupt(e);
+  }
+  try {
+    (void)analyze_streaming(arch.stream_source(archive::ReadOptions{}),
+                            ReplayOptions{});
+    ADD_FAILURE() << "streaming analysis accepted comm 2^32";
+  } catch (const Error& e) {
+    expect_corrupt(e);
+  }
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
 // Trace format v3 contract tests: the per-column codecs (bit-lossless
 // double compression incl. the residual-corrected scaled modes), the
-// columnar trace layout, cross-version migration (v2-written archives
-// re-written as v3 must preserve every event bit and every golden
-// severity-cube cell), the compression gain itself, and the exact
+// columnar trace layout, cross-version migration (the committed v2
+// archive re-written as v3 must preserve every event bit and every
+// golden severity-cube cell), the compression gain itself, and the exact
 // ErrorCode taxonomy for v3-specific damage (bad type nibbles, column
 // frame truncation, column-length and per-type-count mismatches).
+//
+// Only v3 is written; the v1/v2 inputs are committed files in
+// tests/golden/legacy.
 #include <gtest/gtest.h>
 
 #include <cfloat>
@@ -214,6 +217,12 @@ TEST(DoubleColumn, TruncatedStreamsAreTruncated) {
 
 // --- v3 trace layout ------------------------------------------------------
 
+std::vector<std::uint8_t> legacy_file(const std::string& name) {
+  return read_file_bytes(std::string(MSC_LEGACY_DIR) + "/" + name);
+}
+
+/// Construction must stay in sync with the committed legacy fixtures:
+/// tests/golden/legacy/mixed.v{1,2}.elg hold mixed_trace(5, 137).
 LocalTrace mixed_trace(Rank rank, int n) {
   LocalTrace t;
   t.rank = rank;
@@ -272,32 +281,16 @@ LocalTrace mixed_trace(Rank rank, int n) {
 
 TEST(TraceV3, EveryVersionRoundTripsEveryEventBit) {
   const LocalTrace t = mixed_trace(5, 137);  // odd count: padding nibble
-  for (const std::uint32_t v : {1u, 2u, 3u}) {
-    const auto bytes = tracing::encode_local_trace(t, v);
-    const LocalTrace back = tracing::decode_local_trace(bytes);
-    EXPECT_EQ(back, t) << "version " << v;
-  }
-}
-
-TEST(TraceV3, UnsupportedEncodeVersionsRejected) {
-  const LocalTrace t = mixed_trace(0, 5);
-  for (const std::uint32_t v : {0u, 4u, 99u}) {
-    try {
-      (void)tracing::encode_local_trace(t, v);
-      FAIL() << "expected VersionMismatch for version " << v;
-    } catch (const Error& e) {
-      EXPECT_EQ(e.code(), ErrorCode::VersionMismatch) << e.what();
-    }
-  }
+  EXPECT_EQ(tracing::decode_local_trace(tracing::encode_local_trace(t)), t);
+  for (const char* name : {"mixed.v1.elg", "mixed.v2.elg"})
+    EXPECT_EQ(tracing::decode_local_trace(legacy_file(name)), t) << name;
 }
 
 TEST(TraceV3, ColumnarFormatIsSubstantiallySmaller) {
-  // Steady-state trace shapes (the regime the columnar layout targets):
-  // v3 must come in at least 3x under v2. Tiny traces have a higher
-  // header share; the archive-level gate lives in the bench smoke job.
-  const LocalTrace t = mixed_trace(3, 20000);
-  const auto v2 = tracing::encode_local_trace(t, 2);
-  const auto v3 = tracing::encode_local_trace(t, 3);
+  // The same trace as the committed v2 file: v3 must come in at least 3x
+  // under it. The archive-level gate lives in the bench smoke job.
+  const auto v2 = legacy_file("mixed.v2.elg");
+  const auto v3 = tracing::encode_local_trace(mixed_trace(5, 137));
   EXPECT_GE(v2.size(), 3 * v3.size())
       << "v2 " << v2.size() << " vs v3 " << v3.size();
 }
@@ -329,7 +322,7 @@ std::vector<std::uint8_t> one_enter_trace() {
   e.region = RegionId{2};
   e.time = 0.5;
   t.events.push_back(e);
-  return tracing::encode_local_trace(t, 3);
+  return tracing::encode_local_trace(t);
 }
 
 void expect_trace_failure(std::vector<std::uint8_t> bytes, ErrorCode code,
@@ -405,11 +398,12 @@ TEST(TraceV3Corrupt, OversizedColumnFrameIsTruncated) {
 // --- cross-version migration against the golden fixture ------------------
 //
 // The wait-barrier-local seed workload from the pattern-engine golden
-// fixture, re-built here (construction must stay in sync with
-// test_pattern_engine.cpp), written as a v2 archive, read back,
-// re-written as v3, read again: every event bit must survive, and the
-// legacy-selection severity cube of the twice-migrated collection must
-// reproduce the fixture cells exactly.
+// fixture, committed as a v2 archive (tests/golden/legacy/wait_barrier.v2)
+// and re-built here (construction must stay in sync with
+// test_pattern_engine.cpp). The v2 archive is read, re-written as v3 and
+// read again: every event bit must survive, and the legacy-selection
+// severity cube of the migrated collection must reproduce the fixture
+// cells exactly.
 
 simnet::Topology local_topo(int n) {
   simnet::Topology topo;
@@ -481,18 +475,15 @@ RowMap cube_rows(const report::Cube& cube) {
 TEST(TraceV3Migration, V2ArchiveRewrittenAsV3MatchesGoldenCube) {
   const TraceCollection original = wait_barrier_traces();
 
-  const auto base = fs::temp_directory_path() / "msc_v3_migration";
-  const auto v2_dir = base / "v2";
-  const auto v3_dir = base / "v3";
-  fs::remove_all(base);
-  fs::create_directories(v2_dir);
+  const auto v3_dir = fs::temp_directory_path() / "msc_v3_migration";
+  fs::remove_all(v3_dir);
   fs::create_directories(v3_dir);
 
-  tracing::write_collection(v2_dir.string(), original, 2);
-  const TraceCollection from_v2 = tracing::read_collection(v2_dir.string());
-  tracing::write_collection(v3_dir.string(), from_v2, 3);
+  const TraceCollection from_v2 = tracing::read_collection(
+      std::string(MSC_LEGACY_DIR) + "/wait_barrier.v2");
+  tracing::write_collection(v3_dir.string(), from_v2);
   const TraceCollection from_v3 = tracing::read_collection(v3_dir.string());
-  fs::remove_all(base);
+  fs::remove_all(v3_dir);
 
   // Bit-identical traces through both generations.
   ASSERT_EQ(from_v3.num_ranks(), original.num_ranks());

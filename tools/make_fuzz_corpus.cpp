@@ -3,12 +3,13 @@
 // Usage: make_fuzz_corpus <outdir>
 //
 // Runs a miniature two-metahost experiment, encodes its real defs and
-// per-rank trace files — current (v3 columnar) format by default, plus
-// one rank in each legacy row-wise format — and writes them together
-// with structured mutants (truncations, bad magic, future version, and
-// v3-specific corners: bad type nibbles, count mismatches, broken
-// column frames, bad XOR lead bytes / scale indices / residual widths)
-// into one subdirectory per harness:
+// per-rank trace files in the current (v3 columnar) format, copies one
+// trace in each legacy row-wise format from the committed fixtures
+// (tests/golden/legacy — only v3 is still written), and writes them
+// together with structured mutants (truncations, bad magic, future
+// version, and v3-specific corners: bad type nibbles, count mismatches,
+// broken column frames, bad XOR lead bytes / scale indices / residual
+// widths) into one subdirectory per harness:
 //
 //   <outdir>/trace_decode/   defs + trace bytes (also seeds sync_decode)
 //   <outdir>/sync_decode/    trace bytes rich in sync records
@@ -124,7 +125,7 @@ std::vector<std::uint8_t> small_v3_trace() {
     e.region = RegionId{i};
     t.events.push_back(e);
   }
-  return tracing::encode_local_trace(t, 3);
+  return tracing::encode_local_trace(t);
 }
 
 /// Replaces the time column of the minimal v3 trace with a hand-built
@@ -207,7 +208,7 @@ void put_midblock_mutants(const fs::path& dir) {
     t.events.push_back(exit);
     now += 4.7e-5;
   }
-  const auto bytes = tracing::encode_local_trace(t, 3);
+  const auto bytes = tracing::encode_local_trace(t);
   for (const int pct : {55, 70, 85, 97}) {
     put(dir, "v3_trunc_midblock_" + std::to_string(pct),
         std::vector<std::uint8_t>(
@@ -248,14 +249,14 @@ int main(int argc, char** argv) {
       const std::string stem = "rank" + std::to_string(t.rank);
       put(trace_dir, stem, bytes);
       put(sync_dir, stem, bytes);
-      if (t.rank == 0) {
-        put_mutants(trace_dir, stem, bytes);
-        // The legacy row-wise encodings stay decodable behind the
-        // version switch — seed both so mutation keeps covering them.
-        put(trace_dir, stem + "_v1", tracing::encode_local_trace(t, 1));
-        put(trace_dir, stem + "_v2", tracing::encode_local_trace(t, 2));
-      }
+      if (t.rank == 0) put_mutants(trace_dir, stem, bytes);
     }
+    // The legacy row-wise encodings stay decodable behind the version
+    // switch — seed both so mutation keeps covering them.
+    for (const char* v : {"v1", "v2"})
+      put(trace_dir, std::string("legacy_") + v,
+          read_file_bytes(std::string(MSC_LEGACY_DIR) + "/mixed." + v +
+                          ".elg"));
     put_v3_mutants(trace_dir);
     put_midblock_mutants(trace_dir);
     // An empty trace is valid too — seed the minimal accepting input.
