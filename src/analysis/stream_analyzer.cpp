@@ -192,7 +192,7 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
       if (quarantine.holds(static_cast<Rank>(r))) return;
       RankStream& rs = streams[r];
       try {
-        rs.file = MappedFile::open(src.paths[r], src.use_mmap);
+        rs.file = MappedFile::open(src.paths[r]);
         rs.ts.emplace(rs.file.data(), rs.file.size(), src.paths[r]);
       } catch (const Error&) {
         open_err[r] = std::current_exception();

@@ -99,7 +99,7 @@ tracing::TraceCollection read_first_defs(
   for (std::size_t i = 0;; ++i) {
     const std::string path = dirs[i] + "/" + tracing::defs_filename();
     try {
-      const MappedFile f = MappedFile::open(path, opts.use_mmap);
+      const MappedFile f = MappedFile::open(path);
       auto tc = tracing::decode_defs(f.data(), f.size(), path);
       bytes_read.fetch_add(f.size(), std::memory_order_relaxed);
       return tc;
@@ -107,6 +107,69 @@ tracing::TraceCollection read_first_defs(
       if (!opts.permissive || i + 1 == dirs.size()) throw;
     }
   }
+}
+
+/// Every rank's trace file, flattened over the partial archives.
+std::vector<std::pair<Rank, std::string>> rank_files(
+    const std::vector<std::string>& dirs,
+    const std::vector<std::vector<Rank>>& ranks_by_metahost) {
+  std::vector<std::pair<Rank, std::string>> files;
+  for (std::size_t m = 0; m < dirs.size(); ++m)
+    for (Rank r : ranks_by_metahost[m])
+      files.emplace_back(r, dirs[m] + "/" + tracing::trace_filename(r));
+  return files;
+}
+
+/// The per-rank read fan-out of read_traces and stream_source: maps each
+/// rank's file and runs `step(rank, path, file, claim)` on it. The step
+/// decodes or validates the bytes and calls `claim(rank the file
+/// names)` as soon as it knows, which counts the file's bytes and
+/// rejects a rank mismatch. A failure is rethrown with file/rank
+/// context in strict mode and quarantines the rank in permissive mode.
+/// Adds `bytes_read` to telemetry and returns the quarantine records
+/// sorted by rank (deterministic whatever the reader interleaving).
+template <typename Step>
+std::vector<QuarantineRecord> read_rank_files(
+    const std::vector<std::pair<Rank, std::string>>& files,
+    const ReadOptions& opts, const char* stage,
+    std::atomic<std::uint64_t>& bytes_read, Step step) {
+  std::mutex quarantine_mu;
+  std::vector<QuarantineRecord> quarantined;
+  telemetry::RecordingObserver rec_obs(
+      stage, telemetry::RecordingObserver::fanout_stride(files.size()));
+  const auto pst = parallel_for(
+      files.size(), opts.max_workers,
+      [&](std::size_t i) {
+        const auto& [r, path] = files[i];
+        try {
+          const MappedFile f = MappedFile::open(path);
+          step(r, path, f, [&](Rank claimed) {
+            bytes_read.fetch_add(f.size(), std::memory_order_relaxed);
+            if (claimed != r)
+              throw Error(ErrorCode::Corrupt,
+                          "trace file rank mismatch (file claims rank " +
+                              std::to_string(claimed) + ")",
+                          ErrorContext{path, r, -1});
+          });
+        } catch (const Error& e) {
+          if (!opts.permissive) throw e.with_context(ErrorContext{path, r, -1});
+          const std::lock_guard<std::mutex> lock(quarantine_mu);
+          quarantined.push_back(
+              QuarantineRecord{r, path, e.code(), e.base_message()});
+        }
+      },
+      &rec_obs);
+  telemetry::record_stage_parallelism(stage, pst);
+  telemetry::counter("archive.read.bytes")
+      .add(bytes_read.load(std::memory_order_relaxed));
+  if (!quarantined.empty()) {
+    std::sort(quarantined.begin(), quarantined.end(),
+              [](const QuarantineRecord& a, const QuarantineRecord& b) {
+                return a.rank < b.rank;
+              });
+    telemetry::counter("archive.read.quarantined").add(quarantined.size());
+  }
+  return quarantined;
 }
 
 }  // namespace
@@ -299,65 +362,24 @@ tracing::TraceCollection ExperimentArchive::read_traces(
   telemetry::ScopedSpan span("archive_read");
   if (report) *report = ReadReport{};
 
+  // The defs header names the rank count, so each rank's slot is
+  // pre-sized before any trace file is opened; each task then decodes
+  // one file straight out of its mapping into its own slot. A
+  // quarantined rank keeps the empty trace decode_defs left there.
   std::atomic<std::uint64_t> bytes_read{0};
   tracing::TraceCollection tc =
       read_first_defs(partial_dirs(), opts, bytes_read);
-  // The defs header names the rank count, so each rank's Trace slot is
-  // pre-sized before any trace file is opened; the per-rank decoders
-  // then fill their slots straight from the mappings.
-
-  // Flatten (metahost, rank) so each task reads + decodes one file into
-  // its own rank slot.
-  std::vector<std::pair<std::size_t, Rank>> files;
-  for (std::size_t m = 0; m < dir_by_metahost_.size(); ++m)
-    for (Rank r : ranks_by_metahost_[m]) files.emplace_back(m, r);
-
-  std::mutex quarantine_mu;
-  std::vector<QuarantineRecord> quarantined;
-  telemetry::RecordingObserver rec_obs(
-      "archive_read",
-      telemetry::RecordingObserver::fanout_stride(files.size()));
-  const auto pst = parallel_for(
-      files.size(), opts.max_workers,
-      [&](std::size_t i) {
-        const auto [m, r] = files[i];
-        const std::string path =
-            dir_by_metahost_[m] + "/" + tracing::trace_filename(r);
-        try {
-          // Zero-copy: decode straight out of the mapping (or out of the
-          // owned-buffer fallback — identical bytes either way).
-          const MappedFile f = MappedFile::open(path, opts.use_mmap);
-          auto trace = tracing::decode_local_trace(f.data(), f.size(), path);
-          bytes_read.fetch_add(f.size(), std::memory_order_relaxed);
-          if (trace.rank != r)
-            throw Error(ErrorCode::Corrupt,
-                        "trace file rank mismatch (file claims rank " +
-                            std::to_string(trace.rank) + ")",
-                        ErrorContext{path, r, -1});
-          tc.ranks[static_cast<std::size_t>(r)] = std::move(trace);
-        } catch (const Error& e) {
-          if (!opts.permissive) throw e.with_context(ErrorContext{path, r, -1});
-          // Quarantine: leave the rank as an empty trace and record why.
-          tc.ranks[static_cast<std::size_t>(r)] = tracing::LocalTrace{};
-          tc.ranks[static_cast<std::size_t>(r)].rank = r;
-          const std::lock_guard<std::mutex> lock(quarantine_mu);
-          quarantined.push_back(
-              QuarantineRecord{r, path, e.code(), e.base_message()});
-        }
-      },
-      &rec_obs);
-  telemetry::record_stage_parallelism("archive_read", pst);
-  telemetry::counter("archive.read.bytes")
-      .add(bytes_read.load(std::memory_order_relaxed));
+  auto quarantined = read_rank_files(
+      rank_files(dir_by_metahost_, ranks_by_metahost_), opts,
+      "archive_read", bytes_read,
+      [&](Rank r, const std::string& path, const MappedFile& f,
+          const auto& claim) {
+        auto trace = tracing::decode_local_trace(f.data(), f.size(), path);
+        claim(trace.rank);
+        tc.ranks[static_cast<std::size_t>(r)] = std::move(trace);
+      });
 
   if (!quarantined.empty()) {
-    // Deterministic report order regardless of reader interleaving.
-    std::sort(quarantined.begin(), quarantined.end(),
-              [](const QuarantineRecord& a, const QuarantineRecord& b) {
-                return a.rank < b.rank;
-              });
-    telemetry::counter("archive.read.quarantined")
-        .add(quarantined.size());
     const std::size_t pruned = tracing::prune_quarantined(
         tc, [&] {
           std::vector<Rank> rs;
@@ -387,80 +409,42 @@ tracing::StreamSource ExperimentArchive::stream_source(
   if (report) *report = ReadReport{};
 
   tracing::StreamSource src;
-  src.use_mmap = opts.use_mmap;
-  std::atomic<std::uint64_t> bytes{0};
-  src.defs = read_first_defs(partial_dirs(), opts, bytes);
-
+  std::atomic<std::uint64_t> bytes_read{0};
+  src.defs = read_first_defs(partial_dirs(), opts, bytes_read);
+  const auto files = rank_files(dir_by_metahost_, ranks_by_metahost_);
   src.paths.resize(static_cast<std::size_t>(src.defs.num_ranks()));
-  std::vector<std::pair<std::size_t, Rank>> files;
-  for (std::size_t m = 0; m < dir_by_metahost_.size(); ++m)
-    for (Rank r : ranks_by_metahost_[m]) {
-      files.emplace_back(m, r);
-      src.paths[static_cast<std::size_t>(r)] =
-          dir_by_metahost_[m] + "/" + tracing::trace_filename(r);
-    }
+  for (const auto& [r, path] : files)
+    src.paths[static_cast<std::size_t>(r)] = path;
 
   // Open-time validation fan-out: everything short of the column
   // payloads is checked per rank, so a corrupt file is caught (and, in
   // permissive mode, quarantined) before any analysis state exists.
   // The replay re-opens the files; the whole file's bytes are counted
   // as read here, since streaming decodes all of them exactly once.
-  std::mutex quarantine_mu;
-  std::vector<QuarantineRecord> quarantined;
-  telemetry::RecordingObserver rec_obs(
-      "archive_stream_open",
-      telemetry::RecordingObserver::fanout_stride(files.size()));
-  const auto pst = parallel_for(
-      files.size(), opts.max_workers,
-      [&](std::size_t i) {
-        const auto [m, r] = files[i];
-        const std::string& path = src.paths[static_cast<std::size_t>(r)];
-        try {
-          const MappedFile f = MappedFile::open(path, opts.use_mmap);
-          tracing::TraceStream s(f.data(), f.size(), path);
-          bytes.fetch_add(f.size(), std::memory_order_relaxed);
-          if (s.rank() != r)
-            throw Error(ErrorCode::Corrupt,
-                        "trace file rank mismatch (file claims rank " +
-                            std::to_string(s.rank()) + ")",
-                        ErrorContext{path, r, -1});
-          if (opts.permissive) {
-            // Quarantine decisions must match read_traces, and open-time
-            // validation alone cannot see codec-level corruption inside
-            // the column payloads. Permissive mode therefore drains each
-            // stream once — windows are decoded and discarded, nothing
-            // is materialized — so every rank is classified up front.
-            // Strict mode skips the drain: payload corruption surfaces
-            // from whichever replay window decodes it, with the same
-            // error code and file/rank context.
-            std::vector<tracing::Event> sink;
-            while (!s.at_end()) {
-              sink.clear();
-              s.next(sink, 4096);
-            }
-          }
-        } catch (const Error& e) {
-          if (!opts.permissive)
-            throw e.with_context(ErrorContext{path, r, -1});
-          const std::lock_guard<std::mutex> lock(quarantine_mu);
-          quarantined.push_back(
-              QuarantineRecord{r, path, e.code(), e.base_message()});
+  auto quarantined = read_rank_files(
+      files, opts, "archive_stream_open", bytes_read,
+      [&](Rank, const std::string& path, const MappedFile& f,
+          const auto& claim) {
+        tracing::TraceStream s(f.data(), f.size(), path);
+        claim(s.rank());
+        if (!opts.permissive) return;
+        // Quarantine decisions must match read_traces, and open-time
+        // validation alone cannot see codec-level corruption inside the
+        // column payloads. Permissive mode therefore drains each stream
+        // once — windows are decoded and discarded, nothing is
+        // materialized — so every rank is classified up front. Strict
+        // mode skips the drain: payload corruption surfaces from
+        // whichever replay window decodes it, with the same error code
+        // and file/rank context.
+        std::vector<tracing::Event> sink;
+        while (!s.at_end()) {
+          sink.clear();
+          s.next(sink, 4096);
         }
-      },
-      &rec_obs);
-  telemetry::record_stage_parallelism("archive_stream_open", pst);
-  telemetry::counter("archive.read.bytes")
-      .add(bytes.load(std::memory_order_relaxed));
+      });
 
-  if (!quarantined.empty()) {
-    std::sort(quarantined.begin(), quarantined.end(),
-              [](const QuarantineRecord& a, const QuarantineRecord& b) {
-                return a.rank < b.rank;
-              });
-    telemetry::counter("archive.read.quarantined").add(quarantined.size());
-    for (const auto& q : quarantined) src.quarantined.push_back(q.rank);
-    if (report) report->quarantined = std::move(quarantined);
-  }
+  for (const auto& q : quarantined) src.quarantined.push_back(q.rank);
+  if (report) report->quarantined = std::move(quarantined);
   return src;
 }
 

@@ -46,11 +46,6 @@ struct ReadOptions {
   /// Per-rank reads fan out on up to this many threads (0 = hardware
   /// concurrency). The result is identical for any count.
   std::size_t max_workers{0};
-  /// Decode each trace file straight out of a memory mapping (the
-  /// zero-copy path) instead of copying it into a heap buffer first.
-  /// The decoded traces are byte-identical either way (tests assert the
-  /// parity); platforms without mmap silently use the copy path.
-  bool use_mmap{true};
 };
 
 /// Knobs for write_traces (the plain max_workers overload delegates

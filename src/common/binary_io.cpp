@@ -54,75 +54,12 @@ void BufWriter::put_bytes(const void* data, std::size_t n) {
   buf_.insert(buf_.end(), p, p + n);
 }
 
-void BufReader::need(std::size_t n) const {
-  // size_ - pos_ cannot underflow (pos_ <= size_ is an invariant);
-  // comparing against it instead of pos_ + n avoids the wraparound a
-  // huge attacker-controlled n would cause.
-  if (n > size_ - pos_) throw Error("binary read past end of buffer");
-}
-
-std::uint8_t BufReader::get_u8() {
-  need(1);
-  return data_[pos_++];
-}
-
-std::uint32_t BufReader::get_u32() {
-  need(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(data_[pos_++]) << (8 * i);
-  return v;
-}
-
-std::uint64_t BufReader::get_u64() {
-  need(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(data_[pos_++]) << (8 * i);
-  return v;
-}
-
-std::uint64_t BufReader::get_varint() {
-  std::uint64_t v = 0;
-  int shift = 0;
-  while (true) {
-    need(1);
-    const std::uint8_t b = data_[pos_++];
-    if (shift >= 64) throw Error("varint too long");
-    v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
-    if (!(b & 0x80)) break;
-    shift += 7;
-  }
-  return v;
-}
-
-std::int64_t BufReader::get_svarint() {
-  const std::uint64_t u = get_varint();
-  return static_cast<std::int64_t>(u >> 1) ^ -static_cast<std::int64_t>(u & 1);
-}
-
-double BufReader::get_f64() {
-  const std::uint64_t bits = get_u64();
-  double v;
-  std::memcpy(&v, &bits, sizeof v);
-  return v;
-}
-
-std::string BufReader::get_string() {
-  const std::uint64_t n = get_varint();
-  if (n > remaining()) throw Error("binary read past end of buffer");
-  std::string s(reinterpret_cast<const char*>(data_ + pos_),
-                static_cast<std::size_t>(n));
-  pos_ += static_cast<std::size_t>(n);
-  return s;
-}
-
 // --- Decoder -------------------------------------------------------------
 
 void Decoder::fail(ErrorCode code, const std::string& msg) const {
-  ErrorContext ctx = ctx_;
-  ctx.byte_offset = static_cast<std::int64_t>(pos_);
-  throw Error(code, msg, std::move(ctx));
+  throw Error(code, msg,
+              ErrorContext{std::string(path_), rank_,
+                           static_cast<std::int64_t>(pos_)});
 }
 
 void Decoder::need(std::size_t n, const char* what) const {
@@ -172,6 +109,26 @@ std::uint64_t Decoder::get_varint() {
 std::int64_t Decoder::get_svarint() {
   const std::uint64_t u = get_varint();
   return static_cast<std::int64_t>(u >> 1) ^ -static_cast<std::int64_t>(u & 1);
+}
+
+void Decoder::skip_varints(std::size_t n) {
+  // A varint ends at its first byte without the continuation bit; the
+  // tenth byte is the last one a 64-bit value may use. Anything else
+  // (the buffer ends first, or an eleventh byte follows) is re-read by
+  // get_varint from the varint's start, which throws the exact error.
+  std::size_t p = pos_;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t start = p;
+    while (p < size_ && (data_[p] & 0x80) != 0 && p - start < 9) ++p;
+    if (p == size_ || (data_[p] & 0x80) != 0) {
+      pos_ = start;
+      (void)get_varint();
+      p = pos_;
+      continue;
+    }
+    ++p;
+  }
+  pos_ = p;
 }
 
 double Decoder::get_f64() {

@@ -4,19 +4,17 @@
 // integers (event streams are dominated by small ints — ranks, tags,
 // region ids — so varints cut trace size roughly in half).
 //
-// Two readers:
-//  - BufReader: the minimal primitive reader (kept for tooling and
-//    fuzz-harness plumbing); throws plain Errors on underflow.
-//  - Decoder: the hardened facade every production decode path goes
-//    through. It tracks remaining bytes overflow-safely, enforces
-//    sanity caps on counts/string lengths derived from the bytes
-//    actually present, and throws taxonomy-typed Errors (Truncated /
-//    Corrupt / VersionMismatch / LimitExceeded) carrying the source
-//    path, rank, and exact byte offset of the failure.
+// Every decode path reads through Decoder, the hardened facade: it
+// tracks remaining bytes overflow-safely, enforces sanity caps on
+// counts/string lengths derived from the bytes actually present, and
+// throws taxonomy-typed Errors (Truncated / Corrupt / VersionMismatch /
+// LimitExceeded) carrying the source path, rank, and exact byte offset
+// of the failure.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -46,33 +44,6 @@ class BufWriter {
   std::vector<std::uint8_t> buf_;
 };
 
-class BufReader {
- public:
-  BufReader(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
-  explicit BufReader(const std::vector<std::uint8_t>& buf)
-      : BufReader(buf.data(), buf.size()) {}
-
-  std::uint8_t get_u8();
-  std::uint32_t get_u32();
-  std::uint64_t get_u64();
-  std::uint64_t get_varint();
-  std::int64_t get_svarint();
-  double get_f64();
-  std::string get_string();
-
-  [[nodiscard]] bool at_end() const { return pos_ == size_; }
-  [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
-  [[nodiscard]] std::size_t pos() const { return pos_; }
-
- private:
-  void need(std::size_t n) const;
-
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_{0};
-};
-
 /// Bounds-checked decode facade (see header comment). Every get_* call
 /// checks the remaining byte count without arithmetic wraparound; count
 /// and length fields are validated against both an absolute cap and the
@@ -87,14 +58,18 @@ class Decoder {
   /// Hard ceiling on one string (region/metahost/comm names).
   static constexpr std::uint64_t kMaxStringBytes = 1ULL << 20;
 
-  Decoder(const std::uint8_t* data, std::size_t size, ErrorContext ctx = {})
-      : data_(data), size_(size), ctx_(std::move(ctx)) {}
-  explicit Decoder(const std::vector<std::uint8_t>& buf, ErrorContext ctx = {})
-      : Decoder(buf.data(), buf.size(), std::move(ctx)) {}
+  /// `path` names the source in error contexts; the decoder borrows it,
+  /// so it must outlive the decoder (like the bytes themselves).
+  Decoder(const std::uint8_t* data, std::size_t size,
+          std::string_view path = {})
+      : data_(data), size_(size), path_(path) {}
+  explicit Decoder(const std::vector<std::uint8_t>& buf,
+                   std::string_view path = {})
+      : Decoder(buf.data(), buf.size(), path) {}
 
   /// Updates the rank attached to subsequent error contexts (decoders
   /// learn the rank partway through the header).
-  void set_rank(int rank) { ctx_.rank = rank; }
+  void set_rank(int rank) { rank_ = rank; }
 
   std::uint8_t get_u8();
   std::uint32_t get_u32();
@@ -102,6 +77,10 @@ class Decoder {
   std::uint64_t get_varint();
   std::int64_t get_svarint();
   double get_f64();
+
+  /// Steps over `n` varints without decoding them, raising exactly the
+  /// Truncated/Corrupt errors that `n` get_varint calls would.
+  void skip_varints(std::size_t n);
 
   /// Varint length prefix + raw bytes; length checked against
   /// kMaxStringBytes (LimitExceeded) and the remaining bytes
@@ -142,7 +121,10 @@ class Decoder {
   [[nodiscard]] bool at_end() const { return pos_ == size_; }
   [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
   [[nodiscard]] std::size_t pos() const { return pos_; }
-  [[nodiscard]] const ErrorContext& context() const { return ctx_; }
+  /// The path and rank errors name (without a byte offset).
+  [[nodiscard]] ErrorContext context() const {
+    return ErrorContext{std::string(path_), rank_, -1};
+  }
 
  private:
   /// Overflow-safe bounds check: Truncated if fewer than n bytes remain.
@@ -151,7 +133,8 @@ class Decoder {
   const std::uint8_t* data_;
   std::size_t size_;
   std::size_t pos_{0};
-  ErrorContext ctx_;
+  std::string_view path_;
+  int rank_{-1};
 };
 
 /// Whole-file helpers; throw Error (ErrorCode::Io, path attached) on I/O

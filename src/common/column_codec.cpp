@@ -235,16 +235,6 @@ void encode_int_column(BufWriter& w, const std::int64_t* v, std::size_t n) {
   }
 }
 
-void decode_int_column(Decoder& d, std::int64_t* out, std::size_t n) {
-  // Accumulate in uint64 so a hostile delta stream wraps instead of
-  // hitting signed overflow; the cast back is two's-complement exact.
-  std::uint64_t acc = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    acc += static_cast<std::uint64_t>(d.get_svarint());
-    out[i] = static_cast<std::int64_t>(acc);
-  }
-}
-
 void encode_double_column(BufWriter& w, const double* v, std::size_t n) {
   if (n == 0) return;
 
@@ -341,161 +331,63 @@ void encode_double_column(BufWriter& w, const double* v, std::size_t n) {
   }
 }
 
-void decode_double_column(Decoder& d, double* out, std::size_t n) {
-  if (n == 0) return;
-  const std::uint8_t mode = d.get_u8();
-  switch (mode) {
-    case kModeRaw:
-      for (std::size_t i = 0; i < n; ++i) out[i] = d.get_f64();
-      return;
-    case kModeXor: {
-      std::uint64_t prev = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::uint8_t c = d.get_u8();
-        if (c == 0) {
-          out[i] = double_of(prev);
-          continue;
-        }
-        if (c > 64)
-          d.fail(ErrorCode::Corrupt,
-                 "bad XOR lead byte " + std::to_string(static_cast<int>(c)) +
-                     " in double column");
-        const int lz = (c - 1) >> 3;
-        const int m = ((c - 1) & 7) + 1;
-        if (lz + m > 8)
-          d.fail(ErrorCode::Corrupt,
-                 "bad XOR lead byte: window " + std::to_string(lz) + "+" +
-                     std::to_string(m) + " exceeds 8 bytes");
-        const int tz = 8 - lz - m;
-        std::uint64_t y = 0;
-        for (int j = 0; j < m; ++j)
-          y |= static_cast<std::uint64_t>(d.get_u8()) << (8 * j);
-        prev ^= y << (8 * tz);
-        out[i] = double_of(prev);
-      }
-      return;
-    }
-    case kModeScaledDelta:
-    case kModeScaledDod:
-    case kModeScaledDeltaRes:
-    case kModeScaledDodRes: {
-      const std::uint8_t si = d.get_u8();
-      if (si >= kNumScales)
-        d.fail(ErrorCode::Corrupt,
-               "bad scale index " + std::to_string(static_cast<int>(si)) +
-                   " in scaled double column");
-      const double scale = kScales[si];
-      const bool dod =
-          mode == kModeScaledDod || mode == kModeScaledDodRes;
-      const bool with_res =
-          mode == kModeScaledDeltaRes || mode == kModeScaledDodRes;
-      int width = 0;
-      if (with_res) {
-        width = d.get_u8();
-        if (width > 64)
-          d.fail(ErrorCode::Corrupt,
-                 "bad residual bit width " + std::to_string(width) +
-                     " in scaled double column");
-      }
-      std::uint64_t k = 0;       // wrapping accumulators: hostile streams
-      std::uint64_t delta = 0;   // must not reach signed overflow
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t step = static_cast<std::uint64_t>(d.get_svarint());
-        if (dod) {
-          delta += step;
-          k += delta;
-        } else {
-          k += step;
-        }
-        out[i] = static_cast<double>(static_cast<std::int64_t>(k)) * scale;
-      }
-      if (with_res && width > 0) {
-        // The packed residuals follow the delta stream: `width` bits per
-        // value, LSB-first. Each residual is a zigzagged ULP-count in
-        // the total-order domain; the wrapping add inverts the
-        // encoder's subtraction exactly.
-        std::uint64_t buf = 0;
-        int avail = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-          std::uint64_t u = 0;
-          int got = 0;
-          while (got < width) {
-            if (avail == 0) {
-              buf = d.get_u8();
-              avail = 8;
-            }
-            const int take = width - got < avail ? width - got : avail;
-            u |= (buf & ((1ULL << take) - 1)) << got;
-            buf >>= take;
-            avail -= take;
-            got += take;
-          }
-          const std::uint64_t res = (u >> 1) ^ (0 - (u & 1));  // un-zigzag
-          out[i] =
-              double_of(from_ordered(to_ordered(bits_of(out[i])) + res));
-        }
-      }
-      return;
-    }
-    default:
-      d.fail(ErrorCode::Corrupt, "unknown double-column mode " +
-                                     std::to_string(static_cast<int>(mode)));
-  }
-}
-
 // --- chunked cursors ---------------------------------------------------
 
 namespace {
 
-/// Shared frame-contract check for the cursors, mirroring end_column in
-/// the batch reader (tracing/epilog_io): the codec must consume exactly
-/// the framed byte count, no more, no less.
-void check_frame(const Decoder& d, std::size_t consumed,
-                 std::size_t frame_len, const char* what) {
-  if (consumed != frame_len)
+/// The frame contract, checked after the last row: the codec must have
+/// consumed exactly the framed byte count, no more, no less.
+void check_frame(const Decoder& d, const ColumnFrame& f) {
+  const std::size_t end = f.start + f.len;
+  if (d.pos() != end)
     d.fail(ErrorCode::Corrupt,
-           std::string("column length mismatch for ") + what +
+           std::string("column length mismatch for ") + f.what +
                " column: codec consumed through byte " +
-               std::to_string(consumed) + " but the frame ends at byte " +
-               std::to_string(frame_len));
+               std::to_string(d.pos()) + " but the frame ends at byte " +
+               std::to_string(end));
+}
+
+/// A decoder over the whole file, positioned at the column payload.
+Decoder at_payload(const std::uint8_t* file, std::size_t size,
+                   const ColumnFrame& f) {
+  Decoder d(file, size);
+  (void)d.get_raw(f.start, f.what);
+  return d;
 }
 
 }  // namespace
 
-IntColumnCursor::IntColumnCursor(const std::uint8_t* data, std::size_t size,
-                                 std::size_t frame_len, std::size_t n,
-                                 const char* what, ErrorContext ctx)
-    : dec_(data, size, std::move(ctx)),
-      frame_len_(frame_len),
-      n_(n),
-      what_(what) {}
+IntColumnCursor::IntColumnCursor(const std::uint8_t* file, std::size_t size,
+                                 const ColumnFrame& frame)
+    : dec_(at_payload(file, size, frame)), frame_(frame) {}
 
 void IntColumnCursor::next(std::int64_t* out, std::size_t k) {
-  MSC_CHECK(produced_ + k <= n_, "int column cursor overrun");
+  MSC_CHECK(produced_ + k <= frame_.n, "int column cursor overrun");
+  // Accumulate in uint64 so a hostile delta stream wraps instead of
+  // hitting signed overflow; the cast back is two's-complement exact.
+  // (A local, because stores through `out` may alias the member.)
+  std::uint64_t acc = acc_;
   for (std::size_t i = 0; i < k; ++i) {
-    acc_ += static_cast<std::uint64_t>(dec_.get_svarint());
-    out[i] = static_cast<std::int64_t>(acc_);
+    acc += static_cast<std::uint64_t>(dec_.get_svarint());
+    out[i] = static_cast<std::int64_t>(acc);
   }
+  acc_ = acc;
   produced_ += k;
 }
 
 void IntColumnCursor::finish() {
-  MSC_CHECK(produced_ == n_, "int column cursor finished early");
-  check_frame(dec_, dec_.pos(), frame_len_, what_);
+  MSC_CHECK(produced_ == frame_.n, "int column cursor finished early");
+  check_frame(dec_, frame_);
 }
 
-DoubleColumnCursor::DoubleColumnCursor(const std::uint8_t* data,
+DoubleColumnCursor::DoubleColumnCursor(const std::uint8_t* file,
                                        std::size_t size,
-                                       std::size_t frame_len, std::size_t n,
-                                       const char* what, ErrorContext ctx)
-    : dec_(data, size, std::move(ctx)),
-      frame_len_(frame_len),
-      n_(n),
-      what_(what) {
+                                       const ColumnFrame& frame)
+    : dec_(at_payload(file, size, frame)), frame_(frame) {
   // A zero-row column is omitted from the file entirely (no frame, no
   // mode byte) — there is nothing to parse, and whatever bytes follow
   // belong to someone else.
-  if (n_ == 0) return;
+  if (frame_.n == 0) return;
   mode_ = dec_.get_u8();
   switch (mode_) {
     case kModeRaw:
@@ -512,20 +404,13 @@ DoubleColumnCursor::DoubleColumnCursor(const std::uint8_t* data,
                       " in scaled double column");
       scale_ = kScales[si];
       dod_ = mode_ == kModeScaledDod || mode_ == kModeScaledDodRes;
-      with_res_ = mode_ == kModeScaledDeltaRes || mode_ == kModeScaledDodRes;
-      if (with_res_) {
+      if (mode_ == kModeScaledDeltaRes || mode_ == kModeScaledDodRes) {
         width_ = dec_.get_u8();
         if (width_ > 64)
           dec_.fail(ErrorCode::Corrupt,
                     "bad residual bit width " + std::to_string(width_) +
                         " in scaled double column");
-        if (width_ > 0) {
-          // The residual bits start after the complete delta stream:
-          // skip-scan the n varints once so the two streams can then be
-          // consumed chunk by chunk in lockstep.
-          res_dec_ = dec_;
-          for (std::size_t i = 0; i < n_; ++i) (void)res_dec_.get_svarint();
-        }
+        split_ = width_ > 0;
       }
       return;
     }
@@ -537,16 +422,21 @@ DoubleColumnCursor::DoubleColumnCursor(const std::uint8_t* data,
 }
 
 void DoubleColumnCursor::next(double* out, std::size_t k) {
-  MSC_CHECK(produced_ + k <= n_, "double column cursor overrun");
+  MSC_CHECK(produced_ + k <= frame_.n, "double column cursor overrun");
+  if (k == 0) return;
+  // The loops keep the codec state in locals and store it back at the
+  // end: every decoder call could otherwise touch the members, which
+  // would send the state through memory once per value.
   switch (mode_) {
     case kModeRaw:
       for (std::size_t i = 0; i < k; ++i) out[i] = dec_.get_f64();
       break;
-    case kModeXor:
+    case kModeXor: {
+      std::uint64_t prev = prev_bits_;
       for (std::size_t i = 0; i < k; ++i) {
         const std::uint8_t c = dec_.get_u8();
         if (c == 0) {
-          out[i] = double_of(prev_bits_);
+          out[i] = double_of(prev);
           continue;
         }
         if (c > 64)
@@ -564,52 +454,73 @@ void DoubleColumnCursor::next(double* out, std::size_t k) {
         std::uint64_t y = 0;
         for (int j = 0; j < m; ++j)
           y |= static_cast<std::uint64_t>(dec_.get_u8()) << (8 * j);
-        prev_bits_ ^= y << (8 * tz);
-        out[i] = double_of(prev_bits_);
+        prev ^= y << (8 * tz);
+        out[i] = double_of(prev);
       }
+      prev_bits_ = prev;
       break;
-    default:
+    }
+    default: {
+      // The residual stream starts after the last delta. A first call
+      // that takes fewer than every row skips the rest to find it.
+      const bool locate = split_ && produced_ == 0;
+      if (locate && k < frame_.n) {
+        res_dec_ = dec_;
+        res_dec_.skip_varints(frame_.n);
+      }
+      const bool dod = dod_;
+      const double scale = scale_;
+      std::uint64_t q = k_;
+      std::uint64_t delta = delta_;
       for (std::size_t i = 0; i < k; ++i) {
         const std::uint64_t step =
             static_cast<std::uint64_t>(dec_.get_svarint());
-        if (dod_) {
-          delta_ += step;
-          k_ += delta_;
+        if (dod) {
+          delta += step;
+          q += delta;
         } else {
-          k_ += step;
+          q += step;
         }
-        out[i] = static_cast<double>(static_cast<std::int64_t>(k_)) * scale_;
+        out[i] = static_cast<double>(static_cast<std::int64_t>(q)) * scale;
       }
-      if (with_res_ && width_ > 0) {
-        for (std::size_t i = 0; i < k; ++i) {
-          std::uint64_t u = 0;
-          int got = 0;
-          while (got < width_) {
-            if (res_avail_ == 0) {
-              res_buf_ = res_dec_.get_u8();
-              res_avail_ = 8;
-            }
-            const int take =
-                width_ - got < res_avail_ ? width_ - got : res_avail_;
-            u |= (res_buf_ & ((1ULL << take) - 1)) << got;
-            res_buf_ >>= take;
-            res_avail_ -= take;
-            got += take;
+      k_ = q;
+      delta_ = delta;
+      if (!split_) break;
+      if (locate && k == frame_.n) res_dec_ = dec_;
+      // `width` bits per value, LSB-first. Each residual is a zigzagged
+      // ULP count in the total-order domain; the wrapping add inverts
+      // the encoder's subtraction exactly.
+      const int width = width_;
+      std::uint64_t buf = res_buf_;
+      int avail = res_avail_;
+      for (std::size_t i = 0; i < k; ++i) {
+        std::uint64_t u = 0;
+        int got = 0;
+        while (got < width) {
+          if (avail == 0) {
+            buf = res_dec_.get_u8();
+            avail = 8;
           }
-          const std::uint64_t res = (u >> 1) ^ (0 - (u & 1));  // un-zigzag
-          out[i] =
-              double_of(from_ordered(to_ordered(bits_of(out[i])) + res));
+          const int take = width - got < avail ? width - got : avail;
+          u |= (buf & ((1ULL << take) - 1)) << got;
+          buf >>= take;
+          avail -= take;
+          got += take;
         }
+        const std::uint64_t res = (u >> 1) ^ (0 - (u & 1));  // un-zigzag
+        out[i] = double_of(from_ordered(to_ordered(bits_of(out[i])) + res));
       }
+      res_buf_ = buf;
+      res_avail_ = avail;
       break;
+    }
   }
   produced_ += k;
 }
 
 void DoubleColumnCursor::finish() {
-  MSC_CHECK(produced_ == n_, "double column cursor finished early");
-  const bool split = with_res_ && width_ > 0;
-  check_frame(dec_, split ? res_dec_.pos() : dec_.pos(), frame_len_, what_);
+  MSC_CHECK(produced_ == frame_.n, "double column cursor finished early");
+  check_frame(split_ ? res_dec_ : dec_, frame_);
 }
 
 }  // namespace metascope::colcodec

@@ -43,9 +43,10 @@
 //
 // Encoders write only the payload; the caller frames each column with a
 // byte-length prefix so a decoder can bounds-check the block and report
-// truncation/mismatch with exact offsets. Decoders consume from the
-// bounds-checked Decoder facade and throw taxonomy-typed Errors on bad
-// lead bytes or malformed varints; they never crash on garbage.
+// truncation/mismatch with exact offsets. The one decoder per column
+// kind is a chunked cursor (below); it reads through the bounds-checked
+// Decoder facade and throws taxonomy-typed Errors on bad lead bytes or
+// malformed varints; it never crashes on garbage.
 #pragma once
 
 #include <cstddef>
@@ -60,92 +61,79 @@ namespace metascope::colcodec {
 /// delta from 0). Appends the payload to `w`.
 void encode_int_column(BufWriter& w, const std::int64_t* v, std::size_t n);
 
-/// Decodes exactly `n` integers appended by encode_int_column.
-void decode_int_column(Decoder& d, std::int64_t* out, std::size_t n);
-
 /// Encodes a double column with the smallest of the mode payloads
 /// described above (mode byte + payload appended to `w`; nothing at all
 /// for n == 0).
 void encode_double_column(BufWriter& w, const double* v, std::size_t n);
 
-/// Decodes exactly `n` doubles appended by encode_double_column,
-/// bit-identical to the encoder's input.
-void decode_double_column(Decoder& d, double* out, std::size_t n);
-
-// --- chunked cursors (streaming reads) ---------------------------------
+// --- chunked cursors ---------------------------------------------------
 //
-// Stateful decoders over one encoded column that produce the rows in
-// caller-sized chunks instead of all at once — the windowed trace
-// reader (tracing/stream) holds one cursor per column and pulls only
-// the rows of the current replay window. Chunk boundaries are
-// invisible in the output: any chunking decodes bit-identically to the
-// batch decoders above, because every per-value transform (delta
-// accumulation, XOR chaining, residual application) carries its state
-// in the cursor.
+// Stateful decoders over one framed column that produce the rows in
+// caller-sized chunks: a whole-file read takes every row in one call,
+// the windowed trace reader (tracing/stream) only the rows of the
+// current replay window. Chunk boundaries are invisible in the output,
+// because every per-value transform (delta accumulation, XOR chaining,
+// residual application) carries its state in the cursor.
 //
-// Both cursors borrow the file bytes (like Decoder) and are given the
-// column's framed byte length up front; `finish()` re-checks the frame
-// contract after the last row exactly like the batch path — a codec
-// that consumed a different number of bytes than the frame declared is
-// Corrupt ("column length mismatch"), and running past the end of the
-// underlying buffer mid-chunk is Truncated. Error offsets are relative
-// to the column payload (the batch path reports file-absolute offsets);
-// codes and wording match.
+// Both cursors borrow the whole file (like Decoder) and read the column
+// where its frame says it lives, so every error names a file-absolute
+// byte offset. `finish()` checks the frame contract after the last
+// row: a codec that consumed a different number of bytes than the
+// frame declared is Corrupt ("column length mismatch"), and running
+// past the end of the file mid-chunk is Truncated. Errors carry no path
+// or rank; the trace reader adds both.
 
-/// Chunked variant of decode_int_column.
+/// Where one framed column's payload lives in its file.
+struct ColumnFrame {
+  std::size_t start{0};  ///< payload offset into the file
+  std::size_t len{0};    ///< framed byte length
+  std::size_t n{0};      ///< row count
+  const char* what{""};  ///< column name, for diagnostics
+};
+
+/// Decodes an integer column written by encode_int_column.
 class IntColumnCursor {
  public:
   IntColumnCursor() = default;
-  /// `data/size` must start at the column payload and extend to the end
-  /// of the underlying file; `frame_len` is the column's declared byte
-  /// length and `n` its row count.
-  IntColumnCursor(const std::uint8_t* data, std::size_t size,
-                  std::size_t frame_len, std::size_t n, const char* what,
-                  ErrorContext ctx);
+  /// `file/size` is the whole file the frame points into.
+  IntColumnCursor(const std::uint8_t* file, std::size_t size,
+                  const ColumnFrame& frame);
 
   /// Decodes the next `k` rows (produced() + k must be <= n).
   void next(std::int64_t* out, std::size_t k);
-  /// After all n rows: Corrupt unless exactly frame_len bytes were used.
+  /// After all n rows: Corrupt unless exactly the framed bytes were used.
   void finish();
-
-  [[nodiscard]] std::size_t produced() const { return produced_; }
 
  private:
   Decoder dec_{nullptr, 0};
-  std::size_t frame_len_{0};
-  std::size_t n_{0};
+  ColumnFrame frame_;
   std::size_t produced_{0};
-  const char* what_{"int"};
   std::uint64_t acc_{0};
 };
 
-/// Chunked variant of decode_double_column. The mode header (mode byte,
-/// scale index, residual width) is read and validated on construction;
-/// for the residual-carrying modes the cursor additionally locates the
-/// bit-packed residual stream (one skip-scan over the delta varints, no
-/// allocation) so deltas and residuals can advance independently.
+/// Decodes a double column written by encode_double_column. The mode
+/// header (mode byte, scale index, residual width) is read and
+/// validated on construction. The residual-carrying modes keep their
+/// bit-packed residuals after the whole delta stream; the first next()
+/// finds where that stream starts — where its own deltas end when it
+/// takes every row, by skipping the remaining varints otherwise.
 class DoubleColumnCursor {
  public:
   DoubleColumnCursor() = default;
-  DoubleColumnCursor(const std::uint8_t* data, std::size_t size,
-                     std::size_t frame_len, std::size_t n, const char* what,
-                     ErrorContext ctx);
+  DoubleColumnCursor(const std::uint8_t* file, std::size_t size,
+                     const ColumnFrame& frame);
 
   void next(double* out, std::size_t k);
   void finish();
 
-  [[nodiscard]] std::size_t produced() const { return produced_; }
-
  private:
   Decoder dec_{nullptr, 0};      // mode header + value/delta stream
   Decoder res_dec_{nullptr, 0};  // bit-packed residual stream (modes 4/5)
-  std::size_t frame_len_{0};
-  std::size_t n_{0};
+  ColumnFrame frame_;
   std::size_t produced_{0};
-  const char* what_{"double"};
   std::uint8_t mode_{0};
   bool dod_{false};
-  bool with_res_{false};
+  bool split_{false};  // residual bits follow the deltas (width > 0)
   int width_{0};
   double scale_{1.0};
   std::uint64_t prev_bits_{0};  // XOR chain state

@@ -5,6 +5,7 @@
 #include "common/binary_io.hpp"
 #include "common/column_codec.hpp"
 #include "common/error.hpp"
+#include "tracing/stream.hpp"
 #include "tracing/v3_blocks.hpp"
 
 namespace metascope::tracing {
@@ -16,15 +17,11 @@ using v3::kTraceMagic;
 
 // Cheapest possible encodings, used to validate header counts against
 // the bytes actually present before reserving anything: a row-wise
-// (v1/v2) sync record is >= 26 bytes (u8 + 1-byte svarint + 3 f64) and
-// a columnar (v3) one contributes at least one byte to the phase
-// column; a row-wise (v1/v2) event is >= 9 (u8 type + f64 time) and a
-// columnar (v3) one at least one byte to the time column; defs-table
-// entries bottom out at their field prefixes.
+// (v1/v2) sync record is >= 26 bytes (u8 + 1-byte svarint + 3 f64), a
+// row-wise event >= 9 (u8 type + f64 time); defs-table entries bottom
+// out at their field prefixes.
 constexpr std::size_t kMinSyncRecordBytes = 26;
-constexpr std::size_t kMinSyncRecordBytesV3 = 1;
 constexpr std::size_t kMinEventBytes = 9;
-constexpr std::size_t kMinEventBytesV3 = 1;
 constexpr std::size_t kMinRegionBytes = 1;    // string length prefix
 constexpr std::size_t kMinMetahostBytes = 2;  // id + name prefix
 constexpr std::size_t kMinLocationBytes = 4;  // four svarints
@@ -33,7 +30,8 @@ constexpr std::size_t kMinCommBytes = 3;      // id + name prefix + count
 /// One id field of a row-wise (v1/v2) record, named like its v3 column.
 std::int32_t get_id(Decoder& d, const char* what) {
   const std::int64_t v = d.get_svarint();
-  v3::check_int32(&v, 1, what, d.context());
+  if (v != static_cast<std::int32_t>(v))
+    v3::check_int32(&v, 1, what, d.context());
   return static_cast<std::int32_t>(v);
 }
 
@@ -97,7 +95,8 @@ void decode_event_rows(Decoder& d, LocalTrace& t, std::uint64_t nev) {
 
 // ---- columnar events (v3) -------------------------------------------
 //
-// Layout after the sync columns (see DESIGN.md §5e):
+// Written here, read by TraceStream (tracing/stream.cpp). Layout after
+// the sync columns (see DESIGN.md §5e):
 //   - nibble-packed type stream: ceil(nevents/2) bytes, low nibble =
 //     even-index event, high nibble = odd-index event; a trailing unused
 //     high nibble must be zero;
@@ -108,8 +107,7 @@ void decode_event_rows(Decoder& d, LocalTrace& t, std::uint64_t nev) {
 // Send.peer/tag/bytes/comm; Recv.peer/tag/bytes/comm;
 // CollExit.region/comm/root/bytes/sent/recvd.
 
-/// Per-type field vectors gathered from (encode) or destined for
-/// (decode) the interleaved event stream.
+/// Per-type field vectors gathered from the interleaved event stream.
 struct EventColumns {
   std::vector<double> time;  // all events, stream order
   std::vector<std::int64_t> enter_region;
@@ -140,36 +138,6 @@ void put_double_column(BufWriter& w, const std::vector<double>& v) {
   put_framed_column(w, [&](BufWriter& c) {
     colcodec::encode_double_column(c, v.data(), v.size());
   });
-}
-
-/// Corrupt if the codec consumed a different number of bytes than the
-/// frame declared (a column-length/count mismatch).
-void end_column(const Decoder& d, const char* what, std::size_t end) {
-  if (d.pos() != end)
-    d.fail(ErrorCode::Corrupt,
-           std::string("column length mismatch for ") + what +
-               " column: codec consumed through byte " +
-               std::to_string(d.pos()) + " but the frame ends at byte " +
-               std::to_string(end));
-}
-
-void get_int_column(Decoder& d, std::vector<std::int64_t>& out,
-                    std::size_t n, const char* what) {
-  out.resize(n);
-  if (n == 0) return;
-  const std::size_t end = v3::begin_column(d, what);
-  colcodec::decode_int_column(d, out.data(), n);
-  end_column(d, what, end);
-  v3::check_int32(out.data(), n, what, d.context());
-}
-
-void get_double_column(Decoder& d, std::vector<double>& out, std::size_t n,
-                       const char* what) {
-  out.resize(n);
-  if (n == 0) return;
-  const std::size_t end = v3::begin_column(d, what);
-  colcodec::decode_double_column(d, out.data(), n);
-  end_column(d, what, end);
 }
 
 // ---- columnar sync records (v3) --------------------------------------
@@ -263,87 +231,7 @@ void encode_events_v3(BufWriter& w, const EventVector& events,
   put_double_column(w, c.coll_recvd);
 }
 
-void decode_events_v3(Decoder& d, LocalTrace& t, const v3::Header& h) {
-  const std::uint64_t nev = h.nev;
-  const auto& counts = h.counts;
-  const std::uint8_t* nibbles = v3::get_type_stream(d, h);
-
-  EventColumns c;
-  get_double_column(d, c.time, static_cast<std::size_t>(nev), "time");
-  const auto n_enter = static_cast<std::size_t>(counts[0]);
-  const auto n_send = static_cast<std::size_t>(counts[2]);
-  const auto n_recv = static_cast<std::size_t>(counts[3]);
-  const auto n_coll = static_cast<std::size_t>(counts[4]);
-  get_int_column(d, c.enter_region, n_enter, "enter.region");
-  get_int_column(d, c.send_peer, n_send, "send.peer");
-  get_int_column(d, c.send_tag, n_send, "send.tag");
-  get_double_column(d, c.send_bytes, n_send, "send.bytes");
-  get_int_column(d, c.send_comm, n_send, "send.comm");
-  get_int_column(d, c.recv_peer, n_recv, "recv.peer");
-  get_int_column(d, c.recv_tag, n_recv, "recv.tag");
-  get_double_column(d, c.recv_bytes, n_recv, "recv.bytes");
-  get_int_column(d, c.recv_comm, n_recv, "recv.comm");
-  get_int_column(d, c.coll_region, n_coll, "collexit.region");
-  get_int_column(d, c.coll_comm, n_coll, "collexit.comm");
-  get_int_column(d, c.coll_root, n_coll, "collexit.root");
-  get_double_column(d, c.coll_bytes, n_coll, "collexit.bytes");
-  get_double_column(d, c.coll_sent, n_coll, "collexit.sent");
-  get_double_column(d, c.coll_recvd, n_coll, "collexit.recvd");
-
-  // Interleave the columns back into the event stream. The type-stream
-  // tallies were checked against the header counts above, so every
-  // cursor lands exactly at its column's end; get_int_column checked
-  // every id against int32, so the narrowing casts are exact.
-  t.events.resize(static_cast<std::size_t>(nev));
-  std::size_t i_enter = 0, i_send = 0, i_recv = 0, i_coll = 0;
-  for (std::uint64_t i = 0; i < nev; ++i) {
-    Event& e = t.events[static_cast<std::size_t>(i)];
-    e.type = v3::type_at(nibbles, static_cast<std::size_t>(i));
-    e.time = c.time[static_cast<std::size_t>(i)];
-    switch (e.type) {
-      case EventType::Enter:
-        e.region = RegionId{static_cast<int>(c.enter_region[i_enter++])};
-        break;
-      case EventType::Exit:
-        break;
-      case EventType::Send:
-        e.peer = static_cast<Rank>(c.send_peer[i_send]);
-        e.tag = static_cast<int>(c.send_tag[i_send]);
-        e.bytes = c.send_bytes[i_send];
-        e.comm = CommId{static_cast<int>(c.send_comm[i_send])};
-        ++i_send;
-        break;
-      case EventType::Recv:
-        e.peer = static_cast<Rank>(c.recv_peer[i_recv]);
-        e.tag = static_cast<int>(c.recv_tag[i_recv]);
-        e.bytes = c.recv_bytes[i_recv];
-        e.comm = CommId{static_cast<int>(c.recv_comm[i_recv])};
-        ++i_recv;
-        break;
-      case EventType::CollExit:
-        e.region = RegionId{static_cast<int>(c.coll_region[i_coll])};
-        e.comm = CommId{static_cast<int>(c.coll_comm[i_coll])};
-        e.root = static_cast<Rank>(c.coll_root[i_coll]);
-        e.bytes = c.coll_bytes[i_coll];
-        e.sent_bytes = c.coll_sent[i_coll];
-        e.recvd_bytes = c.coll_recvd[i_coll];
-        ++i_coll;
-        break;
-    }
-  }
-}
-
 }  // namespace
-
-std::size_t v3::begin_column(Decoder& d, const char* what) {
-  const std::uint64_t len = d.get_varint();
-  if (len > d.remaining())
-    d.fail(ErrorCode::Truncated,
-           std::string("truncated ") + what + " column: frame declares " +
-               std::to_string(len) + " bytes but only " +
-               std::to_string(d.remaining()) + " remain");
-  return d.pos() + static_cast<std::size_t>(len);
-}
 
 void v3::check_int32(const std::int64_t* v, std::size_t n, const char* what,
                      const ErrorContext& ctx) {
@@ -353,73 +241,6 @@ void v3::check_int32(const std::int64_t* v, std::size_t n, const char* what,
                   std::string("corrupt trace: ") + what + " value " +
                       std::to_string(v[i]) + " does not fit in 32 bits",
                   ctx);
-}
-
-v3::Header v3::get_header(Decoder& d) {
-  Header h;
-  h.nsync = d.get_count("sync records", kMinSyncRecordBytesV3);
-  h.nev = d.get_count("events", kMinEventBytesV3);
-  std::uint64_t sum = 0;
-  for (std::uint64_t& c : h.counts) {
-    c = d.get_varint();
-    sum += c;
-  }
-  if (sum != h.nev)
-    d.fail(ErrorCode::Corrupt,
-           "per-type event counts sum to " + std::to_string(sum) +
-               " but the header declares " + std::to_string(h.nev) +
-               " events");
-  return h;
-}
-
-std::vector<OffsetRecord> v3::get_sync(Decoder& d, std::uint64_t nsync) {
-  const auto n = static_cast<std::size_t>(nsync);
-  std::vector<std::int64_t> phase, ref_rank;
-  std::vector<double> local_mid, offset, error_bound;
-  get_int_column(d, phase, n, "sync.phase");
-  get_int_column(d, ref_rank, n, "sync.ref_rank");
-  get_double_column(d, local_mid, n, "sync.local_mid");
-  get_double_column(d, offset, n, "sync.offset");
-  get_double_column(d, error_bound, n, "sync.error_bound");
-  std::vector<OffsetRecord> sync(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    OffsetRecord& s = sync[i];
-    s.phase = static_cast<int>(phase[i]);
-    s.ref_rank = static_cast<Rank>(ref_rank[i]);
-    s.local_mid = local_mid[i];
-    s.offset = offset[i];
-    s.error_bound = error_bound[i];
-  }
-  return sync;
-}
-
-// Every nibble must name a known event type, the per-type tallies must
-// reproduce the header's counts, and an odd stream's trailing high
-// nibble must be zero.
-const std::uint8_t* v3::get_type_stream(Decoder& d, const Header& h) {
-  const auto nbytes = static_cast<std::size_t>((h.nev + 1) / 2);
-  const std::uint8_t* nibbles = d.get_raw(nbytes, "event type stream");
-  std::array<std::uint64_t, kNumEventTypes> seen{};
-  for (std::uint64_t i = 0; i < h.nev; ++i) {
-    const auto ty =
-        static_cast<std::size_t>(type_at(nibbles, static_cast<std::size_t>(i)));
-    if (ty >= kNumEventTypes)
-      d.fail(ErrorCode::Corrupt, "corrupt trace: unknown event type " +
-                                     std::to_string(ty) +
-                                     " in type stream at event " +
-                                     std::to_string(i));
-    ++seen[ty];
-  }
-  if (h.nev % 2 != 0 && (nibbles[nbytes - 1] >> 4) != 0)
-    d.fail(ErrorCode::Corrupt,
-           "corrupt trace: nonzero padding nibble in type stream");
-  for (std::size_t ty = 0; ty < kNumEventTypes; ++ty)
-    if (seen[ty] != h.counts[ty])
-      d.fail(ErrorCode::Corrupt,
-             "corrupt trace: type stream has " + std::to_string(seen[ty]) +
-                 " events of type " + std::to_string(ty) +
-                 " but the header declares " + std::to_string(h.counts[ty]));
-  return nibbles;
 }
 
 std::vector<std::uint8_t> encode_defs(const TraceCollection& tc) {
@@ -460,7 +281,7 @@ std::vector<std::uint8_t> encode_defs(const TraceCollection& tc) {
 
 TraceCollection decode_defs(const std::uint8_t* data, std::size_t size,
                             const std::string& path) {
-  Decoder d(data, size, ErrorContext{path, -1, -1});
+  Decoder d(data, size, path);
   d.expect_magic(kDefsMagic, "defs file");
   // The defs layout is shared by every version; only the header's
   // version field differs.
@@ -553,11 +374,19 @@ std::vector<std::uint8_t> encode_local_trace(const LocalTrace& trace) {
 
 LocalTrace decode_local_trace(const std::uint8_t* data, std::size_t size,
                               const std::string& path) {
-  Decoder d(data, size, ErrorContext{path, -1, -1});
+  Decoder d(data, size, path);
   d.expect_magic(kTraceMagic, "trace file");
   const std::uint32_t version = d.expect_version_in(
       kMinTraceFormatVersion, kTraceFormatVersion, "trace file");
   LocalTrace t;
+  if (version == 3) {
+    // One window spanning the whole file.
+    TraceStream s(data, size, path);
+    t.rank = s.rank();
+    t.sync = s.sync();
+    s.next(t.events, s.remaining());
+    return t;
+  }
   std::uint64_t nev = 0;
   // A file cut short can run dry anywhere — in the header, in the count
   // fields, or mid-record. Every such underflow surfaces here as a
@@ -572,20 +401,13 @@ LocalTrace decode_local_trace(const std::uint8_t* data, std::size_t size,
     t.rank = static_cast<Rank>(rank);
     d.set_rank(static_cast<int>(rank));
 
-    if (version == 3) {
-      const v3::Header h = v3::get_header(d);
-      nev = h.nev;
-      t.sync = v3::get_sync(d, h.nsync);
-      decode_events_v3(d, t, h);
-    } else {
-      // v1: each section's count immediately precedes it; v2: both
-      // counts first.
-      const auto nsync = d.get_count("sync records", kMinSyncRecordBytes);
-      if (version == 1) decode_sync_rows(d, t, nsync);
-      nev = d.get_count("events", kMinEventBytes);
-      if (version == 2) decode_sync_rows(d, t, nsync);
-      decode_event_rows(d, t, nev);
-    }
+    // v1: each section's count immediately precedes it; v2: both counts
+    // first.
+    const auto nsync = d.get_count("sync records", kMinSyncRecordBytes);
+    if (version == 1) decode_sync_rows(d, t, nsync);
+    nev = d.get_count("events", kMinEventBytes);
+    if (version == 2) decode_sync_rows(d, t, nsync);
+    decode_event_rows(d, t, nev);
     d.require_end("trace file");
   } catch (const Error& e) {
     if (e.code() != ErrorCode::Truncated) throw;

@@ -33,7 +33,9 @@
 // context names the file; callers that only hold bytes may omit it.
 // The pointer+size decode overloads are the zero-copy entry points: the
 // archive layer passes a MappedFile's view straight in, and the decoder
-// reads out of the mapping without an intermediate copy.
+// reads out of the mapping without an intermediate copy. A v3 trace is
+// decoded by tracing::TraceStream (stream.hpp), read as one window
+// spanning the file; errors name a file-absolute byte offset.
 //
 // Id fields (region, peer, tag, comm, root, sync phase/reference rank)
 // are 64-bit on disk but 32-bit in memory; every decoder rejects a value

@@ -1,27 +1,27 @@
-// Windowed (out-of-core) reading of v3 trace files.
+// Reading v3 trace files: the one v3 decoder.
 //
-// decode_local_trace materializes a rank's whole event vector before
-// the analyzer sees a single event, so peak memory grows linearly with
-// trace length. TraceStream keeps the file mapped and decodes the
-// columnar payload lazily instead: the header, per-type counts, sync
-// records and the complete nibble-packed type stream are validated up
-// front (cheap — the type stream is half a byte per event), the column
-// *frames* are walked and bounds-checked up front, but the column
-// *payloads* stay encoded until the replay asks for the next window of
-// events. Per-column codec state lives in chunked cursors
-// (common/column_codec.hpp), so any window size decodes bit-identically
-// to the batch reader.
+// TraceStream borrows a file's bytes and decodes its columnar payload
+// lazily: the header, per-type counts, sync records and the complete
+// nibble-packed type stream are validated up front (cheap — the type
+// stream is half a byte per event), the column *frames* are walked and
+// bounds-checked up front, but the column *payloads* stay encoded until
+// next() asks for events. Per-column codec state lives in chunked
+// cursors (common/column_codec.hpp), so the events do not depend on the
+// window size: decode_local_trace reads a v3 file as one window that
+// spans it, and the streaming replay pulls bounded windows.
 //
-// Error taxonomy parity: every failure mode of decode_local_trace
-// surfaces here with the same ErrorCode — magic/version/header
-// corruption, implausible rank ids, count-sum mismatches, bad type
-// nibbles and truncated column frames at open; codec-level corruption
-// (bad mode/lead/scale/width bytes, column length mismatches) when the
-// window containing it decodes. Streaming reads v3 only; v1/v2 files
-// are VersionMismatch (they interleave fields row-wise, so windowed
-// decoding would save nothing — materialize them instead).
+// Errors: magic/version/header corruption, implausible rank ids,
+// count-sum mismatches, bad type nibbles, truncated column frames and
+// bad double-column headers (mode, scale index, residual width) surface
+// at open; corruption inside a column payload (bad XOR lead bytes,
+// malformed varints, column length mismatches) when the window
+// containing it decodes. Every error names the path, the rank and a
+// file-absolute byte offset. Only v3 is read here; v1/v2 files are
+// VersionMismatch (they interleave fields row-wise, so windowed
+// decoding would save nothing — decode_local_trace reads them whole).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -37,8 +37,7 @@ class TraceStream {
  public:
   /// Opens over borrowed bytes (they must outlive the stream — the
   /// archive layer passes a MappedFile's view). Validates everything up
-  /// to but excluding the column payloads; throws taxonomy-typed Errors
-  /// exactly like decode_local_trace.
+  /// to but excluding the column payloads; throws taxonomy-typed Errors.
   TraceStream(const std::uint8_t* data, std::size_t size, std::string path);
 
   [[nodiscard]] Rank rank() const { return rank_; }
@@ -54,11 +53,22 @@ class TraceStream {
   /// stay at their defaults. Used by the streaming prepare pass.
   void scan_light(const std::function<void(const Event&)>& cb) const;
 
-  /// Decodes the next up-to-`max_events` events, appending fully
-  /// populated Events to `out`. Returns how many were produced (0 at
-  /// end of stream). The per-column frame contracts are re-checked
-  /// when the last event decodes, mirroring the batch reader.
-  std::size_t next(std::vector<Event>& out, std::size_t max_events);
+  /// Decodes the next up-to-`max_events` events, appending them to
+  /// `out` (a vector of Event, any allocator), and returns how many (0
+  /// at end of stream). Each column's frame contract is checked when
+  /// the last event decodes.
+  template <typename EventVec>
+  std::size_t next(EventVec& out, std::size_t max_events) {
+    const std::size_t k = std::min(max_events, remaining());
+    if (k == 0) return 0;
+    // The rows first, then the events, so the events the interleave
+    // writes are the most recently touched memory.
+    pull_window(k);
+    const std::size_t at = out.size();
+    out.resize(at + k);
+    interleave(out.data() + at, k);
+    return k;
+  }
 
   [[nodiscard]] std::size_t decoded() const { return decoded_; }
   [[nodiscard]] std::size_t remaining() const {
@@ -67,23 +77,20 @@ class TraceStream {
   [[nodiscard]] bool at_end() const { return remaining() == 0; }
 
  private:
-  struct Col {
-    std::size_t start{0};  ///< payload offset into the file
-    std::size_t len{0};    ///< framed byte length
-    std::size_t n{0};      ///< row count
-    const char* what{""};  ///< column name, for diagnostics
-  };
+  using Frame = colcodec::ColumnFrame;
 
-  [[nodiscard]] colcodec::IntColumnCursor int_cursor(const Col& c) const;
-  [[nodiscard]] colcodec::DoubleColumnCursor double_cursor(
-      const Col& c) const;
-  /// Decodes the next k rows of an integer column into `buf`, each
-  /// checked against int32 like the batch reader's columns.
-  void pull(colcodec::IntColumnCursor& cur, const Col& c,
-            std::vector<std::int64_t>& buf, std::size_t k) const;
-  /// Re-throws a Truncated error under the canonical "truncated trace
-  /// file" diagnosis (progress = events decoded so far); other codes
-  /// pass through.
+  /// Decodes the next k rows of every column into the row buffers.
+  void pull_window(std::size_t k);
+  /// Assembles those rows into default-constructed `out[0..k)`, filling
+  /// in the fields each event's type carries.
+  void interleave(Event* out, std::size_t k);
+
+  /// Decodes every walked column whole, in file order, throwing the
+  /// first error: what a failed frame walk may be the symptom of.
+  void check_walked_columns() const;
+  /// Re-throws with the path and rank attached; a Truncated error gets
+  /// the canonical "truncated trace file" diagnosis (progress = events
+  /// decoded so far).
   [[noreturn]] void rethrow(const Error& e, std::size_t events_done) const;
   void finish_window_cursors();
 
@@ -95,14 +102,17 @@ class TraceStream {
   std::vector<OffsetRecord> sync_;
   const std::uint8_t* nibbles_{nullptr};
 
-  // Column frame directory, in file order.
-  Col time_, enter_region_;
-  Col send_peer_, send_tag_, send_bytes_, send_comm_;
-  Col recv_peer_, recv_tag_, recv_bytes_, recv_comm_;
-  Col coll_region_, coll_comm_, coll_root_;
-  Col coll_bytes_, coll_sent_, coll_recvd_;
+  // Column frames, in file order (zero-row columns stay empty).
+  Frame time_, enter_region_;
+  Frame send_peer_, send_tag_, send_bytes_, send_comm_;
+  Frame recv_peer_, recv_tag_, recv_bytes_, recv_comm_;
+  Frame coll_region_, coll_comm_, coll_root_;
+  Frame coll_bytes_, coll_sent_, coll_recvd_;
 
-  // Window cursors (one per non-empty column) + reusable chunk buffers.
+  // Window cursors, one per column, and one row buffer each, reused
+  // across next() calls: tiny windows mean many calls, and a fresh
+  // vector per call would put a malloc/free pair per column on the
+  // replay hot path.
   std::size_t decoded_{0};
   colcodec::DoubleColumnCursor c_time_, c_send_bytes_, c_recv_bytes_;
   colcodec::DoubleColumnCursor c_coll_bytes_, c_coll_sent_, c_coll_recvd_;
@@ -110,9 +120,6 @@ class TraceStream {
   colcodec::IntColumnCursor c_send_peer_, c_send_tag_, c_send_comm_;
   colcodec::IntColumnCursor c_recv_peer_, c_recv_tag_, c_recv_comm_;
   colcodec::IntColumnCursor c_coll_region_, c_coll_comm_, c_coll_root_;
-  // One scratch buffer per column, reused across next() calls: tiny
-  // windows mean many calls, and a fresh vector per call would put a
-  // malloc/free pair per column on the replay hot path.
   std::vector<double> b_time_, b_send_bytes_, b_recv_bytes_;
   std::vector<double> b_coll_bytes_, b_coll_sent_, b_coll_recvd_;
   std::vector<std::int64_t> b_enter_region_;
@@ -130,7 +137,6 @@ struct StreamSource {
   TraceCollection defs;
   /// Per-rank trace file path, indexed by rank.
   std::vector<std::string> paths;
-  bool use_mmap{true};
   /// Ranks whose files failed open-time validation under a permissive
   /// read: they stream zero events, and surviving ranks' events go
   /// through the rule tracing::prune_quarantined applies

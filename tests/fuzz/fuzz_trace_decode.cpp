@@ -14,41 +14,70 @@
 // codec's validated fields (XOR lead bytes, scale indices, residual
 // bit widths).
 //
-// The windowed reader (tracing::TraceStream — the streaming analyzer's
-// lazy block-decode entry point) runs on the same input too: open-time
-// validation, the light prepare-pass scan, and a small-window drain
-// that forces per-window cursor refills mid-column. It must uphold the
-// same invariant as the batch decoder, and the truncated-mid-block
+// The v3 reader (tracing::TraceStream — decode_local_trace reads a v3
+// file as one window spanning it) runs on the same input in windows of
+// three events, which forces per-window cursor refills mid-column, plus
+// the light prepare-pass scan. The two reads are held to each other:
+// whenever the input opens as a stream, the whole-file decode and the
+// windowed drain must both succeed with identical events and sync
+// records, or both throw; anything else traps. The truncated-mid-block
 // corpus mutants aim the mutator straight at the window boundaries.
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/error.hpp"
 #include "tracing/epilog_io.hpp"
 #include "tracing/stream.hpp"
 
+namespace {
+
+void require(bool ok) {
+  if (!ok) __builtin_trap();
+}
+
+}  // namespace
+
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
+  using namespace metascope;
   const std::vector<std::uint8_t> bytes(data, data + size);
+  std::optional<tracing::LocalTrace> whole;
   try {
-    (void)metascope::tracing::decode_local_trace(bytes, "<fuzz>");
-  } catch (const metascope::Error&) {
+    whole = tracing::decode_local_trace(bytes, "<fuzz>");
+  } catch (const Error&) {
     // Typed rejection is the expected outcome for invalid input.
   }
   try {
-    (void)metascope::tracing::decode_defs(bytes, "<fuzz>");
-  } catch (const metascope::Error&) {
+    (void)tracing::decode_defs(bytes, "<fuzz>");
+  } catch (const Error&) {
+  }
+
+  std::optional<tracing::TraceStream> s;
+  try {
+    s.emplace(bytes.data(), bytes.size(), "<fuzz>");
+  } catch (const Error&) {
+    return 0;  // not a v3 file that opens: nothing to hold side by side
   }
   try {
-    metascope::tracing::TraceStream s(bytes.data(), bytes.size(), "<fuzz>");
-    s.scan_light([](const metascope::tracing::Event&) {});
-    // Tiny windows put every chunked cursor through mid-column refills.
-    std::vector<metascope::tracing::Event> sink;
-    while (!s.at_end()) {
-      sink.clear();
-      if (s.next(sink, 3) == 0) break;
+    s->scan_light([](const tracing::Event&) {});
+  } catch (const Error&) {
+  }
+  std::vector<tracing::Event> windowed;
+  bool drained = true;
+  try {
+    while (s->next(windowed, 3) != 0) {
     }
-  } catch (const metascope::Error&) {
+  } catch (const Error&) {
+    drained = false;
+  }
+  require(drained == whole.has_value());
+  if (drained) {
+    require(whole->rank == s->rank());
+    require(whole->sync == s->sync());
+    require(std::equal(whole->events.begin(), whole->events.end(),
+                       windowed.begin(), windowed.end()));
   }
   return 0;
 }

@@ -293,72 +293,66 @@ TEST_F(ArchiveCorruptTest, UnknownEventTypeIsCorruptColumnar) {
 TEST_F(ArchiveCorruptTest, ZeroLengthTraceFileTruncatedStrictQuarantinedPermissive) {
   // A zero-byte file is the degenerate mmap case (no mapping is
   // created): strict mode reports Truncated, permissive mode
-  // quarantines the rank — on both the mmap and the copy read path.
+  // quarantines the rank.
   const Rank victim = 1;
   write_file_bytes(trace_path(victim), {});
-  for (const bool use_mmap : {true, false}) {
-    ReadOptions strict;
-    strict.use_mmap = use_mmap;
-    try {
-      (void)arch_.read_traces(strict);
-      FAIL() << "expected Truncated (mmap=" << use_mmap << ")";
-    } catch (const Error& e) {
-      EXPECT_EQ(e.code(), ErrorCode::Truncated) << e.what();
-      EXPECT_EQ(e.context().rank, victim);
-    }
-    ReadOptions permissive = strict;
-    permissive.permissive = true;
-    ReadReport report;
-    const auto loaded = arch_.read_traces(permissive, &report);
-    ASSERT_EQ(report.quarantined.size(), 1u) << "mmap=" << use_mmap;
-    EXPECT_EQ(report.quarantined[0].rank, victim);
-    EXPECT_EQ(report.quarantined[0].code, ErrorCode::Truncated);
-    EXPECT_TRUE(loaded.ranks[static_cast<std::size_t>(victim)]
-                    .events.empty());
+  try {
+    (void)arch_.read_traces();
+    FAIL() << "expected Truncated";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::Truncated) << e.what();
+    EXPECT_EQ(e.context().rank, victim);
   }
+  ReadOptions permissive;
+  permissive.permissive = true;
+  ReadReport report;
+  const auto loaded = arch_.read_traces(permissive, &report);
+  ASSERT_EQ(report.quarantined.size(), 1u);
+  EXPECT_EQ(report.quarantined[0].rank, victim);
+  EXPECT_EQ(report.quarantined[0].code, ErrorCode::Truncated);
+  EXPECT_TRUE(loaded.ranks[static_cast<std::size_t>(victim)].events.empty());
 }
 
 TEST_F(ArchiveCorruptTest, MmapAndCopyReadPathsAreByteIdentical) {
-  ReadOptions with_mmap;
-  with_mmap.use_mmap = true;
-  ReadOptions without;
-  without.use_mmap = false;
-  const auto a = arch_.read_traces(with_mmap);
-  const auto b = arch_.read_traces(without);
-  ASSERT_EQ(a.num_ranks(), b.num_ranks());
-  for (int r = 0; r < a.num_ranks(); ++r)
-    EXPECT_EQ(a.ranks[static_cast<std::size_t>(r)],
-              b.ranks[static_cast<std::size_t>(r)])
+  // read_traces decodes out of mappings; decoding each file out of the
+  // owned-buffer fallback (the only path on platforms without mmap)
+  // must give the same traces.
+  const auto mapped = arch_.read_traces();
+  ASSERT_EQ(mapped.num_ranks(), data_.traces.num_ranks());
+  for (Rank r = 0; r < mapped.num_ranks(); ++r) {
+    const MappedFile copy = MappedFile::open(trace_path(r), false);
+    ASSERT_FALSE(copy.mapped());
+    EXPECT_EQ(mapped.ranks[static_cast<std::size_t>(r)],
+              tracing::decode_local_trace(copy.data(), copy.size()))
         << "rank " << r;
-  EXPECT_EQ(a.scheme, b.scheme);
-  EXPECT_EQ(a.synchronized, b.synchronized);
+  }
 }
 
 TEST_F(ArchiveCorruptTest, MmapPermissiveQuarantinesMidDecodeFailure) {
   // Damage a rank so its mapped decode fails partway through the
-  // columnar payload (not at the header): the permissive mmap read must
-  // quarantine it and produce the same recovered collection as the copy
-  // path.
+  // columnar payload (not at the header): the permissive read must
+  // quarantine it and recover exactly the pruned survivors.
   const Rank victim = 2;
   auto bytes = read_file_bytes(trace_path(victim));
   bytes.resize(bytes.size() - bytes.size() / 4);
   write_file_bytes(trace_path(victim), bytes);
 
-  tracing::TraceCollection recovered[2];
-  for (const bool use_mmap : {true, false}) {
-    ReadOptions opts;
-    opts.permissive = true;
-    opts.use_mmap = use_mmap;
-    ReadReport report;
-    recovered[use_mmap ? 0 : 1] = arch_.read_traces(opts, &report);
-    ASSERT_EQ(report.quarantined.size(), 1u) << "mmap=" << use_mmap;
-    EXPECT_EQ(report.quarantined[0].rank, victim);
-    EXPECT_EQ(report.quarantined[0].code, ErrorCode::Truncated);
-  }
-  ASSERT_EQ(recovered[0].num_ranks(), recovered[1].num_ranks());
-  for (int r = 0; r < recovered[0].num_ranks(); ++r)
-    EXPECT_EQ(recovered[0].ranks[static_cast<std::size_t>(r)],
-              recovered[1].ranks[static_cast<std::size_t>(r)])
+  ReadOptions opts;
+  opts.permissive = true;
+  ReadReport report;
+  const auto recovered = arch_.read_traces(opts, &report);
+  ASSERT_EQ(report.quarantined.size(), 1u);
+  EXPECT_EQ(report.quarantined[0].rank, victim);
+  EXPECT_EQ(report.quarantined[0].code, ErrorCode::Truncated);
+
+  tracing::TraceCollection want = data_.traces;
+  want.ranks[static_cast<std::size_t>(victim)] = tracing::LocalTrace{};
+  want.ranks[static_cast<std::size_t>(victim)].rank = victim;
+  tracing::prune_quarantined(want, {victim});
+  ASSERT_EQ(recovered.num_ranks(), want.num_ranks());
+  for (int r = 0; r < want.num_ranks(); ++r)
+    EXPECT_EQ(recovered.ranks[static_cast<std::size_t>(r)],
+              want.ranks[static_cast<std::size_t>(r)])
         << "rank " << r;
 }
 

@@ -5,7 +5,9 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <iterator>
 #include <limits>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -19,7 +21,7 @@ TEST(BinaryIo, FixedWidthRoundTrip) {
   w.put_u32(0xDEADBEEF);
   w.put_u64(0x0123456789ABCDEFULL);
   w.put_f64(-1234.5678);
-  BufReader r(w.data());
+  Decoder r(w.data());
   EXPECT_EQ(r.get_u8(), 0xAB);
   EXPECT_EQ(r.get_u32(), 0xDEADBEEFu);
   EXPECT_EQ(r.get_u64(), 0x0123456789ABCDEFULL);
@@ -39,7 +41,7 @@ TEST(BinaryIo, VarintBoundaries) {
                                   1ULL << 32,
                                   std::numeric_limits<std::uint64_t>::max()};
   for (auto v : values) w.put_varint(v);
-  BufReader r(w.data());
+  Decoder r(w.data());
   for (auto v : values) EXPECT_EQ(r.get_varint(), v);
   EXPECT_TRUE(r.at_end());
 }
@@ -65,7 +67,7 @@ TEST(BinaryIo, SignedVarintRoundTrip) {
                                  std::numeric_limits<std::int64_t>::min(),
                                  std::numeric_limits<std::int64_t>::max()};
   for (auto v : values) w.put_svarint(v);
-  BufReader r(w.data());
+  Decoder r(w.data());
   for (auto v : values) EXPECT_EQ(r.get_svarint(), v);
 }
 
@@ -74,7 +76,7 @@ TEST(BinaryIo, StringRoundTrip) {
   w.put_string("");
   w.put_string("hello world");
   w.put_string(std::string("\x00\x01\xFF", 3));
-  BufReader r(w.data());
+  Decoder r(w.data());
   EXPECT_EQ(r.get_string(), "");
   EXPECT_EQ(r.get_string(), "hello world");
   EXPECT_EQ(r.get_string(), std::string("\x00\x01\xFF", 3));
@@ -83,7 +85,7 @@ TEST(BinaryIo, StringRoundTrip) {
 TEST(BinaryIo, ReadPastEndThrows) {
   BufWriter w;
   w.put_u8(1);
-  BufReader r(w.data());
+  Decoder r(w.data());
   r.get_u8();
   EXPECT_THROW(r.get_u8(), Error);
   EXPECT_THROW(r.get_u32(), Error);
@@ -94,14 +96,14 @@ TEST(BinaryIo, ReadPastEndThrows) {
 TEST(BinaryIo, TruncatedStringThrows) {
   BufWriter w;
   w.put_varint(100);  // length prefix without the payload
-  BufReader r(w.data());
+  Decoder r(w.data());
   EXPECT_THROW(r.get_string(), Error);
 }
 
 TEST(BinaryIo, MalformedVarintThrows) {
   // 11 continuation bytes exceed the 64-bit budget.
   std::vector<std::uint8_t> bad(11, 0x80);
-  BufReader r(bad.data(), bad.size());
+  Decoder r(bad.data(), bad.size());
   EXPECT_THROW(r.get_varint(), Error);
 }
 
@@ -110,7 +112,7 @@ TEST(BinaryIo, SpecialFloats) {
   w.put_f64(std::numeric_limits<double>::infinity());
   w.put_f64(-0.0);
   w.put_f64(std::numeric_limits<double>::denorm_min());
-  BufReader r(w.data());
+  Decoder r(w.data());
   EXPECT_EQ(r.get_f64(), std::numeric_limits<double>::infinity());
   const double neg_zero = r.get_f64();
   EXPECT_EQ(neg_zero, 0.0);
@@ -128,7 +130,7 @@ TEST(BinaryIo, FuzzRoundTrip) {
       vals.push_back(v);
       w.put_varint(v);
     }
-    BufReader r(w.data());
+    Decoder r(w.data());
     for (auto v : vals) ASSERT_EQ(r.get_varint(), v);
     ASSERT_TRUE(r.at_end());
   }
@@ -145,6 +147,51 @@ TEST(BinaryIo, FileRoundTrip) {
 
 TEST(BinaryIo, MissingFileThrows) {
   EXPECT_THROW(read_file_bytes("/nonexistent/x.bin"), Error);
+}
+
+TEST(Decoder, SkipVarintsLandsWhereGetVarintDoes) {
+  BufWriter w;
+  const std::uint64_t values[] = {0, 127, 128, 1ULL << 40,
+                                  std::numeric_limits<std::uint64_t>::max()};
+  for (auto v : values) w.put_varint(v);
+  w.put_u8(0x5A);
+  Decoder skipped(w.data());
+  skipped.skip_varints(std::size(values));
+  Decoder read(w.data());
+  for (std::size_t i = 0; i < std::size(values); ++i) (void)read.get_varint();
+  EXPECT_EQ(skipped.pos(), read.pos());
+  EXPECT_EQ(skipped.get_u8(), 0x5A);
+}
+
+TEST(Decoder, SkipVarintsRaisesTheErrorsOfGetVarint) {
+  // Cut mid-varint, an eleven-byte varint, and ten continuation bytes
+  // with nothing after them: each raises what get_varint raises, at the
+  // same offset.
+  std::vector<std::uint8_t> cut = {0x01, 0x80, 0x80};
+  std::vector<std::uint8_t> overlong(11, 0x80);
+  overlong.insert(overlong.begin(), 0x05);
+  std::vector<std::uint8_t> open_ended(10, 0x80);
+  for (const auto* bytes : {&cut, &overlong, &open_ended}) {
+    Decoder skipped(*bytes);
+    Decoder read(*bytes);
+    ErrorCode want = ErrorCode::None, got = ErrorCode::None;
+    std::int64_t want_at = -1, got_at = -1;
+    try {
+      for (int i = 0; i < 3; ++i) (void)read.get_varint();
+    } catch (const Error& e) {
+      want = e.code();
+      want_at = e.context().byte_offset;
+    }
+    try {
+      skipped.skip_varints(3);
+    } catch (const Error& e) {
+      got = e.code();
+      got_at = e.context().byte_offset;
+    }
+    EXPECT_NE(want, ErrorCode::None);
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(got_at, want_at);
+  }
 }
 
 TEST(Decoder, GetRawBorrowsWithoutCopying) {

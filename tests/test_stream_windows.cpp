@@ -333,7 +333,7 @@ TEST_F(StreamWindowTest, ResidentBytesCountOnlyResidentWindows) {
   EXPECT_EQ(res_small.stats.events, materialized.stats.events);
 }
 
-// --- ErrorCode parity with the batch reader ------------------------------
+// --- ErrorCode parity with the materialized read -------------------------
 
 TEST_F(StreamWindowTest, TruncatedMidBlockStreamingMatchesBatchErrorCode) {
   const auto topo = local_topo(3);

@@ -10,6 +10,7 @@
 // tests/golden/legacy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
@@ -29,6 +30,7 @@
 #include "simnet/presets.hpp"
 #include "simnet/topology.hpp"
 #include "tracing/epilog_io.hpp"
+#include "tracing/stream.hpp"
 #include "workloads/experiment.hpp"
 #include "workloads/microworkloads.hpp"
 
@@ -55,16 +57,37 @@ double double_of(std::uint64_t b) {
   return v;
 }
 
-/// Encodes, decodes, and asserts bit-identity; returns the mode byte.
+/// Decodes an encoded double column (the whole buffer is its frame)
+/// through a cursor, `chunk` rows per call.
+std::vector<double> decode_doubles(const std::vector<std::uint8_t>& payload,
+                                   std::size_t n, std::size_t chunk) {
+  const colcodec::ColumnFrame frame{0, payload.size(), n, "test"};
+  colcodec::DoubleColumnCursor cur(payload.data(), payload.size(), frame);
+  std::vector<double> out(n);
+  for (std::size_t at = 0; at < n; at += chunk)
+    cur.next(out.data() + at, std::min(chunk, n - at));
+  cur.finish();
+  return out;
+}
+
+/// Chunk sizes every codec test decodes at: one row per call, a few, and
+/// every row in the first call (a residual-mode column locates its
+/// residual stream differently in the last case).
+std::vector<std::size_t> chunks(std::size_t n) {
+  return {1, 7, std::max<std::size_t>(n, 1)};
+}
+
+/// Encodes, decodes at every chunk size, and asserts bit-identity;
+/// returns the mode byte.
 int round_trip_doubles(const std::vector<double>& v) {
   BufWriter w;
   colcodec::encode_double_column(w, v.data(), v.size());
-  Decoder d(w.data());
-  std::vector<double> out(v.size());
-  colcodec::decode_double_column(d, out.data(), v.size());
-  EXPECT_TRUE(d.at_end());
-  for (std::size_t i = 0; i < v.size(); ++i)
-    EXPECT_EQ(bits_of(out[i]), bits_of(v[i])) << "index " << i;
+  for (const std::size_t chunk : chunks(v.size())) {
+    const std::vector<double> out = decode_doubles(w.data(), v.size(), chunk);
+    for (std::size_t i = 0; i < v.size(); ++i)
+      EXPECT_EQ(bits_of(out[i]), bits_of(v[i]))
+          << "index " << i << ", chunk " << chunk;
+  }
   return w.size() == 0 ? -1 : static_cast<int>(w.data()[0]);
 }
 
@@ -135,9 +158,7 @@ TEST(DoubleColumn, EmptyColumnEncodesToNothing) {
   BufWriter w;
   colcodec::encode_double_column(w, nullptr, 0);
   EXPECT_EQ(w.size(), 0u);
-  Decoder d(w.data());
-  colcodec::decode_double_column(d, nullptr, 0);
-  EXPECT_TRUE(d.at_end());
+  EXPECT_TRUE(decode_doubles(w.data(), 0, 1).empty());
 }
 
 TEST(IntColumn, ExtremesRoundTrip) {
@@ -153,25 +174,29 @@ TEST(IntColumn, ExtremesRoundTrip) {
   };
   BufWriter w;
   colcodec::encode_int_column(w, v.data(), v.size());
-  Decoder d(w.data());
-  std::vector<std::int64_t> out(v.size());
-  colcodec::decode_int_column(d, out.data(), v.size());
-  EXPECT_TRUE(d.at_end());
-  EXPECT_EQ(out, v);
+  const colcodec::ColumnFrame frame{0, w.size(), v.size(), "test"};
+  for (const std::size_t chunk : chunks(v.size())) {
+    colcodec::IntColumnCursor cur(w.data().data(), w.size(), frame);
+    std::vector<std::int64_t> out(v.size());
+    for (std::size_t at = 0; at < v.size(); at += chunk)
+      cur.next(out.data() + at, std::min(chunk, v.size() - at));
+    cur.finish();
+    EXPECT_EQ(out, v) << "chunk " << chunk;
+  }
 }
 
 void expect_decode_failure(const std::vector<std::uint8_t>& payload,
                            std::size_t n, ErrorCode code,
                            const std::string& needle) {
-  Decoder d(payload.data(), payload.size());
-  std::vector<double> out(n);
-  try {
-    colcodec::decode_double_column(d, out.data(), n);
-    FAIL() << "expected Error containing \"" << needle << "\"";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), code) << e.what();
-    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
-        << e.what();
+  for (const std::size_t chunk : chunks(n)) {
+    try {
+      (void)decode_doubles(payload, n, chunk);
+      FAIL() << "expected Error containing \"" << needle << "\"";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), code) << e.what();
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -207,11 +232,9 @@ TEST(DoubleColumn, TruncatedStreamsAreTruncated) {
     std::vector<std::uint8_t> cut(w.data().begin(),
                                   w.data().begin() +
                                       static_cast<std::ptrdiff_t>(keep));
-    Decoder d(cut.data(), cut.size());
-    std::vector<double> out(v.size());
-    EXPECT_THROW(colcodec::decode_double_column(d, out.data(), v.size()),
-                 Error)
-        << "keep=" << keep;
+    for (const std::size_t chunk : chunks(v.size()))
+      EXPECT_THROW((void)decode_doubles(cut, v.size(), chunk), Error)
+          << "keep=" << keep << ", chunk " << chunk;
   }
 }
 
@@ -393,6 +416,91 @@ TEST(TraceV3Corrupt, OversizedColumnFrameIsTruncated) {
   auto bytes = one_enter_trace();
   bytes[17] = 200;  // frame declares more bytes than the file holds
   expect_trace_failure(std::move(bytes), ErrorCode::Truncated, "column");
+}
+
+// Both reads of a v3 file — decode_local_trace and a TraceStream read in
+// windows of three events — must fail at the same file-absolute offset
+// when a time column's codec bytes are damaged.
+
+/// A rank-0 trace of alternating Enter/Exit events whose time column is
+/// `times`.
+std::vector<std::uint8_t> enter_exit_trace(const std::vector<double>& times) {
+  LocalTrace t;
+  t.rank = 0;
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    Event e;
+    e.type = i % 2 == 0 ? EventType::Enter : EventType::Exit;
+    e.time = times[i];
+    t.events.push_back(e);
+  }
+  return tracing::encode_local_trace(t);
+}
+
+/// Offset of the time column's payload in enter_exit_trace: fixed-size
+/// header and single-byte varints for fewer than 128 events, no sync
+/// records, then the type stream and the frame's length byte.
+std::size_t time_payload(std::size_t nev) { return 16 + (nev + 1) / 2 + 1; }
+
+Error windowed_error(const std::vector<std::uint8_t>& bytes) {
+  try {
+    tracing::TraceStream s(bytes.data(), bytes.size(), "t.elg");
+    std::vector<Event> sink;
+    while (s.next(sink, 3) != 0) {
+    }
+  } catch (const Error& e) {
+    return e;
+  }
+  ADD_FAILURE() << "windowed read accepted the file";
+  return Error("no error");
+}
+
+void expect_same_corrupt_offset(const std::vector<std::uint8_t>& bytes,
+                                std::int64_t offset, const char* needle) {
+  try {
+    (void)tracing::decode_local_trace(bytes, "t.elg");
+    ADD_FAILURE() << "decode_local_trace accepted the file";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::Corrupt) << e.what();
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+    EXPECT_EQ(e.context().byte_offset, offset) << e.what();
+    EXPECT_EQ(e.context().path, "t.elg");
+  }
+  const Error w = windowed_error(bytes);
+  EXPECT_EQ(w.code(), ErrorCode::Corrupt) << w.what();
+  EXPECT_NE(std::string(w.what()).find(needle), std::string::npos) << w.what();
+  EXPECT_EQ(w.context().byte_offset, offset) << w.what();
+  EXPECT_EQ(w.context().path, "t.elg");
+  EXPECT_EQ(w.context().rank, 0);
+}
+
+TEST(TraceV3Corrupt, BadXorLeadByteHasOneFileOffsetInBothReads) {
+  // Off-grid values in runs of four: only the XOR mode fits them.
+  std::vector<double> times;
+  for (int i = 0; i < 12; ++i) times.push_back(3.141592653589793 * (1 + i / 4));
+  auto bytes = enter_exit_trace(times);
+  std::size_t at = time_payload(times.size());
+  ASSERT_EQ(bytes[at], 1) << "time column is not XOR-coded";
+  // Step to the lead byte of event 4 (the second window) and break it.
+  ++at;
+  for (int i = 0; i < 4; ++i)
+    at += 1 + (bytes[at] == 0 ? 0 : ((bytes[at] - 1) & 7) + 1);
+  bytes[at] = 65;
+  expect_same_corrupt_offset(bytes, static_cast<std::int64_t>(at + 1),
+                             "bad XOR lead byte");
+}
+
+TEST(TraceV3Corrupt, BadScaleIndexHasOneFileOffsetInBothReads) {
+  // Exact multiples of 1e-3: a scaled mode, whose scale index follows
+  // the mode byte.
+  std::vector<double> times;
+  for (int i = 0; i < 12; ++i) times.push_back(0.001 * (i * i + 1));
+  auto bytes = enter_exit_trace(times);
+  const std::size_t at = time_payload(times.size());
+  ASSERT_GE(bytes[at], 2) << "time column is not scale-coded";
+  bytes[at + 1] = 200;
+  expect_same_corrupt_offset(bytes, static_cast<std::int64_t>(at + 2),
+                             "bad scale index");
 }
 
 // --- cross-version migration against the golden fixture ------------------
