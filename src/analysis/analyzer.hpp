@@ -6,13 +6,16 @@
 //  - analyze_parallel: the SCALASCA-style analyzer — re-enacts the
 //    application's communication, exchanging only the few bytes each
 //    pattern needs (timestamps and call-path ids) instead of whole
-//    traces. Each rank's replay is a resumable task driven by a bounded
-//    worker pool (replay_scheduler.hpp), so the analysis scales to
-//    thousands of ranks without spawning a thread per rank. Each task
-//    touches only its own local trace, which is why this analyzer works
-//    without a shared file system.
+//    traces. Each rank's replay is a resumable task that the replay
+//    protocol (replay_protocol.hpp) drives on a bounded worker pool, so
+//    the analysis scales to thousands of ranks without spawning a
+//    thread per rank. Each task touches only its own local trace, which
+//    is why this analyzer works without a shared file system;
+//  - analyze_streaming: the same replay over a v3 archive, decoding
+//    each rank's trace in bounded windows instead of materializing it.
 //
-// Both collect match records into the shared replay core
+// All three walk each rank once for its op records (prepare.hpp's
+// OpWalk) and collect match records into the shared replay core
 // (replay_core.hpp), which evaluates the pattern formulas in one
 // canonical order: the cubes are bit-identical, and tests enforce it.
 #pragma once
@@ -57,7 +60,7 @@ struct AnalysisStats {
   std::size_t trace_bytes_in_memory{0};
   std::size_t events{0};
 
-  // Replay-scheduler counters (parallel analyzer only; zero for serial).
+  // Replay worker-pool counters (parallel analyzers only; zero for serial).
   /// Worker threads the pool actually used.
   std::size_t replay_workers{0};
   /// Rank replay tasks driven to completion (== ranks).

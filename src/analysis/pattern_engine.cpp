@@ -136,16 +136,15 @@ PatternEngine::PatternEngine(PatternRegistry& registry, report::Cube& cube)
 
 PatternSet PatternEngine::install(const tracing::TraceCollection& tc,
                                   const PreparedTrace& prep) {
-  const PatternSet ps = install_trees(tc, prep.calls, prep.region_table);
+  const PatternSet ps = install_trees(tc, prep.calls);
   region_pass(prep.excl_time);
   return ps;
 }
 
 PatternSet PatternEngine::install_trees(const tracing::TraceCollection& tc,
-                                        const report::CallTree& calls,
-                                        const RegionClassTable& region_table) {
+                                        const report::CallTree& calls) {
   tc_ = &tc;
-  region_table_ = &region_table;
+  region_table_ = RegionClassTable(tc.defs.regions);
   registry_->install(cube_->metrics);
   cube_->calls = calls;
   cube_->regions = tc.defs.regions;
@@ -162,7 +161,7 @@ void PatternEngine::region_pass(
   const report::CallTree& calls = cube_->calls;
   std::vector<RegionCategory> cats(calls.size());
   for (std::size_t c = 0; c < calls.size(); ++c)
-    cats[c] = region_table_->category(
+    cats[c] = region_table_.category(
         calls.node(CallPathId{static_cast<int>(c)}).region);
 
   for (Rank r = 0; r < tc_->num_ranks(); ++r) {
@@ -213,7 +212,7 @@ void PatternEngine::dispatch(std::vector<P2pRecord>&& p2p,
     ctx.send = &r.send;
     ctx.recv = &r.recv;
     ctx.send_is_blocking_standard =
-        region_table_->is_blocking_standard_send(r.send.region);
+        region_table_.is_blocking_standard_send(r.send.region);
     ctx.grid = defs.crosses_metahosts(r.send.rank, r.recv.rank);
     for (const Sub& s : on_p2p_) {
       sink_.set_current(s.slot);
@@ -231,7 +230,7 @@ void PatternEngine::dispatch(std::vector<P2pRecord>&& p2p,
               });
     CollCtx ctx;
     ctx.defs = &defs;
-    ctx.kind = region_table_->kind(inst.region);
+    ctx.kind = region_table_.kind(inst.region);
     ctx.comm_members = &comm.members;
     ctx.members = &inst.members;
     ctx.root = inst.root;

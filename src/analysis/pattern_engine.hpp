@@ -265,13 +265,12 @@ class PatternEngine {
   PatternSet install(const tracing::TraceCollection& tc,
                      const PreparedTrace& prep);
 
-  /// Streaming variant of install: trees and detector binding only, no
-  /// region pass. The streaming analyzer's call tree and exclusive
-  /// times come out of its own windowed passes, so it installs first
-  /// and runs region_pass() once the replay has accumulated them.
+  /// Streaming variant of install: trees, the region class table and
+  /// detector binding only, no region pass. The streaming analyzer's
+  /// exclusive times come out of its replay's op walks, so it installs
+  /// first and runs region_pass() once the replay has accumulated them.
   PatternSet install_trees(const tracing::TraceCollection& tc,
-                           const report::CallTree& calls,
-                           const RegionClassTable& region_table);
+                           const report::CallTree& calls);
 
   /// The region pass over per-rank exclusive times, detached from
   /// PreparedTrace: ranks ascending, each rank's call paths in id
@@ -290,7 +289,9 @@ class PatternEngine {
   PatternRegistry* registry_;
   report::Cube* cube_;
   const tracing::TraceCollection* tc_{nullptr};
-  const RegionClassTable* region_table_{nullptr};
+  /// RegionId -> {category, collective kind, blocking-send?}, built once
+  /// in install_trees so dispatch never classifies by region name.
+  RegionClassTable region_table_;
   PatternSink sink_;
   /// Enabled detectors per callback, as (slot, detector) in
   /// registration order.

@@ -111,7 +111,7 @@ enum class RegionCategory {
 };
 
 /// Name-based classification — definition-time only. The analyzers never
-/// call these per event: prepare() bakes the answers into a
+/// call these per event: the pattern engine bakes the answers into a
 /// RegionClassTable and the hot paths look classifications up by id.
 RegionCategory classify_region(const std::string& name);
 

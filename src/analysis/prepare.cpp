@@ -1,7 +1,6 @@
 #include "analysis/prepare.hpp"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -69,6 +68,56 @@ CallPathId RankWalk::step(const Event& e) {
 std::uint32_t RankWalk::finish() const {
   if (!stack_.empty()) fail("unclosed region");
   return index_;
+}
+
+OpWalk::OpWalk(const report::CallTree& calls, std::vector<OpRecord>& ops)
+    : calls_(calls), ops_(ops) {}
+
+bool OpWalk::step(const Event& e) {
+  const std::uint32_t index = index_++;
+  switch (e.type) {
+    case EventType::Enter: {
+      const CallPathId c = calls_.find(
+          stack_.empty() ? CallPathId{} : stack_.back().cnode, e.region);
+      MSC_CHECK(c.valid(),
+                "op walk met a call path the structural walk never created");
+      stack_.push_back(Frame{c, e.time, 0.0, open_.size()});
+      return false;
+    }
+    case EventType::Exit:
+    case EventType::CollExit: {
+      const Frame f = stack_.back();
+      stack_.pop_back();
+      const double dur = e.time - f.enter_time;
+      excl_[f.cnode.get()] += dur - f.child_time;
+      if (!stack_.empty()) stack_.back().child_time += dur;
+      // Inner regions have closed their own slots already, so the ones
+      // left above this frame's base sit directly inside it.
+      for (std::size_t k = f.open_base; k < open_.size(); ++k) {
+        OpRecord& op = ops_[open_[k]];
+        op.op_enter = f.enter_time;
+        op.op_exit = e.time;
+      }
+      open_.resize(f.open_base);
+      if (e.type == EventType::Exit) return false;
+      ops_.push_back(OpRecord{index, f.cnode, f.enter_time, e.time});
+      return true;
+    }
+    case EventType::Send:
+    case EventType::Recv:
+      open_.push_back(static_cast<std::uint32_t>(ops_.size()));
+      ops_.push_back(OpRecord{index, stack_.back().cnode, 0.0, 0.0});
+      return true;
+  }
+  return false;
+}
+
+std::vector<ExclusiveTime> OpWalk::exclusive_times() const {
+  std::vector<ExclusiveTime> out;
+  out.reserve(excl_.size());
+  for (const auto& [cnode, seconds] : excl_)
+    out.push_back(ExclusiveTime{CallPathId{cnode}, seconds});
+  return out;
 }
 
 std::size_t CommTables::channel(Rank src, Rank dst) const {
@@ -192,37 +241,26 @@ PreparedTrace prepare(const tracing::TraceCollection& tc,
   telemetry::ScopedSpan span("prepare");
   if (telemetry::progress_enabled()) telemetry::progress("prepare", 0.0);
   PreparedTrace out;
-  out.tc = &tc;
-  out.region_table = RegionClassTable(tc.defs.regions);
-  out.per_rank.resize(static_cast<std::size_t>(tc.num_ranks()));
-  out.excl_time.resize(static_cast<std::size_t>(tc.num_ranks()));
-  out.rank_span.resize(static_cast<std::size_t>(tc.num_ranks()), 0.0);
+  const auto n = static_cast<std::size_t>(tc.num_ranks());
+  out.ops.resize(n);
+  out.excl_time.resize(n);
 
   // Pass 1 (serial): the structural walk, ranks in order — call-path
   // ids, every structural check and the communication counts — so the
-  // parallel annotation pass below runs on validated input and cannot
-  // fail. Per rank it records the assigned id of each Enter, in order;
-  // the annotation pass replays the stack from that list without
-  // touching the (single-threaded) call-tree index.
-  std::vector<std::vector<CallPathId>> enter_cnodes(
-      static_cast<std::size_t>(tc.num_ranks()));
-  std::vector<RankComm> comm_in(static_cast<std::size_t>(tc.num_ranks()));
+  // parallel op walk below runs on validated input against a finished
+  // call tree.
+  std::vector<RankComm> comm_in(n);
   for (const auto& trace : tc.ranks) {
-    const auto ri = static_cast<std::size_t>(trace.rank);
-    RankWalk walk(trace.rank, tc.defs.comms.size(), out.calls, comm_in[ri]);
-    for (const Event& e : trace.events) {
-      const CallPathId c = walk.step(e);
-      if (e.type == EventType::Enter) enter_cnodes[ri].push_back(c);
-    }
+    RankWalk walk(trace.rank, tc.defs.comms.size(), out.calls,
+                  comm_in[static_cast<std::size_t>(trace.rank)]);
+    for (const Event& e : trace.events) (void)walk.step(e);
     (void)walk.finish();
   }
 
-  // Pass 2 (parallel, one task per rank): the heavy per-event
-  // annotation — call-path tags, enclosing-op windows, the op-event
-  // index the replay iterates, exclusive times and rank spans. Each task
-  // writes only its own rank's slots and reads the call tree ids from
-  // its private enter list, so results are deterministic and identical
-  // for every worker count.
+  // Pass 2 (parallel, one task per rank): the op walk — the records the
+  // replay iterates and the exclusive times. Each task writes only its
+  // own rank's slots and only reads the call tree, so results are
+  // deterministic and identical for every worker count.
   telemetry::RecordingObserver rec_obs(
       "prepare", telemetry::RecordingObserver::fanout_stride(tc.ranks.size()));
   const auto pst = parallel_for(
@@ -230,84 +268,21 @@ PreparedTrace prepare(const tracing::TraceCollection& tc,
       [&](std::size_t ti) {
         const auto& trace = tc.ranks[ti];
         const auto ri = static_cast<std::size_t>(trace.rank);
-        const auto& enters = enter_cnodes[ri];
-        auto& ann = out.per_rank[ri];
-        const std::size_t n = trace.events.size();
-        ann.cnode.assign(n, CallPathId{});
-        ann.op_enter.assign(n, 0.0);
-        ann.op_exit.assign(n, 0.0);
-
-        struct Frame {
-          CallPathId cnode;
-          double enter_time;
-          double child_time;
-          std::uint32_t first_event;  ///< first event index in this frame
-        };
-        std::vector<Frame> stack;
-        std::vector<bool> op_filled(n, false);
-        std::size_t next_enter = 0;
-        // Per-cnode exclusive accumulation for this rank (ordered map:
-        // the emitted ExclusiveTime list is sorted by call-path id).
-        std::map<int, double> excl;
-
-        for (std::uint32_t i = 0; i < n; ++i) {
-          const Event& e = trace.events[i];
-          switch (e.type) {
-            case EventType::Enter: {
-              const CallPathId c = enters[next_enter++];
-              stack.push_back(Frame{c, e.time, 0.0, i + 1});
-              ann.cnode[i] = c;
-              break;
-            }
-            case EventType::Exit:
-            case EventType::CollExit: {
-              Frame f = stack.back();
-              stack.pop_back();
-              ann.cnode[i] = f.cnode;
-              const double dur = e.time - f.enter_time;
-              excl[f.cnode.get()] += dur - f.child_time;
-              if (!stack.empty()) stack.back().child_time += dur;
-              // Backfill enclosing-op times for the events inside this
-              // frame (Send/Recv live directly inside their MPI call
-              // frame).
-              for (std::uint32_t k = f.first_event; k < i; ++k) {
-                if ((trace.events[k].type == EventType::Send ||
-                     trace.events[k].type == EventType::Recv) &&
-                    !op_filled[k]) {
-                  ann.op_enter[k] = f.enter_time;
-                  ann.op_exit[k] = e.time;
-                  op_filled[k] = true;
-                }
-              }
-              if (e.type == EventType::CollExit) {
-                ann.op_enter[i] = f.enter_time;
-                ann.op_exit[i] = e.time;
-                ann.op_events.push_back(i);
-              }
-              break;
-            }
-            case EventType::Send:
-            case EventType::Recv:
-              ann.cnode[i] = stack.back().cnode;
-              ann.op_events.push_back(i);
-              break;
-          }
-        }
-
-        auto& et = out.excl_time[ri];
-        et.reserve(excl.size());
-        for (const auto& [cnode, seconds] : excl)
-          et.push_back(ExclusiveTime{CallPathId{cnode}, seconds});
-
-        if (!trace.events.empty())
-          out.rank_span[ri] =
-              trace.events.back().time - trace.events.front().time;
+        // Pass 1 counted the rank's ops (send_peers is deduplicated only
+        // by build_comm_tables, below), so the records fit exactly.
+        const RankComm& rc = comm_in[ri];
+        std::size_t num_ops = rc.send_peers.size() + rc.recvs;
+        for (const int c : rc.colls) num_ops += static_cast<std::size_t>(c);
+        out.ops[ri].reserve(num_ops);
+        OpWalk walk(out.calls, out.ops[ri]);
+        for (const Event& e : trace.events) (void)walk.step(e);
+        out.excl_time[ri] = walk.exclusive_times();
       },
       &rec_obs);
   telemetry::record_stage_parallelism("prepare", pst);
 
   out.comm = build_comm_tables(tc.defs, comm_in, max_workers);
-  telemetry::counter("prepare.ranks").add(out.per_rank.size());
+  telemetry::counter("prepare.ranks").add(out.ops.size());
   telemetry::counter("prepare.call_paths").add(out.calls.size());
   if (telemetry::progress_enabled()) telemetry::progress("prepare", 1.0);
   return out;

@@ -1,43 +1,41 @@
 // Pre-analysis pass ("definition unification"): builds the global call
-// tree, annotates every event with its call path and enclosing-operation
-// times, and accumulates per-call-path exclusive times. Call-path ids
-// are assigned in a serial first pass (ranks in order, events in order)
-// so that ids — and therefore cubes — are bit-identical between the
-// serial and the parallel analysis for any worker count; the heavy
-// per-event annotation then fans out one task per rank.
+// tree, records every communication event with its call path and
+// enclosing-operation times, and accumulates per-call-path exclusive
+// times. Call-path ids are assigned in a serial first pass (ranks in
+// order, events in order) so that ids — and therefore cubes — are
+// bit-identical between the serial and the parallel analysis for any
+// worker count; the op walk then fans out one task per rank.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <vector>
 
-#include "analysis/patterns.hpp"
 #include "report/cube.hpp"
 #include "tracing/trace.hpp"
 
 namespace metascope::analysis {
 
-/// Per-event annotations for one rank, index-aligned with the trace's
-/// event vector.
-struct EventAnnotations {
-  /// Call path the event belongs to (for Enter: the entered path).
-  std::vector<CallPathId> cnode;
-  /// For Send/Recv/CollExit events: timestamp of the enclosing MPI call's
-  /// Enter. Zero for other events.
-  std::vector<double> op_enter;
-  /// For Send/Recv/CollExit events: timestamp of the enclosing MPI call's
-  /// Exit (== CollExit time for collectives).
-  std::vector<double> op_exit;
-  /// Indices of the communication events (Send/Recv/CollExit), in trace
-  /// order. Replay loops iterate this instead of the full event vector,
-  /// skipping Enter/Exit entirely.
-  std::vector<std::uint32_t> op_events;
+/// One communication event (Send, Recv or CollExit) as the replay sees
+/// it: the event's position in its rank's stream, its call path, and the
+/// enter/exit times of its enclosing MPI call (for a CollExit: the
+/// collective region's Enter and the CollExit itself).
+struct OpRecord {
+  std::uint32_t index{0};
+  CallPathId cnode;
+  double op_enter{0.0};
+  double op_exit{0.0};
+
+  bool operator==(const OpRecord&) const = default;
 };
 
 /// One (call path, seconds) exclusive-time contribution.
 struct ExclusiveTime {
   CallPathId cnode;
   double seconds{0.0};
+
+  bool operator==(const ExclusiveTime&) const = default;
 };
 
 /// The communication layout the replay runs on, fixed before it starts:
@@ -123,6 +121,45 @@ class RankWalk {
   std::uint32_t index_{0};
 };
 
+/// The op walk of one rank, shared by both analysis modes: prepare()
+/// feeds it each rank's event vector, analyze_streaming each window's
+/// decoded events. Fed the events RankWalk accepted, in order, against
+/// the finished call tree, it appends one OpRecord per Send, Recv and
+/// CollExit to `ops` and sums exclusive time per call path. A Send/Recv
+/// record's window is filled when its enclosing region exits, so
+/// `ops` may be cleared (or consumed) whenever open() is zero.
+class OpWalk {
+ public:
+  OpWalk(const report::CallTree& calls, std::vector<OpRecord>& ops);
+
+  /// Walks the next event; returns true when it appended a record.
+  /// Throws Error on an Enter whose call path is not in the tree.
+  bool step(const tracing::Event& e);
+
+  /// Send/Recv records still waiting for their region's exit.
+  [[nodiscard]] std::size_t open() const { return open_.size(); }
+
+  /// Exclusive seconds per call path visited so far, by call-path id.
+  [[nodiscard]] std::vector<ExclusiveTime> exclusive_times() const;
+
+ private:
+  struct Frame {
+    CallPathId cnode;
+    double enter_time;
+    double child_time;
+    std::size_t open_base;  ///< open_.size() when the region was entered
+  };
+
+  const report::CallTree& calls_;
+  std::vector<OpRecord>& ops_;
+  std::vector<Frame> stack_;
+  /// Positions in ops_ of the Send/Recv records awaiting an exit,
+  /// innermost region last.
+  std::vector<std::uint32_t> open_;
+  std::map<int, double> excl_;
+  std::uint32_t index_{0};
+};
+
 /// Builds the tables from every rank's contribution (`ranks` is indexed
 /// by rank; its send_peers are sorted in place on up to `max_workers`
 /// threads) and validates collective completeness: every member of a
@@ -134,24 +171,20 @@ CommTables build_comm_tables(const tracing::TraceDefs& defs,
                              std::size_t max_workers);
 
 struct PreparedTrace {
-  const tracing::TraceCollection* tc{nullptr};
   report::CallTree calls;
-  /// RegionId -> {category, collective kind, blocking-send?}, computed
-  /// once here so replay hot paths never classify by region name.
-  RegionClassTable region_table;
-  std::vector<EventAnnotations> per_rank;
+  /// Per rank: the OpWalk records, in trace order. The replay iterates
+  /// these and never touches Enter/Exit events.
+  std::vector<std::vector<OpRecord>> ops;
   /// Exclusive time per call path, per rank (summed over occurrences).
   std::vector<std::vector<ExclusiveTime>> excl_time;
-  /// Per-rank span (last event time - first event time).
-  std::vector<double> rank_span;
   CommTables comm;
 };
 
-/// Annotates all ranks. Throws Error on malformed traces (unbalanced
+/// Walks all ranks. Throws Error on malformed traces (unbalanced
 /// Enter/Exit, events outside any region) and on incomplete collective
 /// instances (a communicator member missing from a collective), so both
-/// analyzers fail fast before any replay starts. The per-rank annotation
-/// pass runs on up to `max_workers` threads (0 = hardware concurrency);
+/// analyzers fail fast before any replay starts. The per-rank op walk
+/// runs on up to `max_workers` threads (0 = hardware concurrency);
 /// results are identical for every worker count.
 PreparedTrace prepare(const tracing::TraceCollection& tc,
                       std::size_t max_workers = 0);

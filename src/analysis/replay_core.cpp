@@ -9,15 +9,10 @@ namespace metascope::analysis {
 
 using tracing::EventType;
 
-P2pSide make_side(const PreparedTrace& prep, Rank rank, std::uint32_t index) {
-  const auto& ann = prep.per_rank[static_cast<std::size_t>(rank)];
-  P2pSide s;
-  s.rank = rank;
-  s.op_enter = ann.op_enter[index];
-  s.op_exit = ann.op_exit[index];
-  s.cnode = ann.cnode[index];
-  s.region = prep.calls.node(s.cnode).region;
-  return s;
+P2pSide make_side(const report::CallTree& calls, Rank rank,
+                  const OpRecord& op) {
+  return P2pSide{rank, op.op_enter, op.op_exit, op.cnode,
+                 calls.node(op.cnode).region};
 }
 
 CollectiveSlots::CollectiveSlots(const CommTables& tables)
@@ -62,16 +57,13 @@ std::vector<CollInstance> group_collectives(const tracing::TraceCollection& tc,
   CollectiveSlots slots(prep.comm);
   std::vector<int> coll_seq(tc.defs.comms.size());
   for (const auto& trace : tc.ranks) {
-    const auto ri = static_cast<std::size_t>(trace.rank);
-    const auto& ann = prep.per_rank[ri];
     std::fill(coll_seq.begin(), coll_seq.end(), 0);
-    for (const std::uint32_t i : ann.op_events) {
-      const auto& e = trace.events[i];
+    for (const OpRecord& op : prep.ops[static_cast<std::size_t>(trace.rank)]) {
+      const auto& e = trace.events[op.index];
       if (e.type != EventType::CollExit) continue;
       const int comm = e.comm.get();
       slots.arrive(comm, coll_seq[static_cast<std::size_t>(comm)]++,
-                   CollMember{trace.rank, ann.op_enter[i], ann.op_exit[i],
-                              ann.cnode[i]},
+                   CollMember{trace.rank, op.op_enter, op.op_exit, op.cnode},
                    e.root, e.region);
     }
   }

@@ -4,7 +4,7 @@
 // differ only in *how* they collect the raw match records:
 //
 //  - analyze_serial matches messages post-mortem and walks each rank's
-//    op events once;
+//    op records once;
 //  - analyze_parallel re-enacts the communication on a bounded worker
 //    pool and collects the same records from the replay.
 //
@@ -76,11 +76,12 @@ class CollectiveSlots {
   std::vector<Head> heads_;
 };
 
-/// Builds one side of a p2p transfer from a rank's annotated event.
-P2pSide make_side(const PreparedTrace& prep, Rank rank, std::uint32_t index);
+/// Builds one side of a p2p transfer from a rank's op record.
+P2pSide make_side(const report::CallTree& calls, Rank rank,
+                  const OpRecord& op);
 
 /// Groups every CollExit event into its (comm, seq) instance — the
-/// serial analyzer's walk over each rank's op events. The parallel
+/// serial analyzer's walk over each rank's op records. The parallel
 /// analyzers fill the same CollectiveSlots during the replay.
 std::vector<CollInstance> group_collectives(const tracing::TraceCollection& tc,
                                             const PreparedTrace& prep);

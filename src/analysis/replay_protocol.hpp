@@ -11,18 +11,27 @@
 //               slot of the instance
 //
 // Only a receive whose message has not been sent yet suspends its task
-// (yields the worker back to the pool); the sender that fills the
-// channel resumes it. Senders never block, like eager MPI sends, and
-// collective members never wait for their instance to complete: the
-// pattern engine evaluates instances after the whole replay, so there is
-// nothing to wait for. Channels, receive-record slots and collective
-// member slots are the dense tables prepare() lays out (CommTables), so
-// the replay path neither hashes an envelope nor takes a lock.
+// (yields its worker back to the pool, common/parallel); the sender that
+// fills the channel resumes it. Senders never block, like eager MPI
+// sends, and collective members never wait for their instance to
+// complete: the pattern engine evaluates instances after the whole
+// replay, so there is nothing to wait for. Channels, receive-record
+// slots and collective member slots are the dense tables prepare() lays
+// out (CommTables), so the replay path neither hashes an envelope nor
+// takes a lock.
 //
 // The replay only *collects* match records; pattern evaluation happens
 // afterwards in the pattern engine's canonical dispatch order, which is
 // what makes the cube bit-identical to analyze_serial for any worker
 // count and any interleaving.
+//
+// ReplayProtocol owns the worker pool and wires it into telemetry:
+// cumulative "replay.*" counters, the task runtime and queue depth
+// histograms, the "replay" progress line and per-rank task events on
+// the flight recorder. A failed replay raises an Error in replay terms:
+// a deadlock (an unmatched receive or a truncated trace; the recorder's
+// last events of every worker go to stderr first) or a message that no
+// receive took (an unmatched send).
 #pragma once
 
 #include <array>
@@ -35,7 +44,9 @@
 #include "analysis/pattern_engine.hpp"
 #include "analysis/prepare.hpp"
 #include "analysis/replay_core.hpp"
-#include "analysis/replay_scheduler.hpp"
+#include "common/parallel.hpp"
+#include "telemetry/metrics.hpp"
+#include "telemetry/recorder.hpp"
 
 namespace metascope::analysis {
 
@@ -73,6 +84,12 @@ class MessageChannel {
   /// parking, so a message sent in between is never missed.
   bool receive(int tag, int comm, Message& out);
 
+  /// Messages sent but never received. Exact only once both tasks have
+  /// stopped (after the pool joins).
+  [[nodiscard]] std::uint64_t pending() const {
+    return sent_ - taken_ + stash_.size();
+  }
+
  private:
   static constexpr std::size_t kChunk = 16;
   struct Chunk {
@@ -106,28 +123,32 @@ class MessageChannel {
 /// task's replay state, and the worker pool that drives the tasks.
 class ReplayProtocol {
  public:
+  /// The pool has min(ranks, opts.max_workers) workers (0 = hardware
+  /// concurrency).
   ReplayProtocol(const CommTables& tables, const report::CallTree& calls,
                  const ReplayOptions& opts);
 
   /// Re-enacts communication event `e` of rank task `t` (Send, Recv or
-  /// CollExit; other events are ignored) with its enclosing MPI call's
-  /// window, its call path and its position `index` in the rank's
-  /// trace. Returns false when the task must suspend — a Recv whose
-  /// message has not been sent yet. The sender then resumes the task,
-  /// which passes the same event again.
-  bool replay(std::size_t t, const tracing::Event& e, double op_enter,
-              double op_exit, CallPathId cnode, std::uint32_t index);
+  /// CollExit; other events are ignored) with its op record. Returns
+  /// false when the task must suspend — a Recv whose message has not
+  /// been sent yet. The sender then resumes the task, which passes the
+  /// same event again. Throws Error at a Send to a rank outside the
+  /// trace.
+  bool replay(std::size_t t, const tracing::Event& e, const OpRecord& op);
 
-  /// Drives every rank task to Done (ReplayScheduler::run).
-  void run(const ReplayScheduler::StepFn& step) { sched_.run(step); }
+  /// Drives every rank task to Done. `step(t)` advances task t until it
+  /// finishes or suspends. Throws Error when the replay deadlocks (all
+  /// unfinished tasks suspended) or leaves a message in a channel, and
+  /// rethrows the first exception a step raised.
+  void run(const WorkerPool::StepFn& step);
 
   /// Makes task `t`, which is about to return Suspend, runnable again:
   /// a cooperative yield.
-  void yield(std::size_t t) { sched_.resume(t); }
+  void yield(std::size_t t) { pool_.resume(t); }
 
   /// Dispatches the collected records through `engine` in canonical
   /// order and fills the replay's share of `stats`: messages, collective
-  /// instances, wire bytes and scheduler counters.
+  /// instances, wire bytes and pool counters.
   void finish(PatternEngine& engine, AnalysisStats& stats);
 
  private:
@@ -135,6 +156,23 @@ class ReplayProtocol {
     std::vector<int> coll_seq;  ///< per-communicator instance counter
     std::size_t received{0};    ///< Recv events matched so far
     std::uint64_t wire_bytes{0};
+  };
+
+  /// Routes the pool's sampled hooks into the registry histograms and
+  /// task completions into the progress line; the RecordingObserver
+  /// base streams the lifecycle hooks onto the flight recorder as
+  /// "replay" task events, decimated like every other stage fan-out.
+  class TelemetryObserver : public telemetry::RecordingObserver {
+   public:
+    explicit TelemetryObserver(std::uint32_t item_stride);
+    [[nodiscard]] bool wants_samples() const override;
+    void on_task_done(std::size_t done, std::size_t total) override;
+    void on_task_runtime_us(double us) override;
+    void on_queue_depth(double depth) override;
+
+   private:
+    telemetry::Histogram& h_task_runtime_us_;
+    telemetry::Histogram& h_queue_depth_;
   };
 
   const CommTables* tables_;
@@ -145,7 +183,9 @@ class ReplayProtocol {
   std::vector<RankState> ranks_;
   telemetry::Counter& replay_bytes_;
   std::uint64_t replay_bytes0_;
-  ReplayScheduler sched_;
+  WorkerPool pool_;
+  TelemetryObserver obs_;
+  std::size_t postmortem_events_;
 };
 
 }  // namespace metascope::analysis

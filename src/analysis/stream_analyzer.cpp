@@ -14,13 +14,14 @@
 //    ids, identical diagnostics, and each rank's communication counted
 //    for the replay's CommTables (collective completeness is validated
 //    there, before any task runs);
-//  - the *window* pass inside each replay task: per-event annotation
-//    (call-path tags via CallTree::find against the tree the light pass
-//    built, enclosing-op windows, exclusive times) happens as events
-//    decode, and only annotated communication events are retained.
+//  - the *window* pass inside each replay task: each rank's OpWalk (the
+//    walk prepare() runs over a materialized rank) records call paths,
+//    enclosing-op windows and exclusive times as events decode, against
+//    the tree the light pass built; only the communication events and
+//    their records stay resident.
 //
-// A window nominally holds budget/(ranks * per-event footprint) events
-// and extends only while a Send/Recv in it still awaits its enclosing
+// A window nominally holds budget/(ranks * per-op footprint) events and
+// extends only while a Send/Recv in it still awaits its enclosing
 // call's exit; the budget drives window *sizing*, never cross-rank
 // blocking, so tiny budgets degrade to single-event windows but cannot
 // deadlock. Severity accumulation order is unchanged — same per-rank
@@ -37,7 +38,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <map>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -66,18 +66,6 @@ constexpr std::size_t kDefaultWindowEvents = 4096;
 /// Decode granularity: events pulled from the column cursors per call.
 /// Bounded so the lookahead ring stays small next to tiny windows.
 constexpr std::size_t kMaxDecodeChunk = 256;
-
-/// One annotated communication event resident in a rank's window.
-struct WinEvent {
-  Event e;
-  CallPathId cnode;
-  double op_enter{0.0};
-  double op_exit{0.0};
-  /// Position in the rank's filtered event stream — the canonical
-  /// receive-order sort key (monotone per rank, like the materialized
-  /// analyzers' raw event index over the pruned collection).
-  std::uint32_t index{0};
-};
 
 /// Trace-resident byte accounting shared by every rank task: the live
 /// total feeds the "analysis.stream.resident_bytes" gauge, the atomic
@@ -114,36 +102,23 @@ class Residency {
   telemetry::Gauge& peak_gauge_;
 };
 
-/// One open frame of the window pass's region stack.
-struct Frame {
-  CallPathId cnode;
-  double enter_time{0.0};
-  double child_time{0.0};
-  /// Window slots of Send/Recv events awaiting this frame's exit.
-  std::vector<std::uint32_t> open_ops;
-};
-
 /// Everything one rank task owns: the mapped file and its windowed
-/// cursor, the persistent annotation state bridging windows, and the
-/// current window.
+/// cursor, the op walk bridging windows, and the current window.
 struct RankStream {
   MappedFile file;
   std::optional<tracing::TraceStream> ts;  ///< nullopt: quarantined rank
 
-  // Decoded-but-unannotated lookahead ring (bounded by kMaxDecodeChunk).
+  // Decoded-but-unwalked lookahead ring (bounded by kMaxDecodeChunk).
   std::vector<Event> raw;
   std::size_t rpos{0};
 
-  // Annotation state, persistent across windows.
-  std::vector<Frame> stack;
-  std::size_t open_ops{0};      ///< unfilled Send/Recv in current window
-  std::map<int, double> excl;   ///< per-cnode exclusive seconds
-  std::uint32_t next_index{0};  ///< filtered-stream position
-
-  // Current window.
-  std::vector<WinEvent> win;
+  // Current window: the retained communication events and their op
+  // records, index-aligned; `walk` appends to `ops`.
+  std::vector<Event> win;
+  std::vector<OpRecord> ops;
+  std::optional<OpWalk> walk;
   std::size_t wpos{0};
-  std::size_t resident{0};       ///< bytes this rank currently accounts
+  std::size_t resident{0};  ///< bytes this rank currently accounts
   std::uint32_t windows_filled{0};
 
   // Tallies from the structural walk.
@@ -166,7 +141,6 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
 
   AnalysisResult res;
   report::CallTree calls;
-  const RegionClassTable region_table(defs.regions);
   std::vector<RankStream> streams(n);
   std::vector<RankComm> comm_in(n);
   CommTables comm_tables;
@@ -212,6 +186,7 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
           if (p != tracing::Pruned::Dropped) (void)walk.step(e);
         });
         rs.events_kept = walk.finish();
+        rs.walk.emplace(calls, rs.ops);
       } catch (const Error& e) {
         throw e.with_context(
             ErrorContext{src.paths[r], static_cast<Rank>(r), -1});
@@ -231,30 +206,33 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
   PatternRegistry registry = PatternRegistry::standard();
   registry.select(opts.patterns);
   PatternEngine engine(registry, res.cube);
-  res.patterns = engine.install_trees(tc, calls, region_table);
+  res.patterns = engine.install_trees(tc, calls);
 
-  // Window sizing: the budget bounds the bytes of annotated events
-  // resident across all ranks at once; the floor of one event per rank
-  // keeps a pathological budget from stalling (it degrades to
-  // single-event windows instead).
+  // Window sizing: the budget bounds the bytes of retained events and
+  // their records resident across all ranks at once; the floor of one
+  // event per rank keeps a pathological budget from stalling (it
+  // degrades to single-event windows instead).
   const std::size_t window_events =
       opts.memory_budget_bytes == 0
           ? kDefaultWindowEvents
           : std::max<std::size_t>(
                 1, opts.memory_budget_bytes /
-                       (std::max<std::size_t>(n, 1) * sizeof(WinEvent)));
+                       (std::max<std::size_t>(n, 1) *
+                        (sizeof(Event) + sizeof(OpRecord))));
   const std::size_t chunk =
       std::max<std::size_t>(1, std::min(window_events, kMaxDecodeChunk));
 
-  // Evicts the consumed window and decodes + annotates the next one.
-  // The window extends past its nominal size only while a Send/Recv in
-  // it still awaits its enclosing call's exit, which is what guarantees
-  // every op window is complete before the replay consumes the event.
+  // Evicts the consumed window and walks the next one. The window
+  // extends past its nominal size only while a Send/Recv in it still
+  // awaits its enclosing call's exit, which is what guarantees every op
+  // window is complete before the replay consumes the event.
   auto fill_window = [&](RankStream& rs) {
     rs.win.clear();
+    rs.ops.clear();
     rs.wpos = 0;
     tracing::TraceStream& ts = *rs.ts;
-    while (rs.win.size() < window_events || rs.open_ops > 0) {
+    OpWalk& walk = *rs.walk;
+    while (rs.ops.size() < window_events || walk.open() > 0) {
       if (rs.rpos == rs.raw.size()) {
         if (ts.at_end()) break;
         rs.raw.clear();
@@ -264,58 +242,13 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
       }
       Event& e = rs.raw[rs.rpos++];
       if (quarantine.apply(e) == tracing::Pruned::Dropped) continue;
-      switch (e.type) {
-        case EventType::Enter: {
-          const CallPathId parent =
-              rs.stack.empty() ? CallPathId{} : rs.stack.back().cnode;
-          const CallPathId c = calls.find(parent, e.region);
-          MSC_CHECK(c.valid(), "streaming window pass met a call path "
-                               "the light pass never created");
-          rs.stack.push_back(Frame{c, e.time, 0.0, {}});
-          break;
-        }
-        case EventType::Exit:
-        case EventType::CollExit: {
-          Frame f = std::move(rs.stack.back());
-          rs.stack.pop_back();
-          const double dur = e.time - f.enter_time;
-          rs.excl[f.cnode.get()] += dur - f.child_time;
-          if (!rs.stack.empty()) rs.stack.back().child_time += dur;
-          for (const std::uint32_t slot : f.open_ops) {
-            rs.win[slot].op_enter = f.enter_time;
-            rs.win[slot].op_exit = e.time;
-          }
-          rs.open_ops -= f.open_ops.size();
-          if (e.type == EventType::CollExit) {
-            WinEvent w;
-            w.e = e;
-            w.cnode = f.cnode;
-            w.op_enter = f.enter_time;
-            w.op_exit = e.time;
-            w.index = rs.next_index;
-            rs.win.push_back(w);
-          }
-          break;
-        }
-        case EventType::Send:
-        case EventType::Recv: {
-          WinEvent w;
-          w.e = e;
-          w.cnode = rs.stack.back().cnode;
-          w.index = rs.next_index;
-          rs.win.push_back(w);
-          rs.stack.back().open_ops.push_back(
-              static_cast<std::uint32_t>(rs.win.size() - 1));
-          ++rs.open_ops;
-          break;
-        }
-      }
-      ++rs.next_index;
+      if (walk.step(e)) rs.win.push_back(e);
     }
-    MSC_CHECK(rs.open_ops == 0,
+    MSC_CHECK(walk.open() == 0,
               "streaming window closed with unfilled message ops");
     const std::size_t now =
-        rs.win.capacity() * sizeof(WinEvent) +
+        rs.win.capacity() * sizeof(Event) +
+        rs.ops.capacity() * sizeof(OpRecord) +
         rs.raw.capacity() * sizeof(Event) +
         rs.ts->sync().size() * sizeof(tracing::OffsetRecord);
     // Capacities go quiescent after the first few windows; skipping the
@@ -330,9 +263,9 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
   telemetry::ScopedSpan replay_span("replay");
   ReplayProtocol replay(comm_tables, calls, opts);
 
-  auto step = [&](std::size_t ti) -> StepResult {
+  auto step = [&](std::size_t ti) -> StepOutcome {
     RankStream& rs = streams[ti];
-    if (!rs.ts) return StepResult::Done;  // quarantined: zero events
+    if (!rs.ts) return StepOutcome::Done;  // quarantined: zero events
     for (;;) {
       if (rs.wpos == rs.win.size()) {
         if (rs.ts->at_end() && rs.rpos == rs.raw.size() &&
@@ -344,6 +277,7 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
           rs.resident = 0;
           rs.raw = {};
           rs.win = {};
+          rs.ops = {};
           // Unmap here, on the worker, rather than in the analyzer's
           // epilogue: the stream is consumed, and a thousand munmaps
           // overlap the still-running ranks instead of serializing
@@ -353,7 +287,7 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
           rs.file = MappedFile();
           windows_counter.add(rs.windows_filled);
           rs.windows_filled = 0;
-          return StepResult::Done;
+          return StepOutcome::Done;
         }
         fill_window(rs);
         if (rs.win.empty()) continue;  // Enter/Exit-only tail -> Done
@@ -365,13 +299,12 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
         // own.
         if (++rs.windows_filled % 32 == 0) {
           replay.yield(ti);
-          return StepResult::Suspend;
+          return StepOutcome::Suspend;
         }
         continue;
       }
-      const WinEvent& w = rs.win[rs.wpos];
-      if (!replay.replay(ti, w.e, w.op_enter, w.op_exit, w.cnode, w.index))
-        return StepResult::Suspend;
+      if (!replay.replay(ti, rs.win[rs.wpos], rs.ops[rs.wpos]))
+        return StepOutcome::Suspend;
       ++rs.wpos;
     }
   };
@@ -380,15 +313,10 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
 
   // Region pass before dispatch — the same cube add order as the
   // materializing analyzers (install's region pass precedes their
-  // replay): per-rank exclusive times come out of the window pass's
-  // accumulators, sorted by call-path id (map iteration order).
+  // replay): per-rank exclusive times come out of the op walks.
   std::vector<std::vector<ExclusiveTime>> excl_time(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    auto& et = excl_time[r];
-    et.reserve(streams[r].excl.size());
-    for (const auto& [cnode, seconds] : streams[r].excl)
-      et.push_back(ExclusiveTime{CallPathId{cnode}, seconds});
-  }
+  for (std::size_t r = 0; r < n; ++r)
+    if (streams[r].walk) excl_time[r] = streams[r].walk->exclusive_times();
   engine.region_pass(excl_time);
   replay.finish(engine, res.stats);
 

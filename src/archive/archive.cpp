@@ -60,16 +60,6 @@ bool FileSystemLayout::same_fs(MetahostId a, MetahostId b) const {
 
 namespace {
 
-int log2_ceil(int n) {
-  int r = 0;
-  int s = 1;
-  while (s < n) {
-    s *= 2;
-    ++r;
-  }
-  return std::max(r, 1);
-}
-
 std::string archive_dir_name(const std::string& experiment) {
   return experiment + ".msc";
 }
@@ -235,7 +225,6 @@ ExperimentArchive ExperimentArchive::create(const simnet::Topology& topo,
     st->aborted = true;
     throw Error("archive invisible to at least one process; aborting");
   }
-  (void)log2_ceil(topo.num_ranks());
   return a;
 }
 

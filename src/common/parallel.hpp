@@ -1,6 +1,6 @@
 // Reusable bounded worker pool with work stealing and resumable tasks.
 //
-// Extracted from the replay scheduler (analysis/replay_scheduler) so the
+// Extracted from the parallel replay (analysis/replay_protocol) so the
 // whole pre-replay pipeline — archive encode/decode and file I/O, clock
 // correction, amortization, prepare — can fan out per-rank work on the
 // same machinery the parallel replay uses, instead of each stage staying
@@ -33,7 +33,7 @@
 // telemetry in the library stack): the pool keeps *exact* internal
 // counters (merged from per-thread tallies when workers exit) and
 // exposes sampled timing hooks through an Observer, which clients like
-// the replay scheduler wire into the metrics registry.
+// the replay protocol wire into the metrics registry.
 #pragma once
 
 #include <atomic>

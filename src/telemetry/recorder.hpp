@@ -246,7 +246,7 @@ void set_thread_label(const std::string& label);
 
 /// Human-readable dump of the last `last_n` events of every thread —
 /// what each worker was doing just before a hang. Empty when the
-/// recorder is disabled or has recorded nothing. The replay scheduler
+/// recorder is disabled or has recorded nothing. The replay protocol
 /// prints this to stderr when the replay deadlocks
 /// (ReplayOptions::postmortem_events).
 [[nodiscard]] std::string postmortem_report(std::size_t last_n);
@@ -255,7 +255,7 @@ void set_thread_label(const std::string& label);
 /// recorder: thread labels "<stage> worker <wid>", TaskBegin/TaskEnd/
 /// TaskSuspend/TaskResume/TaskSteal events named after the stage with
 /// the task index as id. Every parallelized pipeline stage passes one of
-/// these to parallel_for; the replay scheduler's observer derives from
+/// these to parallel_for; the replay protocol's observer derives from
 /// it to add the sampled registry hooks. Stateless beyond the stage
 /// name, so one instance serves any number of runs.
 class RecordingObserver : public WorkerPool::Observer {

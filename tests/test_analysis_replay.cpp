@@ -9,11 +9,16 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <functional>
+#include <string>
 #include <thread>
+#include <tuple>
 
 #include "analysis/analyzer.hpp"
+#include "analysis/prepare.hpp"
 #include "analysis/replay_protocol.hpp"
-#include "analysis/replay_scheduler.hpp"
+#include "archive/archive.hpp"
 #include "clocksync/correction.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -325,6 +330,172 @@ TEST(ReplayFailFast, UnmatchedReceiveReportsDeadlockNotHang) {
 
   EXPECT_THROW(analyze_serial(tc), Error);
   EXPECT_THROW(analyze_parallel(tc), Error);
+}
+
+TEST(ReplayFailFast, UnmatchedSendFailsInEveryAnalyzer) {
+  const auto topo = simnet::make_ibm_power(2);
+  simmpi::ProgramBuilder b(2);
+  b.on(0).enter("main").send(1, 5, 64.0).exit();
+  b.on(1).enter("main").recv(0, 5).exit();
+  const auto prog = b.take();
+  const auto find = [](auto& events, EventType type) {
+    return std::find_if(events.begin(), events.end(),
+                        [&](const auto& e) { return e.type == type; });
+  };
+
+  // Drop the only Recv: rank 0's message stays in its channel.
+  auto dropped = perfect_traces(topo, prog);
+  auto& receiver = dropped.ranks[1].events;
+  const auto recv = find(receiver, EventType::Recv);
+  ASSERT_NE(recv, receiver.end());
+  receiver.erase(recv);
+  // Address the Send to a rank outside the trace: it has no channel.
+  auto outside = perfect_traces(topo, prog);
+  const auto send = find(outside.ranks[0].events, EventType::Send);
+  ASSERT_NE(send, outside.ranks[0].events.end());
+  send->peer = 7;
+
+  const auto base = std::filesystem::temp_directory_path() /
+                    ("msc_unmatched_send_" +
+                     std::to_string(::testing::UnitTest::GetInstance()
+                                        ->random_seed()));
+  std::filesystem::remove_all(base);
+  std::filesystem::create_directories(base);
+  const auto layout =
+      archive::FileSystemLayout::shared(base.string(), topo.num_metahosts());
+
+  const auto expect_error = [](const std::function<void()>& analyze,
+                               const std::string& want,
+                               const std::string& what) {
+    try {
+      analyze();
+      ADD_FAILURE() << what << ": no error";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << what << ": " << e.what();
+    }
+  };
+  for (const auto& [name, tc, want] :
+       {std::tuple("dropped", &dropped, std::string("SEND 0 -> 1")),
+        std::tuple("outside", &outside, std::string("SEND 0 -> 7"))}) {
+    const std::string label = std::string(name) + " ";
+    expect_error([&] { (void)analyze_serial(*tc); }, want, label + "serial");
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+      ReplayOptions opts;
+      opts.max_workers = workers;
+      expect_error([&] { (void)analyze_parallel(*tc, opts); }, want,
+                   label + "parallel at " + std::to_string(workers));
+    }
+    auto arch = archive::ExperimentArchive::create(topo, layout, name);
+    arch.write_traces(topo, *tc);
+    const auto src = arch.stream_source(archive::ReadOptions{});
+    expect_error([&] { (void)analyze_streaming(src); }, want,
+                 label + "streaming");
+  }
+  std::filesystem::remove_all(base);
+}
+
+// --- one op walk -------------------------------------------------------------
+
+enum : int { kMain, kSendrecv, kWork, kAllreduce, kFinalize, kCleanup };
+
+/// One hand-built rank: an MPI_Sendrecv (two ops in one region), a Send
+/// directly inside `main` after a nested region, a collective, and a
+/// tail of Enter/Exit events only. Times are exact in binary.
+std::vector<tracing::Event> op_walk_rank() {
+  const auto ev = [](EventType type, double time, int region = kMain) {
+    tracing::Event e;
+    e.type = type;
+    e.time = time;
+    e.region = RegionId{region};
+    e.peer = 1;
+    return e;
+  };
+  return {
+      ev(EventType::Enter, 0.0, kMain),
+      ev(EventType::Enter, 1.0, kSendrecv),
+      ev(EventType::Send, 1.25),
+      ev(EventType::Recv, 1.5),
+      ev(EventType::Exit, 2.0),
+      ev(EventType::Enter, 2.5, kWork),
+      ev(EventType::Exit, 4.0),
+      ev(EventType::Send, 4.5),
+      ev(EventType::Enter, 5.0, kAllreduce),
+      ev(EventType::CollExit, 6.0, kAllreduce),
+      ev(EventType::Exit, 7.0),
+      ev(EventType::Enter, 7.5, kFinalize),
+      ev(EventType::Enter, 8.0, kCleanup),
+      ev(EventType::Exit, 8.5),
+      ev(EventType::Exit, 9.0),
+  };
+}
+
+TEST(OpWalk, RecordsMatchWhenConsumedWheneverNoneIsOpen) {
+  const auto events = op_walk_rank();
+  report::CallTree calls;
+  RankComm rc;
+  RankWalk structural(0, 1, calls, rc);
+  for (const auto& e : events) (void)structural.step(e);
+  ASSERT_EQ(structural.finish(), events.size());
+
+  std::vector<OpRecord> whole;
+  OpWalk one_pass(calls, whole);
+  for (const auto& e : events) (void)one_pass.step(e);
+  EXPECT_EQ(one_pass.open(), 0u);
+
+  // The stream analyzer's pattern: hand the records on and clear them
+  // whenever no Send/Recv awaits its region's exit.
+  std::vector<OpRecord> window;
+  std::vector<OpRecord> consumed;
+  OpWalk windowed(calls, window);
+  for (const auto& e : events) {
+    (void)windowed.step(e);
+    if (windowed.open() == 0) {
+      consumed.insert(consumed.end(), window.begin(), window.end());
+      window.clear();
+    }
+  }
+  EXPECT_EQ(consumed, whole);
+  EXPECT_EQ(windowed.exclusive_times(), one_pass.exclusive_times());
+
+  const CallPathId main = calls.find(CallPathId{}, RegionId{kMain});
+  const CallPathId sendrecv = calls.find(main, RegionId{kSendrecv});
+  const CallPathId allreduce = calls.find(main, RegionId{kAllreduce});
+  const std::vector<OpRecord> want{{2, sendrecv, 1.0, 2.0},
+                                   {3, sendrecv, 1.0, 2.0},
+                                   {7, main, 0.0, 7.0},
+                                   {9, allreduce, 5.0, 6.0}};
+  EXPECT_EQ(whole, want);
+  // main 7 - (1 + 1.5 + 1); Sendrecv 1; work 1.5; Allreduce 1;
+  // finalize 1.5 - 0.5; cleanup 0.5 — in call-path id order.
+  const std::vector<ExclusiveTime> excl{
+      {CallPathId{0}, 3.5}, {CallPathId{1}, 1.0}, {CallPathId{2}, 1.5},
+      {CallPathId{3}, 1.0}, {CallPathId{4}, 1.0}, {CallPathId{5}, 0.5}};
+  EXPECT_EQ(one_pass.exclusive_times(), excl);
+}
+
+TEST(OpWalk, PrepareRecordsEveryOpOnceInIndexOrder) {
+  const auto topo = simnet::make_viola_experiment1();
+  const auto tc = jittered_traces(topo, 5ULL, 8);
+  const PreparedTrace prep = prepare(tc, 2);
+  ASSERT_EQ(prep.ops.size(), tc.ranks.size());
+  for (const auto& trace : tc.ranks) {
+    std::vector<std::uint32_t> want;
+    for (std::uint32_t i = 0; i < trace.events.size(); ++i) {
+      const EventType t = trace.events[i].type;
+      if (t == EventType::Send || t == EventType::Recv ||
+          t == EventType::CollExit)
+        want.push_back(i);
+    }
+    std::vector<std::uint32_t> got;
+    for (const OpRecord& op : prep.ops[static_cast<std::size_t>(trace.rank)]) {
+      got.push_back(op.index);
+      const double t = trace.events[op.index].time;
+      EXPECT_LE(op.op_enter, t) << "rank " << trace.rank;
+      EXPECT_GE(op.op_exit, t) << "rank " << trace.rank;
+    }
+    EXPECT_EQ(got, want) << "rank " << trace.rank;
+  }
 }
 
 // --- scheduler stats ----------------------------------------------------------

@@ -616,10 +616,15 @@ TEST(PatternExtensibility, CustomDetectorRunsThroughPublicEngineApi) {
   EXPECT_FALSE(ps.late_sender.valid());
 
   const auto pairs = tracing::match_messages(tc);
+  const auto op_at = [&](const tracing::EventRef& ev) {
+    for (const OpRecord& op : prep.ops[static_cast<std::size_t>(ev.rank)])
+      if (op.index == ev.index) return op;
+    return OpRecord{};
+  };
   std::vector<P2pRecord> p2p;
   for (const auto& p : pairs)
-    p2p.push_back(P2pRecord{make_side(prep, p.send.rank, p.send.index),
-                            make_side(prep, p.recv.rank, p.recv.index),
+    p2p.push_back(P2pRecord{make_side(prep.calls, p.send.rank, op_at(p.send)),
+                            make_side(prep.calls, p.recv.rank, op_at(p.recv)),
                             p.recv.index});
   AnalysisStats stats;
   engine.dispatch(std::move(p2p), group_collectives(tc, prep), stats);
