@@ -1,7 +1,7 @@
-// Ablation A1 — serial (KOJAK-style) vs parallel (SCALASCA-style replay)
-// analysis: identical cubes; replay data volume vs total trace volume
-// (the paper's "avoids costly copying of trace data between metahosts"),
-// and wall-clock on this host.
+// Ablation A1 — serial vs parallel analysis (the message join on one and
+// on all workers): identical cubes; the data volume a distributed replay
+// moves vs total trace volume (the paper's "avoids costly copying of
+// trace data between metahosts"), and wall-clock on this host.
 #include <chrono>
 #include <cstdio>
 
@@ -64,11 +64,12 @@ int main() {
   }
   std::printf("%s", t.render().c_str());
   bench::note(
-      "\nShape check: the replay exchanges a fraction of the trace volume\n"
-      "— each analysis process reads only its local trace file, so no\n"
-      "shared file system and no bulk trace copying between metahosts is\n"
-      "needed (paper Sections 3-4). Parallel wall-clock on this 1-core\n"
-      "host reflects thread overhead, not the metacomputer speedup.");
+      "\nShape check: a distributed replay (analyze_streaming) exchanges a\n"
+      "fraction of the trace volume — each analysis process reads only\n"
+      "its local trace file, so no shared file system and no bulk trace\n"
+      "copying between metahosts is needed (paper Sections 3-4). Parallel\n"
+      "wall-clock on this 1-core host reflects thread overhead, not the\n"
+      "metacomputer speedup.");
   report.write();
   return 0;
 }

@@ -1,5 +1,5 @@
-// Replay-scheduler scaling: the bounded worker pool (hardware
-// concurrency) at 64 / 256 / 1024 ranks, with its scheduler counters,
+// Materialized-analysis scaling: analyze_parallel on the bounded worker
+// pool (hardware concurrency) at 64 / 256 / 1024 ranks, its wall clock
 // and the cube bit-identical to the serial analyzer's at every size;
 // then the telemetry overhead on the full 1024-rank pipeline.
 #include <algorithm>
@@ -49,8 +49,8 @@ simnet::Topology two_site(int per_side) {
   return topo;
 }
 
-/// Ring shifts + staggered collectives — enough point-to-point traffic
-/// that the replay suspends often when ranks outnumber workers.
+/// Ring shifts + staggered collectives: point-to-point traffic between
+/// every neighbour pair, and world-sized collective instances.
 simmpi::Program ring_program(int nranks, int steps) {
   simmpi::ProgramBuilder b(nranks);
   for (Rank r = 0; r < nranks; ++r) b.on(r).enter("main");
@@ -75,15 +75,14 @@ double ms_between(std::chrono::steady_clock::time_point a,
 }  // namespace
 
 int main() {
-  bench::banner("Replay scaling", "bounded worker pool");
+  bench::banner("Replay scaling", "message join on the worker pool");
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   std::printf("hardware concurrency: %u\n\n", hw);
 
   bench::BenchReport report("replay_scaling");
   report.set("hardware_concurrency", Json(static_cast<int>(hw)));
 
-  TextTable t({"ranks", "events", "workers", "wall [ms]", "suspensions",
-               "requeues", "steals", "cube==serial"});
+  TextTable t({"ranks", "events", "workers", "wall [ms]", "cube==serial"});
   workloads::ExperimentData data1024;  // kept for the overhead section
   for (int per_side : {32, 128, 512}) {
     const int ranks = 2 * per_side;
@@ -105,16 +104,12 @@ int main() {
     t.add_row({std::to_string(ranks), std::to_string(p.stats.events),
                std::to_string(p.stats.replay_workers),
                TextTable::fixed(wall_ms, 1),
-               std::to_string(p.stats.replay_suspensions),
-               std::to_string(p.stats.replay_requeues),
-               std::to_string(p.stats.replay_steals),
                serial.cube.approx_equal(p.cube, 0.0) ? "yes" : "NO"});
     report.add_row("scaling",
                    Json{Json::Object{}}
                        .set("ranks", Json(ranks))
                        .set("workers", Json(p.stats.replay_workers))
                        .set("wall_ms", Json(wall_ms))
-                       .set("suspensions", Json(p.stats.replay_suspensions))
                        .set("cube_matches_serial",
                             Json(serial.cube.approx_equal(p.cube, 0.0))));
     if (ranks == 1024) data1024 = std::move(data);
@@ -240,7 +235,7 @@ int main() {
   bench::note(
       "\nShape check: the pool holds the worker count at hardware\n"
       "concurrency at every rank count. cube==serial must read 'yes' in\n"
-      "every row: canonical-order accumulation makes the pooled replay\n"
+      "every row: canonical-order accumulation makes the pooled analysis\n"
       "bit-identical to the serial analyzer regardless of schedule.");
   report.write();
   return 0;

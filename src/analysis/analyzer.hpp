@@ -1,20 +1,17 @@
-// The two trace analyzers (paper §3 "Trace analysis", §4 "Parallel trace
+// The trace analyzers (paper §3 "Trace analysis", §4 "Parallel trace
 // analysis"):
 //
-//  - analyze_serial: the KOJAK-style baseline — conceptually merges the
-//    local traces into one global stream and searches it in one pass;
-//  - analyze_parallel: the SCALASCA-style analyzer — re-enacts the
-//    application's communication, exchanging only the few bytes each
-//    pattern needs (timestamps and call-path ids) instead of whole
-//    traces. Each rank's replay is a resumable task that the replay
-//    protocol (replay_protocol.hpp) drives on a bounded worker pool, so
-//    the analysis scales to thousands of ranks without spawning a
-//    thread per rank. Each task touches only its own local trace, which
-//    is why this analyzer works without a shared file system;
-//  - analyze_streaming: the same replay over a v3 archive, decoding
-//    each rank's trace in bounded windows instead of materializing it.
+//  - analyze_parallel: every trace is in memory, so messages are matched
+//    post mortem by a join (tracing::match_messages), and every per-rank
+//    step fans out on a bounded worker pool;
+//  - analyze_serial: analyze_parallel on one worker;
+//  - analyze_streaming: the SCALASCA-style replay over a v3 archive. A
+//    sender's windowed records are not resident when its receiver needs
+//    them, so the replay protocol (replay_protocol.hpp) re-enacts the
+//    communication, exchanging only the few bytes each pattern needs;
+//    each rank task touches only its own local trace.
 //
-// All three walk each rank once for its op records (prepare.hpp's
+// All of them walk each rank once for its op records (prepare.hpp's
 // OpWalk) and collect match records into the shared replay core
 // (replay_core.hpp), which evaluates the pattern formulas in one
 // canonical order: the cubes are bit-identical, and tests enforce it.
@@ -34,20 +31,17 @@ struct StreamSource;  // tracing/stream.hpp
 
 namespace metascope::analysis {
 
-/// Per-analysis summary counters. Since the telemetry refactor these
-/// are *snapshots of the global metrics registry* (src/telemetry): the
-/// live counting happens in registry counters — "analysis.messages",
-/// "analysis.events", "replay.bytes", "replay.suspensions",
-/// "replay.steals", "replay.requeues", … — and this struct captures the
-/// per-run delta so existing callers keep a plain-value API. With
-/// telemetry disabled (telemetry::set_enabled(false) or
-/// -DMSC_NO_TELEMETRY) the registry-backed fields read zero.
+/// Per-analysis summary counters, exact whether or not telemetry is
+/// enabled. Each run also adds them to the global metrics registry
+/// (src/telemetry): "analysis.messages", "analysis.events",
+/// "replay.bytes", "replay.suspensions", "replay.steals",
+/// "replay.requeues", ….
 struct AnalysisStats {
   std::size_t messages{0};
   std::size_t collective_instances{0};
-  /// Bytes moved between analysis workers during the replay (parallel
-  /// analyzer only). Compare against trace_bytes_in_memory: the paper's
-  /// claim is that this is much smaller than shipping traces around.
+  /// Bytes a distributed replay moves: 24 per message and per collective
+  /// member. Compare against trace_bytes_in_memory: the paper's claim is
+  /// that this is much smaller than shipping traces around.
   std::size_t replay_bytes{0};
   /// Resident size of the trace data the analysis held at its peak —
   /// deliberately NOT the encoded on-disk size, which depends on the
@@ -60,10 +54,11 @@ struct AnalysisStats {
   std::size_t trace_bytes_in_memory{0};
   std::size_t events{0};
 
-  // Replay worker-pool counters (parallel analyzers only; zero for serial).
-  /// Worker threads the pool actually used.
+  // Replay-stage counters. The scheduling ones (suspensions, steals,
+  // requeues) are analyze_streaming's; the join never waits.
+  /// Worker threads the replay stage used.
   std::size_t replay_workers{0};
-  /// Rank replay tasks driven to completion (== ranks).
+  /// Rank tasks the replay stage drove to completion (== ranks).
   std::size_t replay_tasks{0};
   /// Times a task suspended on a Recv whose message had not been sent
   /// yet, instead of blocking a thread (collectives never suspend).
@@ -80,22 +75,21 @@ struct AnalysisResult {
   AnalysisStats stats;
 };
 
-/// Tuning knobs shared by both analyzers.
+/// Tuning knobs shared by the analyzers.
 struct ReplayOptions {
   /// Worker-pool size cap; 0 = std::thread::hardware_concurrency().
   /// The pool never exceeds the rank count. Tests pin this to exercise
   /// specific schedules (e.g. a 2-worker pool over 1024 ranks).
-  /// Ignored by analyze_serial.
+  /// analyze_serial always uses 1.
   std::size_t max_workers{0};
   /// Pattern-detector keys to enable (PatternRegistry::standard keys,
   /// e.g. "late_sender", "barrier_completion"). Empty = all detectors.
   /// The structural category time partition is always on. Throws Error
   /// on an unknown key.
   std::vector<std::string> patterns;
-  /// When the parallel replay deadlocks and the flight recorder is on,
-  /// dump the last N recorded events of every worker thread to stderr
-  /// before throwing. 0 disables the postmortem. Ignored by
-  /// analyze_serial.
+  /// analyze_streaming only: when its replay deadlocks and the flight
+  /// recorder is on, dump the last N recorded events of every worker
+  /// thread to stderr before throwing. 0 disables the postmortem.
   std::size_t postmortem_events{32};
   /// analyze_streaming only: cap on the decoded trace events resident
   /// across all ranks at once. Drives window *sizing* — each rank's
@@ -110,25 +104,23 @@ struct ReplayOptions {
   std::size_t memory_budget_bytes{0};
 };
 
-/// Serial (merged-trace) pattern search. Requires a synchronized
-/// collection (or scheme None, whose clocks are the engine's own).
+/// analyze_parallel on one worker.
 AnalysisResult analyze_serial(const tracing::TraceCollection& tc,
                               const ReplayOptions& opts = {});
 
-/// Parallel replay-based pattern search on a bounded worker pool:
-/// message matching re-enacted over lock-free per-pair channels, one
-/// resumable task per rank that suspends only for a message not yet
-/// sent. Produces a cube bit-identical to analyze_serial, for any worker
-/// count.
+/// Pattern search over a materialized collection: prepare, message join,
+/// collective grouping and dispatch on a bounded worker pool; the cube is
+/// identical for every worker count. Requires a synchronized collection
+/// (or scheme None, whose clocks are the engine's own).
 AnalysisResult analyze_parallel(const tracing::TraceCollection& tc,
                                 const ReplayOptions& opts = {});
 
-/// Out-of-core streaming replay over a v3 archive: the same parallel
-/// replay, but each rank task decodes its trace in bounded windows
-/// straight out of the mapped file (tracing::TraceStream) instead of
-/// materializing the event vectors first. Peak trace-resident memory is
-/// bounded by ReplayOptions::memory_budget_bytes; the severity cube is
-/// bit-identical to analyze_serial / analyze_parallel for any budget
+/// Out-of-core replay over a v3 archive: one resumable task per rank
+/// decodes its trace in bounded windows straight out of the mapped file
+/// (tracing::TraceStream) and re-enacts its communication over lock-free
+/// per-pair channels, suspending only for a message not yet sent. Peak
+/// trace-resident memory is bounded by ReplayOptions::memory_budget_bytes;
+/// the severity cube is bit-identical to analyze_parallel for any budget
 /// and worker count. Requires a synchronized source (or scheme None) —
 /// clock correction rewrites timestamps in memory, so archives must be
 /// written *after* synchronization to be streamable.

@@ -190,22 +190,6 @@ void PatternEngine::dispatch(std::vector<P2pRecord>&& p2p,
   telemetry::ScopedSpan span("dispatch");
   const tracing::TraceDefs& defs = tc_->defs;
 
-  // Canonical order, independent of collection order: p2p by (receiver,
-  // receive position), instances by (comm, seq), members by rank. The
-  // replay's record slots already hold the p2p records in that order;
-  // only post-mortem matching (analyze_serial) needs their sort.
-  const auto by_receive = [](const P2pRecord& a, const P2pRecord& b) {
-    if (a.recv.rank != b.recv.rank) return a.recv.rank < b.recv.rank;
-    return a.recv_index < b.recv_index;
-  };
-  if (!std::is_sorted(p2p.begin(), p2p.end(), by_receive))
-    std::sort(p2p.begin(), p2p.end(), by_receive);
-  std::sort(colls.begin(), colls.end(),
-            [](const CollInstance& a, const CollInstance& b) {
-              if (a.comm != b.comm) return a.comm < b.comm;
-              return a.seq < b.seq;
-            });
-
   for (const P2pRecord& r : p2p) {
     P2pCtx ctx;
     ctx.defs = &defs;
@@ -220,14 +204,10 @@ void PatternEngine::dispatch(std::vector<P2pRecord>&& p2p,
     }
   }
 
-  for (CollInstance& inst : colls) {
+  for (const CollInstance& inst : colls) {
     const auto& comm = defs.comms[static_cast<std::size_t>(inst.comm)];
     MSC_CHECK(inst.members.size() == comm.members.size(),
               "incomplete collective instance in trace");
-    std::sort(inst.members.begin(), inst.members.end(),
-              [](const CollMember& a, const CollMember& b) {
-                return a.rank < b.rank;
-              });
     CollCtx ctx;
     ctx.defs = &defs;
     ctx.kind = region_table_.kind(inst.region);

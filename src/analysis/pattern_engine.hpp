@@ -11,14 +11,15 @@
 // ReplayOptions::patterns / `msc_run --patterns`.
 //
 // Determinism contract (what keeps cubes bit-identical between the
-// serial and the parallel analyzer, and across worker counts):
+// materializing and the streaming analyzer, and across worker counts):
 //
 //  - The engine, not the detector, owns dispatch order. Callbacks fire
 //    in one canonical order regardless of how the records were
 //    collected: the region pass walks ranks ascending and each rank's
-//    call paths in id order; p2p records are sorted by (receiver rank,
-//    receive position); collective instances by (communicator,
-//    sequence) with members sorted by rank.
+//    call paths in id order; p2p records by (receiver rank, receive
+//    position); collective instances by (communicator, sequence) with
+//    members sorted by rank — the CommTables slot order every producer
+//    fills.
 //  - Within one record, detectors fire in registration order.
 //  - A detector must be a pure function of the callback context: no
 //    clocks, no randomness, no cross-record state that depends on
@@ -253,8 +254,8 @@ class PatternRegistry {
 
 /// Drives one analysis: builds the cube skeleton from the registry,
 /// runs the region pass, then dispatches the collected match records in
-/// canonical order. Both analyzers share this one dispatch path — the
-/// serial/parallel difference ends at record collection.
+/// canonical order. Every analyzer shares this one dispatch path — the
+/// join/replay difference ends at record collection.
 class PatternEngine {
  public:
   PatternEngine(PatternRegistry& registry, report::Cube& cube);
@@ -278,10 +279,10 @@ class PatternEngine {
   /// stay bit-identical whichever entry point built the trees.
   void region_pass(const std::vector<std::vector<ExclusiveTime>>& excl_time);
 
-  /// Sorts the records into canonical order, dispatches p2p_matched
-  /// once per message and collective_completed once per instance, runs
-  /// finalize, fills stats.messages / stats.collective_instances, and
-  /// flushes the per-pattern telemetry tallies.
+  /// Dispatches p2p_matched once per message and collective_completed
+  /// once per instance, in the canonical order the records must already
+  /// be in; runs finalize, fills stats.messages /
+  /// stats.collective_instances, and flushes the per-pattern tallies.
   void dispatch(std::vector<P2pRecord>&& p2p,
                 std::vector<CollInstance>&& colls, AnalysisStats& stats);
 

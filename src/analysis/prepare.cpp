@@ -134,16 +134,6 @@ std::size_t CommTables::channel(Rank src, Rank dst) const {
              : kNoChannel;
 }
 
-std::size_t CommTables::member_slot(int comm, int seq, Rank rank) const {
-  const auto c = static_cast<std::size_t>(comm);
-  const std::vector<Rank>& members = comm_ranks[c];
-  const auto pos = static_cast<std::size_t>(
-      std::lower_bound(members.begin(), members.end(), rank) -
-      members.begin());
-  return member_begin[c] + static_cast<std::size_t>(seq) * members.size() +
-         pos;
-}
-
 CommTables build_comm_tables(const tracing::TraceDefs& defs,
                              std::vector<RankComm>& ranks,
                              std::size_t max_workers) {

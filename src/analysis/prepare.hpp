@@ -49,11 +49,11 @@ struct ExclusiveTime {
 ///  - One record slot per Recv: rank r's k-th receive fills slot
 ///    recv_begin[r] + k, so the slots come out in canonical
 ///    (receiver, receive position) order.
-///  - One member slot per (collective instance, member): the seq-th
-///    instance on communicator c occupies |c| slots from
-///    member_begin[c] + seq * |c|, one per member in ascending rank
-///    order (comm_ranks[c]); its instance index is instance_begin[c] +
-///    seq.
+///  - One collective instance per (communicator, sequence): the seq-th
+///    instance on communicator c is instance instance_begin[c] + seq,
+///    with one member slot per member of c in ascending rank order
+///    (comm_ranks[c]); member_begin[c] counts the member slots of the
+///    communicators before c.
 struct CommTables {
   static constexpr std::size_t kNoChannel = static_cast<std::size_t>(-1);
 
@@ -69,10 +69,6 @@ struct CommTables {
   [[nodiscard]] std::size_t channel(Rank src, Rank dst) const;
   [[nodiscard]] std::size_t num_channels() const { return pair_dst.size(); }
   [[nodiscard]] std::size_t num_records() const { return recv_begin.back(); }
-  /// Member slot of `rank` in the seq-th instance on `comm`. The rank
-  /// must be a member (build_comm_tables guarantees it for every
-  /// recorded CollExit).
-  [[nodiscard]] std::size_t member_slot(int comm, int seq, Rank rank) const;
 };
 
 /// What one rank's trace contributes to the CommTables, as RankWalk

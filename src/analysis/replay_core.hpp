@@ -1,24 +1,17 @@
-// Match-record collection shared by both analyzers. The serial
-// (merged-trace) and parallel (replay) analyzers used to duplicate the
-// p2p-side construction and collective-instance grouping; they now
-// differ only in *how* they collect the raw match records:
-//
-//  - analyze_serial matches messages post-mortem and walks each rank's
-//    op records once;
-//  - analyze_parallel re-enacts the communication on a bounded worker
-//    pool and collects the same records from the replay.
-//
-// Either way the records funnel into PatternEngine::dispatch
-// (pattern_engine.hpp), which fires the detector callbacks in one
-// canonical order — p2p records by (receiver rank, receive position),
-// collective instances by (communicator, sequence) with members sorted
-// by rank. Canonical order makes the floating-point accumulation
-// identical between analyzers and across repeated parallel runs: cubes
-// are bit-identical, not merely close, regardless of worker count or
-// interleaving.
+// Match records, where both analysis modes meet. analyze_parallel joins
+// its messages post mortem (tracing::match_messages) and groups the
+// collectives from each rank's op records; analyze_streaming collects
+// the same records from its replay (replay_protocol.hpp). Either way they
+// land in the CommTables slot layout, which is the canonical order
+// PatternEngine::dispatch (pattern_engine.hpp) evaluates them in — p2p
+// records by (receiver rank, receive position), collective instances by
+// (communicator, sequence) with members sorted by rank — so the
+// floating-point accumulation, and the cube, are bit-identical across
+// modes and worker counts.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "analysis/analyzer.hpp"
@@ -32,9 +25,6 @@ namespace metascope::analysis {
 struct P2pRecord {
   P2pSide send;
   P2pSide recv;
-  /// Receive event's index in the receiver's trace — with recv.rank the
-  /// canonical sort key (each Recv event matches exactly one message).
-  std::uint32_t recv_index{0};
 };
 
 /// One collective instance: the seq-th collective on a communicator.
@@ -46,11 +36,12 @@ struct CollInstance {
   RegionId region;
 };
 
-/// Every collective instance of a trace under construction, in the
-/// member-slot layout of CommTables: each arriving member writes its own
-/// slot, so members on different threads never share a lock or a
-/// counter, and nobody waits for an instance to complete — the pattern
-/// engine evaluates instances only after the whole replay.
+/// Every collective instance of a trace under construction, laid out by
+/// CommTables, with one member slot per communicator member: each
+/// arriving member writes its own slot, so members on different threads
+/// never share a lock or a counter, and nobody waits for an instance to
+/// complete — the pattern engine evaluates instances only after every
+/// member has arrived.
 class CollectiveSlots {
  public:
   explicit CollectiveSlots(const CommTables& tables);
@@ -63,36 +54,31 @@ class CollectiveSlots {
   void arrive(int comm, int seq, const CollMember& m, Rank root,
               RegionId region);
 
-  /// The filled instances, by (comm, seq), members by rank.
-  [[nodiscard]] std::vector<CollInstance> take() const;
+  /// Moves out the filled instances, by (comm, seq), members by rank.
+  [[nodiscard]] std::vector<CollInstance> take() {
+    return std::move(instances_);
+  }
 
  private:
-  struct Head {
-    Rank root{kNoRank};
-    RegionId region;
-  };
   const CommTables* tables_;
-  std::vector<CollMember> members_;
-  std::vector<Head> heads_;
+  std::vector<CollInstance> instances_;
 };
 
 /// Builds one side of a p2p transfer from a rank's op record.
 P2pSide make_side(const report::CallTree& calls, Rank rank,
                   const OpRecord& op);
 
-/// Groups every CollExit event into its (comm, seq) instance — the
-/// serial analyzer's walk over each rank's op records. The parallel
-/// analyzers fill the same CollectiveSlots during the replay.
+/// Groups every CollExit event into its (comm, seq) instance, walking
+/// each rank's op records on up to `max_workers` threads (0 = hardware
+/// concurrency). analyze_streaming fills the same CollectiveSlots during
+/// its replay.
 std::vector<CollInstance> group_collectives(const tracing::TraceCollection& tc,
-                                            const PreparedTrace& prep);
+                                            const PreparedTrace& prep,
+                                            std::size_t max_workers = 0);
 
-/// Fills the trace-volume stats the *materializing* analyzers report:
-/// total events and resident trace bytes, where "resident" is the whole
-/// collection (tracing::in_memory_bytes) because that is what those
-/// analyzers actually hold. analyze_streaming does not call this — it
-/// accounts only the windows resident at once and reports the
-/// high-water mark (asserted against the budget in the stream tests).
-void fill_trace_stats(const tracing::TraceCollection& tc,
-                      AnalysisStats& stats);
+/// Sets stats.replay_bytes to what a distributed replay of `tables` moves
+/// (24 B per message and per collective member) and adds it to the
+/// "replay.bytes" counter.
+void fill_replay_bytes(const CommTables& tables, AnalysisStats& stats);
 
 }  // namespace metascope::analysis

@@ -13,10 +13,6 @@ using tracing::EventType;
 
 namespace {
 
-/// Bytes one replayed message or collective arrival would put on the
-/// wire when packed: rank (4) + two timestamps (16) + call path (4).
-constexpr std::size_t kPeerWireBytes = 24;
-
 [[noreturn]] void unmatched_send(Rank src, Rank dst, std::uint64_t left) {
   throw Error("unmatched SEND " + std::to_string(src) + " -> " +
               std::to_string(dst) + " (" + std::to_string(left) +
@@ -133,8 +129,6 @@ ReplayProtocol::ReplayProtocol(const CommTables& tables,
       records_(tables.num_records()),
       slots_(tables),
       ranks_(tables.recv_begin.size() - 1),
-      replay_bytes_(telemetry::counter("replay.bytes")),
-      replay_bytes0_(replay_bytes_.value()),
       pool_(ranks_.size(), opts.max_workers),
       obs_(telemetry::RecordingObserver::fanout_stride(ranks_.size())),
       postmortem_events_(opts.postmortem_events) {
@@ -155,7 +149,6 @@ bool ReplayProtocol::replay(std::size_t t, const tracing::Event& e,
       if (channels_[c].send(
               Message{op.op_enter, op.op_exit, op.cnode, e.tag, e.comm.get()}))
         pool_.resume(static_cast<std::size_t>(e.peer));
-      st.wire_bytes += kPeerWireBytes;
       return true;
     }
     case EventType::Recv: {
@@ -172,7 +165,7 @@ bool ReplayProtocol::replay(std::size_t t, const tracing::Event& e,
       records_[slot] = P2pRecord{
           P2pSide{e.peer, m.op_enter, m.op_exit, m.cnode,
                   calls_->node(m.cnode).region},
-          make_side(*calls_, me, op), op.index};
+          make_side(*calls_, me, op)};
       return true;
     }
     case EventType::CollExit: {
@@ -180,7 +173,6 @@ bool ReplayProtocol::replay(std::size_t t, const tracing::Event& e,
       slots_.arrive(comm, st.coll_seq[static_cast<std::size_t>(comm)]++,
                     CollMember{me, op.op_enter, op.op_exit, op.cnode}, e.root,
                     e.region);
-      st.wire_bytes += kPeerWireBytes;
       return true;
     }
     case EventType::Enter:
@@ -227,10 +219,7 @@ void ReplayProtocol::run(const WorkerPool::StepFn& step) {
 
 void ReplayProtocol::finish(PatternEngine& engine, AnalysisStats& stats) {
   engine.dispatch(std::move(records_), slots_.take(), stats);
-  std::uint64_t wire_total = 0;
-  for (const RankState& st : ranks_) wire_total += st.wire_bytes;
-  replay_bytes_.add(wire_total);
-  stats.replay_bytes = replay_bytes_.value() - replay_bytes0_;
+  fill_replay_bytes(*tables_, stats);
   const PoolStats& ps = pool_.stats();
   stats.replay_workers = ps.workers;
   stats.replay_tasks = ps.tasks;

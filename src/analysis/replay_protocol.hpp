@@ -1,7 +1,8 @@
-// The replay protocol both parallel analyzers run (paper §4 "Parallel
-// trace analysis"): every rank is a resumable task that re-enacts its
-// recorded communication, moving only the few bytes each pattern formula
-// needs instead of whole traces.
+// The replay protocol of analyze_streaming (paper §4 "Parallel trace
+// analysis"), the one analyzer whose sender records are not resident
+// when the receiver needs them: every rank is a resumable task that
+// re-enacts its recorded communication, moving only the few bytes each
+// pattern formula needs instead of whole traces.
 //
 //   sender:     push {enter, exit, cnode, tag, comm} -> (sender, receiver)
 //               channel
@@ -16,14 +17,15 @@
 // sends, and collective members never wait for their instance to
 // complete: the pattern engine evaluates instances after the whole
 // replay, so there is nothing to wait for. Channels, receive-record
-// slots and collective member slots are the dense tables prepare() lays
-// out (CommTables), so the replay path neither hashes an envelope nor
-// takes a lock.
+// slots and collective member slots are the dense tables the streaming
+// prepare lays out (CommTables), so the replay path neither hashes an
+// envelope nor takes a lock.
 //
 // The replay only *collects* match records; pattern evaluation happens
 // afterwards in the pattern engine's canonical dispatch order, which is
-// what makes the cube bit-identical to analyze_serial for any worker
-// count and any interleaving.
+// what makes the cube bit-identical to analyze_parallel's (whose message
+// join is the independent oracle for this replay) for any worker count,
+// memory budget and interleaving.
 //
 // ReplayProtocol owns the worker pool and wires it into telemetry:
 // cumulative "replay.*" counters, the task runtime and queue depth
@@ -155,7 +157,6 @@ class ReplayProtocol {
   struct alignas(64) RankState {
     std::vector<int> coll_seq;  ///< per-communicator instance counter
     std::size_t received{0};    ///< Recv events matched so far
-    std::uint64_t wire_bytes{0};
   };
 
   /// Routes the pool's sampled hooks into the registry histograms and
@@ -181,8 +182,6 @@ class ReplayProtocol {
   std::vector<P2pRecord> records_;
   CollectiveSlots slots_;
   std::vector<RankState> ranks_;
-  telemetry::Counter& replay_bytes_;
-  std::uint64_t replay_bytes0_;
   WorkerPool pool_;
   TelemetryObserver obs_;
   std::size_t postmortem_events_;

@@ -1,10 +1,10 @@
 // Out-of-core streaming replay: the SCALASCA-style parallel analysis
-// of parallel_analyzer.cpp, re-targeted at v3 archives on disk instead
-// of materialized event vectors. Each rank task owns a windowed cursor
-// (tracing::TraceStream) over its mapped trace file and decodes one
-// bounded window of communication events at a time; a consumed window
-// is evicted before the next one is brought in, so peak trace-resident
-// memory is ~ budget instead of ~ trace size.
+// over v3 archives on disk, and the one user of the replay protocol.
+// Each rank task owns a windowed cursor (tracing::TraceStream) over its
+// mapped trace file and decodes one bounded window of communication
+// events at a time; a consumed window is evicted before the next one is
+// brought in, so peak trace-resident memory is ~ budget instead of
+// ~ trace size.
 //
 // Two streaming passes replace prepare():
 //
@@ -26,7 +26,7 @@
 // blocking, so tiny budgets degrade to single-event windows but cannot
 // deadlock. Severity accumulation order is unchanged — same per-rank
 // exclusive-time chains, same canonical dispatch — so the cube is
-// bit-identical to analyze_serial / analyze_parallel for any budget.
+// bit-identical to analyze_parallel's for any budget.
 //
 // Permissive sources (StreamSource::quarantined) are filtered on the
 // fly: events of quarantined ranks never decode, and both passes run

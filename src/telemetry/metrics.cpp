@@ -32,7 +32,6 @@ Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
 }
 
 void Histogram::observe(double v) noexcept {
-#if !defined(MSC_NO_TELEMETRY)
   if (!enabled()) return;
   // lower_bound, so bucket b counts values <= bounds[b] — matching the
   // "le" labels the snapshot JSON reports.
@@ -46,9 +45,6 @@ void Histogram::observe(double v) noexcept {
   while (v > cur &&
          !max_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
   }
-#else
-  (void)v;
-#endif
 }
 
 Histogram::Snapshot Histogram::snapshot() const {

@@ -10,12 +10,10 @@
 // mutex-guarded but happens once per call site; call sites cache the
 // returned reference (handles are stable for the process lifetime).
 //
-// Recording can be disabled two ways:
-//  - at runtime via set_enabled(false): every record call becomes a
-//    relaxed-load-and-return (what `bench_replay_scaling` compares
-//    against to bound the telemetry overhead);
-//  - at compile time via -DMSC_NO_TELEMETRY: record calls compile to
-//    nothing.
+// Recording can be disabled at runtime via set_enabled(false): every
+// record call becomes a relaxed-load-and-return (what
+// `bench_replay_scaling` compares against to bound the telemetry
+// overhead).
 #pragma once
 
 #include <array>
@@ -68,11 +66,7 @@ struct alignas(64) DoubleCell {
 void set_enabled(bool on);
 
 inline bool enabled() {
-#if defined(MSC_NO_TELEMETRY)
-  return false;
-#else
   return detail::g_enabled.load(std::memory_order_relaxed);
-#endif
 }
 
 /// Monotonic event count. add() is the hot-path operation: a relaxed
@@ -80,13 +74,9 @@ inline bool enabled() {
 class Counter {
  public:
   void add(std::uint64_t n = 1) noexcept {
-#if !defined(MSC_NO_TELEMETRY)
     if (!enabled()) return;
     cells_[detail::shard_index() % detail::kShards].v.fetch_add(
         n, std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
   }
 
   /// Merged value across shards (snapshot-time only).
@@ -111,13 +101,9 @@ class Counter {
 class DoubleCounter {
  public:
   void add(double v) noexcept {
-#if !defined(MSC_NO_TELEMETRY)
     if (!enabled()) return;
     cells_[detail::shard_index() % detail::kShards].v.fetch_add(
         v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
   }
 
   /// Merged value across shards (snapshot-time only).

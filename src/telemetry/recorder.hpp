@@ -20,8 +20,7 @@
 // converted to nanoseconds only at snapshot time, calibrated over the
 // whole recording window) plus four stores into thread-private memory —
 // no locks, no shared cache lines, no division (ring capacities are
-// rounded up to a power of two). -DMSC_NO_TELEMETRY compiles all of it
-// out.
+// rounded up to a power of two).
 //
 // Event names must be string literals (or otherwise outlive the
 // recorder): rings store the pointer, not a copy.
@@ -121,11 +120,7 @@ inline std::int64_t now_ticks() {
 /// telemetry::enabled(): counters stay cheap enough to leave on always,
 /// while the recorder is opt-in per run (`msc_run --trace-out`).
 inline bool recorder_enabled() {
-#if defined(MSC_NO_TELEMETRY)
-  return false;
-#else
   return detail::g_ctl.enabled.load(std::memory_order_relaxed);
-#endif
 }
 
 class Recorder {
@@ -212,7 +207,6 @@ class Recorder {
 /// line (no shared lines at all on the hot path).
 inline void record_event(TraceEventKind kind, const char* name,
                          std::uint32_t id = 0) {
-#if !defined(MSC_NO_TELEMETRY)
   detail::TlsHandle& t = detail::g_tls;
   const std::int8_t st = t.state.load(std::memory_order_relaxed);
   if (st != 1) {
@@ -233,11 +227,6 @@ inline void record_event(TraceEventKind kind, const char* name,
   // line would miss; prefetching it now hides that latency in the
   // (microseconds of) work before the next record.
   __builtin_prefetch(&slots[t.seq & t.mask], 1);
-#endif
-#else
-  (void)kind;
-  (void)name;
-  (void)id;
 #endif
 }
 

@@ -1,9 +1,11 @@
-// Post-mortem message matching: pairs every SEND event with its RECV
-// event using MPI non-overtaking order per (source, destination, tag,
-// communicator) channel. Used by the clock-condition checker and by the
-// serial pattern analyzer.
+// Post-mortem message matching, a join under MPI's non-overtaking rule:
+// the k-th receive on an envelope (source, destination, tag,
+// communicator) takes the k-th send on it. Used by every consumer that
+// holds the traces in memory: the materializing analyzers, the
+// clock-condition checker, amortization and the flat profile.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -21,10 +23,15 @@ struct EventRef {
 struct MessagePair {
   EventRef send;
   EventRef recv;
+
+  bool operator==(const MessagePair&) const = default;
 };
 
-/// Matches all messages in the collection. Throws Error if any send or
-/// receive remains unmatched (truncated or corrupt traces).
-std::vector<MessagePair> match_messages(const TraceCollection& tc);
+/// Matches all messages in the collection on up to `max_workers` threads
+/// (0 = hardware concurrency). Pairs come out by receiver rank, then
+/// receive position, for every worker count. Throws Error if any send or
+/// receive remains unmatched (truncated or corrupt traces), sends first.
+std::vector<MessagePair> match_messages(const TraceCollection& tc,
+                                        std::size_t max_workers = 0);
 
 }  // namespace metascope::tracing

@@ -63,18 +63,6 @@ struct TraceCollection {
     return static_cast<int>(ranks.size());
   }
   [[nodiscard]] std::size_t total_events() const;
-
-  /// Global event order: indices (rank, event index) sorted by timestamp
-  /// (ties broken by rank, then position). The KOJAK-style serial
-  /// analyzer replays this order. Implemented as a k-way merge of the
-  /// per-rank streams (O(N log k)) when each stream is time-sorted —
-  /// the normal case — with a full O(N log N) sort as fallback; both
-  /// produce the identical order.
-  struct GlobalRef {
-    Rank rank;
-    std::uint32_t index;
-  };
-  [[nodiscard]] std::vector<GlobalRef> global_order() const;
 };
 
 /// Resident size of a trace's payload vectors (events + sync records),

@@ -1,7 +1,7 @@
-// Analyzer-level properties: the serial (KOJAK-style) and parallel
-// (SCALASCA-style replay) analyzers must agree bit-for-bit; severity is a
-// partition of total time; the replay moves far fewer bytes than the
-// traces contain.
+// Analyzer-level properties: the serial and parallel analyzers (the
+// message join on one and on many workers) must agree bit-for-bit;
+// severity is a partition of total time; a distributed replay would move
+// far fewer bytes than the traces contain.
 #include <gtest/gtest.h>
 
 #include "analysis/analyzer.hpp"

@@ -1,16 +1,20 @@
-// Replay-core + scheduler properties: the pooled parallel analyzer must
-// produce a cube *bit-identical* to the serial analyzer for any worker
-// count and any interleaving (the canonical-order accumulation makes
-// floating-point sums order-independent across runs); a task suspends
-// only for a message that has not been sent yet; malformed traces fail
-// fast instead of hanging a worker forever.
+// Replay-core, join and scheduler properties: the pooled parallel
+// analyzer must produce a cube *bit-identical* to the serial analyzer for
+// any worker count and any interleaving (the canonical-order accumulation
+// makes floating-point sums order-independent across runs); the message
+// join pairs exactly what the map matcher it replaced paired, in
+// canonical order; a streamed replay task suspends only for a message
+// that has not been sent yet; malformed traces fail fast instead of
+// hanging a worker forever.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <deque>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -23,7 +27,9 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "simnet/presets.hpp"
+#include "tracing/matching.hpp"
 #include "workloads/experiment.hpp"
+#include "workloads/metatrace.hpp"
 
 namespace metascope::analysis {
 namespace {
@@ -498,14 +504,104 @@ TEST(OpWalk, PrepareRecordsEveryOpOnceInIndexOrder) {
   }
 }
 
+// --- the message join ---------------------------------------------------------
+
+/// The map matcher the join replaced, kept as the behavioural reference:
+/// events in rank order, each taking the oldest waiting opposite event of
+/// its (source, destination, tag, communicator) channel.
+std::vector<tracing::MessagePair> reference_match(
+    const tracing::TraceCollection& tc) {
+  using Channel = std::tuple<Rank, Rank, int, int>;
+  std::map<Channel, std::deque<tracing::EventRef>> sends;
+  std::map<Channel, std::deque<tracing::EventRef>> recvs;
+  std::vector<tracing::MessagePair> pairs;
+  for (const auto& t : tc.ranks) {
+    for (std::uint32_t i = 0; i < t.events.size(); ++i) {
+      const auto& e = t.events[i];
+      const tracing::EventRef me{t.rank, i};
+      if (e.type != EventType::Send && e.type != EventType::Recv) continue;
+      const bool send = e.type == EventType::Send;
+      const Channel ch = send ? Channel{t.rank, e.peer, e.tag, e.comm.get()}
+                              : Channel{e.peer, t.rank, e.tag, e.comm.get()};
+      auto& waiting = send ? recvs[ch] : sends[ch];
+      if (waiting.empty()) {
+        (send ? sends[ch] : recvs[ch]).push_back(me);
+        continue;
+      }
+      pairs.push_back(send ? tracing::MessagePair{me, waiting.front()}
+                           : tracing::MessagePair{waiting.front(), me});
+      waiting.pop_front();
+    }
+  }
+  return pairs;
+}
+
+/// Ranks 0 and 1 exchange three rounds of two messages with the same tag,
+/// one on the world communicator and one on a pair communicator; the
+/// receiver takes each round's pair-communicator message first.
+tracing::TraceCollection same_tag_two_comms_traces() {
+  simmpi::ProgramBuilder b(2);
+  const CommId pair = b.comms().create("pair", {0, 1});
+  b.on(0).enter("main");
+  b.on(1).enter("main");
+  for (int round = 0; round < 3; ++round) {
+    b.on(0).send(1, 7, 100.0 + round).send(1, 7, 200.0 + round, pair);
+    b.on(1).compute(1e-5).recv(0, 7, pair).recv(0, 7);
+  }
+  b.on(0).exit();
+  b.on(1).exit();
+  return perfect_traces(simnet::make_ibm_power(2), b.take());
+}
+
+TEST(MessageJoin, PairsWhatTheMapMatcherPairedInCanonicalOrder) {
+  const auto topo = simnet::make_viola_experiment1();
+  const auto metatrace = perfect_traces(topo, workloads::build_metatrace());
+  const auto by_receive = [](const tracing::MessagePair& a,
+                             const tracing::MessagePair& b) {
+    return std::tie(a.recv.rank, a.recv.index) <
+           std::tie(b.recv.rank, b.recv.index);
+  };
+  for (const auto& [name, tc] :
+       {std::pair("metatrace", metatrace),
+        std::pair("interleaved tags", interleaved_tag_traces()),
+        std::pair("same tag on two comms", same_tag_two_comms_traces())}) {
+    const auto joined = tracing::match_messages(tc, 1);
+    EXPECT_TRUE(std::is_sorted(joined.begin(), joined.end(), by_receive))
+        << name;
+    auto want = reference_match(tc);
+    std::sort(want.begin(), want.end(), by_receive);
+    auto got = joined;
+    std::sort(got.begin(), got.end(), by_receive);
+    EXPECT_EQ(got, want) << name;
+    for (const std::size_t workers : {std::size_t{2}, std::size_t{8}})
+      EXPECT_EQ(tracing::match_messages(tc, workers), joined)
+          << name << " at " << workers << " workers";
+  }
+}
+
 // --- scheduler stats ----------------------------------------------------------
 
 TEST(SchedulerStats, CountersPopulated) {
   const auto topo = simnet::make_viola_experiment1();
   const auto tc = jittered_traces(topo, 3ULL, 8);
+  // The scheduler counters belong to the replay, which only
+  // analyze_streaming runs.
+  const auto base = std::filesystem::temp_directory_path() /
+                    ("msc_scheduler_stats_" +
+                     std::to_string(::testing::UnitTest::GetInstance()
+                                        ->random_seed()));
+  std::filesystem::remove_all(base);
+  std::filesystem::create_directories(base);
+  auto arch = archive::ExperimentArchive::create(
+      topo,
+      archive::FileSystemLayout::shared(base.string(), topo.num_metahosts()),
+      "exp");
+  arch.write_traces(topo, tc);
   ReplayOptions opts;
   opts.max_workers = 2;
-  const auto p = analyze_parallel(tc, opts);
+  const auto p =
+      analyze_streaming(arch.stream_source(archive::ReadOptions{}), opts);
+  std::filesystem::remove_all(base);
   EXPECT_EQ(p.stats.replay_workers, 2u);
   EXPECT_EQ(p.stats.replay_tasks,
             static_cast<std::size_t>(tc.num_ranks()));

@@ -624,8 +624,7 @@ TEST(PatternExtensibility, CustomDetectorRunsThroughPublicEngineApi) {
   std::vector<P2pRecord> p2p;
   for (const auto& p : pairs)
     p2p.push_back(P2pRecord{make_side(prep.calls, p.send.rank, op_at(p.send)),
-                            make_side(prep.calls, p.recv.rank, op_at(p.recv)),
-                            p.recv.index});
+                            make_side(prep.calls, p.recv.rank, op_at(p.recv))});
   AnalysisStats stats;
   engine.dispatch(std::move(p2p), group_collectives(tc, prep), stats);
   EXPECT_EQ(stats.messages, 1u);

@@ -9,12 +9,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "analysis/analyzer.hpp"
+#include "archive/archive.hpp"
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "simmpi/program.hpp"
@@ -237,6 +239,33 @@ TEST_F(TraceTest, WrappedRingStillExportsBalancedAndReportsDrops) {
 
 // --- deadlock postmortem -----------------------------------------------
 
+/// Streams `tc` out of a v3 archive in a fresh temp dir, which it removes
+/// afterwards: only analyze_streaming runs the replay that can deadlock.
+void analyze_streamed(const simnet::Topology& topo,
+                      const tracing::TraceCollection& tc,
+                      const analysis::ReplayOptions& opts) {
+  const auto base =
+      std::filesystem::temp_directory_path() /
+      ("msc_postmortem_" +
+       std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
+       "_" + ::testing::UnitTest::GetInstance()->current_test_info()->name());
+  std::filesystem::remove_all(base);
+  std::filesystem::create_directories(base);
+  auto arch = archive::ExperimentArchive::create(
+      topo,
+      archive::FileSystemLayout::shared(base.string(), topo.num_metahosts()),
+      "exp");
+  arch.write_traces(topo, tc);
+  try {
+    analysis::analyze_streaming(arch.stream_source(archive::ReadOptions{}),
+                                opts);
+  } catch (...) {
+    std::filesystem::remove_all(base);
+    throw;
+  }
+  std::filesystem::remove_all(base);
+}
+
 TEST_F(TraceTest, DeadlockedReplayDumpsPostmortem) {
   const auto topo = simnet::make_ibm_power(2);
   simmpi::ProgramBuilder b(2);
@@ -257,7 +286,7 @@ TEST_F(TraceTest, DeadlockedReplayDumpsPostmortem) {
   events.erase(it);
 
   ::testing::internal::CaptureStderr();
-  EXPECT_THROW(analysis::analyze_parallel(tc), Error);
+  EXPECT_THROW(analyze_streamed(topo, tc, {}), Error);
   const std::string err = ::testing::internal::GetCapturedStderr();
   EXPECT_NE(err.find("flight recorder postmortem"), std::string::npos);
   EXPECT_NE(err.find("replay"), std::string::npos);
@@ -285,7 +314,7 @@ TEST_F(TraceTest, PostmortemDisabledByOption) {
   analysis::ReplayOptions opts;
   opts.postmortem_events = 0;
   ::testing::internal::CaptureStderr();
-  EXPECT_THROW(analysis::analyze_parallel(tc, opts), Error);
+  EXPECT_THROW(analyze_streamed(topo, tc, opts), Error);
   const std::string err = ::testing::internal::GetCapturedStderr();
   EXPECT_EQ(err.find("flight recorder postmortem"), std::string::npos);
 }

@@ -303,122 +303,52 @@ TEST(Matching, PairsEveryMessage) {
   }
 }
 
-TEST(Matching, UnmatchedSendDetected) {
+/// Rank 0 sends rank 1 one message on tag 5, and rank 1 receives it.
+TraceCollection one_message() {
   TraceCollection tc;
   tc.ranks.resize(2);
-  tc.ranks[0].rank = 0;
-  tc.ranks[1].rank = 1;
-  Event e;
-  e.type = EventType::Send;
-  e.peer = 1;
-  e.tag = 0;
-  e.time = 1.0;
-  tc.ranks[0].events.push_back(e);
-  EXPECT_THROW(match_messages(tc), Error);
+  for (Rank r = 0; r < 2; ++r) {
+    LocalTrace& t = tc.ranks[static_cast<std::size_t>(r)];
+    t.rank = r;
+    Event e;
+    e.type = r == 0 ? EventType::Send : EventType::Recv;
+    e.peer = 1 - r;
+    e.tag = 5;
+    e.time = 1.0;
+    t.events.push_back(e);
+  }
+  return tc;
+}
+
+void expect_unmatched(const TraceCollection& tc, const std::string& want) {
+  try {
+    (void)match_messages(tc);
+    ADD_FAILURE() << "no error, expected " << want;
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Matching, UnmatchedSendDetected) {
+  auto dropped = one_message();
+  dropped.ranks[1].events.clear();
+  EXPECT_THROW(match_messages(dropped), Error);
+  expect_unmatched(dropped, "unmatched SEND 0 -> 1 tag 5 (1 left)");
+  // Sends are reported first, so rank 1's starved Recv stays unnamed.
+  auto outside = one_message();
+  outside.ranks[0].events[0].peer = 7;
+  expect_unmatched(outside, "unmatched SEND 0 -> 7");
 }
 
 TEST(Matching, UnmatchedRecvDetected) {
-  TraceCollection tc;
-  tc.ranks.resize(2);
-  tc.ranks[0].rank = 0;
-  tc.ranks[1].rank = 1;
-  Event e;
-  e.type = EventType::Recv;
-  e.peer = 0;
-  e.tag = 0;
-  e.time = 1.0;
-  tc.ranks[1].events.push_back(e);
-  EXPECT_THROW(match_messages(tc), Error);
-}
-
-/// The pre-merge implementation, kept as the behavioural reference: a
-/// full sort over every (rank, index) pair with the (time, rank, index)
-/// comparator.
-std::vector<TraceCollection::GlobalRef> reference_order(
-    const TraceCollection& tc) {
-  std::vector<TraceCollection::GlobalRef> order;
-  for (const auto& t : tc.ranks)
-    for (std::uint32_t i = 0; i < t.events.size(); ++i)
-      order.push_back({t.rank, i});
-  std::sort(order.begin(), order.end(),
-            [&tc](const TraceCollection::GlobalRef& a,
-                  const TraceCollection::GlobalRef& b) {
-              const double ta =
-                  tc.ranks[static_cast<std::size_t>(a.rank)].events[a.index]
-                      .time;
-              const double tb =
-                  tc.ranks[static_cast<std::size_t>(b.rank)].events[b.index]
-                      .time;
-              if (ta != tb) return ta < tb;
-              if (a.rank != b.rank) return a.rank < b.rank;
-              return a.index < b.index;
-            });
-  return order;
-}
-
-bool same_order(const std::vector<TraceCollection::GlobalRef>& a,
-                const std::vector<TraceCollection::GlobalRef>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (a[i].rank != b[i].rank || a[i].index != b[i].index) return false;
-  return true;
-}
-
-TEST(GlobalOrder, EqualTimestampsOrderByRankThenIndexDeterministically) {
-  // Heavy timestamp collisions across ranks (every time is a multiple
-  // of 0.5 shared by all ranks) so the tie-break carries the ordering.
-  TraceCollection tc;
-  tc.ranks.resize(4);
-  for (int r = 0; r < 4; ++r) {
-    tc.ranks[static_cast<std::size_t>(r)].rank = r;
-    for (int i = 0; i < 50; ++i) {
-      Event e;
-      e.type = i % 2 == 0 ? EventType::Enter : EventType::Exit;
-      e.region = RegionId{0};
-      e.time = 0.5 * (i / 5);  // ten events share each timestamp
-      tc.ranks[static_cast<std::size_t>(r)].events.push_back(e);
-    }
-  }
-  const auto merged = tc.global_order();
-  EXPECT_TRUE(same_order(merged, reference_order(tc)));
-  // Repeated calls are identical (no hidden iteration-order dependence).
-  EXPECT_TRUE(same_order(merged, tc.global_order()));
-  // Among equal timestamps, rank ascends and within a rank index ascends.
-  for (std::size_t i = 1; i < merged.size(); ++i) {
-    const auto& a = merged[i - 1];
-    const auto& b = merged[i];
-    const double ta =
-        tc.ranks[static_cast<std::size_t>(a.rank)].events[a.index].time;
-    const double tb =
-        tc.ranks[static_cast<std::size_t>(b.rank)].events[b.index].time;
-    if (ta == tb) {
-      EXPECT_TRUE(a.rank < b.rank || (a.rank == b.rank && a.index < b.index));
-    }
-  }
-}
-
-TEST(GlobalOrder, UnsortedRankStreamFallsBackToFullSort) {
-  TraceCollection tc;
-  tc.ranks.resize(2);
-  tc.ranks[0].rank = 0;
-  tc.ranks[1].rank = 1;
-  const double times0[] = {3.0, 1.0, 2.0};  // deliberately out of order
-  const double times1[] = {0.5, 1.5, 2.5};
-  for (double t : times0) {
-    Event e;
-    e.type = EventType::Enter;
-    e.region = RegionId{0};
-    e.time = t;
-    tc.ranks[0].events.push_back(e);
-  }
-  for (double t : times1) {
-    Event e;
-    e.type = EventType::Enter;
-    e.region = RegionId{0};
-    e.time = t;
-    tc.ranks[1].events.push_back(e);
-  }
-  EXPECT_TRUE(same_order(tc.global_order(), reference_order(tc)));
+  auto dropped = one_message();
+  dropped.ranks[0].events.clear();
+  EXPECT_THROW(match_messages(dropped), Error);
+  expect_unmatched(dropped, "unmatched RECV 0 -> 1 tag 5 (1 left)");
+  auto outside = dropped;
+  outside.ranks[1].events[0].peer = 7;
+  expect_unmatched(outside, "unmatched RECV 7 -> 1");
 }
 
 TEST(EpilogIo, TruncatedTraceFileReportsClearError) {
@@ -460,25 +390,6 @@ TEST(EpilogIo, ZeroEventTraceRoundTrips) {
   EXPECT_EQ(decoded.rank, 7);
   EXPECT_TRUE(decoded.events.empty());
   EXPECT_TRUE(decoded.sync.empty());
-}
-
-TEST(GlobalOrder, SortedByTime) {
-  const auto topo = simnet::make_ibm_power(4);
-  auto prog = workloads::wait_barrier_program({0.0, 0.1, 0.2, 0.3});
-  workloads::ExperimentConfig cfg;
-  cfg.perfect_clocks = true;
-  cfg.measurement.scheme = SyncScheme::None;
-  const auto data = workloads::run_experiment(topo, prog, cfg);
-  const auto order = data.traces.global_order();
-  EXPECT_EQ(order.size(), data.traces.total_events());
-  double last = -1.0;
-  for (const auto& ref : order) {
-    const double t = data.traces.ranks[static_cast<std::size_t>(ref.rank)]
-                         .events[ref.index]
-                         .time;
-    EXPECT_GE(t, last);
-    last = t;
-  }
 }
 
 }  // namespace
