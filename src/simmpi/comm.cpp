@@ -25,8 +25,13 @@ CommSet::CommSet(int nranks) : world_size_(nranks) {
 
 CommId CommSet::create(const std::string& name, std::vector<Rank> members) {
   MSC_CHECK(!members.empty(), "communicator must be non-empty");
-  for (Rank r : members)
+  std::vector<bool> seen(static_cast<std::size_t>(world_size_), false);
+  for (Rank r : members) {
     MSC_CHECK(r >= 0 && r < world_size_, "communicator member out of range");
+    MSC_CHECK(!seen[static_cast<std::size_t>(r)],
+              "communicator member repeated");
+    seen[static_cast<std::size_t>(r)] = true;
+  }
   Communicator c;
   c.id = CommId{static_cast<int>(comms_.size())};
   c.name = name;
@@ -39,6 +44,15 @@ const Communicator& CommSet::get(CommId id) const {
   MSC_CHECK(id.valid() && static_cast<std::size_t>(id.get()) < comms_.size(),
             "unknown communicator");
   return comms_[static_cast<std::size_t>(id.get())];
+}
+
+std::vector<int> CommSet::local_ranks(CommId id) const {
+  const Communicator& c = get(id);
+  std::vector<int> local(static_cast<std::size_t>(world_size_), -1);
+  for (int i = 0; i < c.size(); ++i)
+    local[static_cast<std::size_t>(c.members[static_cast<std::size_t>(i)])] =
+        i;
+  return local;
 }
 
 }  // namespace metascope::simmpi

@@ -31,10 +31,13 @@ class CommSet {
 
   [[nodiscard]] CommId world() const { return CommId{0}; }
 
-  /// Defines a sub-communicator; members must be valid world ranks.
+  /// Defines a sub-communicator; members must be distinct world ranks.
   CommId create(const std::string& name, std::vector<Rank> members);
 
   [[nodiscard]] const Communicator& get(CommId id) const;
+  /// World rank -> local rank in communicator `id` (-1 for non-members),
+  /// one entry per world rank.
+  [[nodiscard]] std::vector<int> local_ranks(CommId id) const;
   [[nodiscard]] std::size_t size() const { return comms_.size(); }
   [[nodiscard]] int world_size() const { return world_size_; }
 

@@ -1,12 +1,16 @@
 #include "simmpi/engine.hpp"
 
 #include <algorithm>
-#include <map>
+#include <array>
+#include <compare>
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <sstream>
-#include <unordered_map>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/page_allocator.hpp"
 #include "common/rng.hpp"
 #include "simmpi/collectives.hpp"
 #include "simnet/network.hpp"
@@ -18,33 +22,39 @@ namespace metascope::simmpi {
 
 namespace {
 
-// ---------------------------------------------------------------------
-// Half identification: every point-to-point transfer has a send half and
-// a receive half, each owned by one (rank, op). SendRecv ops own one of
-// each. Halves are keyed for the matching tables.
-// ---------------------------------------------------------------------
+/// A lookup table that grows with ops or messages. Its large blocks are
+/// mapped from the OS and unmapped when the engine finishes, so a run
+/// leaves no freed tables in the heap (nor a raised mmap threshold).
+template <typename T>
+using Table = std::vector<T, PageAllocator<T>>;
 
-enum class HalfSide : std::uint8_t { SendHalf = 0, RecvHalf = 1 };
-
-std::uint64_t half_key(Rank rank, std::uint32_t op_idx, HalfSide side) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(rank)) << 33) |
-         (static_cast<std::uint64_t>(op_idx) << 1) |
-         static_cast<std::uint64_t>(side);
-}
+// ---------------------------------------------------------------------
+// Every point-to-point message has a send half and a receive half, each
+// owned by one (rank, op); SendRecv ops own one of each. Message m keeps
+// its send half at halves_[2m] and its receive half at halves_[2m + 1],
+// so the partner of half h is h ^ 1.
+// ---------------------------------------------------------------------
 
 struct HalfState {
   bool posted{false};
-  TrueTime post_time;
   bool timed{false};
   bool rendezvous{false};
+  TrueTime post_time;
   double bytes{0.0};
-  Rank src{kNoRank};
-  Rank dst{kNoRank};
   // Outputs (valid once timed). All stored on the *send* half; the recv
-  // half holds only posted/post_time and a pointer to its partner.
+  // half holds only posted/post_time. The channel ends are the owning
+  // ops' ranks and peers, so no half stores them.
   TrueTime send_event;
   TrueTime send_done;
   TrueTime arrival;
+};
+
+/// One half as a sortable key: its channel (source, destination, tag,
+/// communicator), then the flat index of the op that owns it.
+struct HalfKey {
+  std::array<int, 4> channel;
+  std::uint32_t op;
+  auto operator<=>(const HalfKey&) const = default;
 };
 
 struct CollInstance {
@@ -59,7 +69,7 @@ struct CollInstance {
 };
 
 struct RequestState {
-  std::uint64_t half{0};
+  std::uint32_t half{0};
   bool is_recv{false};
   double bytes{0.0};
   Rank peer{kNoRank};
@@ -84,18 +94,12 @@ class EngineImpl {
     posted_current_.assign(n, false);
     events_.assign(n, {});
     requests_.assign(n, {});
-    coll_count_.assign(n, std::vector<int>(prog_.comms.size(), 0));
-    // Intern MPI call regions into a const_cast-free private copy? The
-    // program owns the region table; engine emits region ids from it. MPI
-    // regions were interned at build time by the cursor only for user
-    // regions, so intern them here into the lookup used for events.
     build_mpi_regions();
-    precompute_matching();
+    lay_out_tables();
   }
 
   ExecResult run() {
-    std::size_t total_ops = 0;
-    for (const auto& ops : prog_.ops) total_ops += ops.size();
+    const std::size_t total_ops = op_base_.back();
     bool progress = true;
     while (progress) {
       progress = false;
@@ -154,110 +158,177 @@ class EngineImpl {
     return mpi_region_[static_cast<std::size_t>(k)];
   }
 
-  void precompute_matching() {
-    // Channel = (src, dst, tag, comm). The i-th send half on a channel
-    // matches the i-th recv half (MPI non-overtaking order).
-    struct Channel {
-      std::vector<std::uint64_t> sends;
-      std::vector<std::uint64_t> recvs;
-    };
-    std::map<std::tuple<Rank, Rank, int, int>, Channel> channels;
+  /// Number of events an op emits; a Wait's depends on whether its
+  /// request is a receive.
+  static std::size_t events_of(const Op& op, bool recv_wait) {
+    switch (op.kind) {
+      case OpKind::Compute:
+        return 0;
+      case OpKind::Enter:
+      case OpKind::Exit:
+        return 1;
+      case OpKind::Irecv:
+        return 2;
+      case OpKind::Send:
+      case OpKind::Recv:
+      case OpKind::Isend:
+        return 3;
+      case OpKind::Wait:
+        return recv_wait ? 3 : 2;
+      case OpKind::SendRecv:
+        return 4;
+      default:
+        return 2;  // a collective: Enter, CollExit
+    }
+  }
+
+  /// Lays out every table the sweep looks things up in. Per op, at flat
+  /// index op_base_[r] + op_idx: the halves it owns, or a collective's
+  /// sequence number on its communicator. Per communicator: world ->
+  /// local ranks, collective instances and the link profile.
+  void lay_out_tables() {
+    const std::size_t n = prog_.ops.size();
+    const std::size_t ncomms = prog_.comms.size();
+    op_base_.assign(n + 1, 0);
+    for (std::size_t r = 0; r < n; ++r)
+      op_base_[r + 1] = op_base_[r] + prog_.ops[r].size();
+    const std::size_t nops = op_base_[n];
+    MSC_CHECK(nops < std::numeric_limits<std::uint32_t>::max() / 2,
+              "program too large for the engine's op tables");
+    send_half_.assign(nops, 0);
+    recv_half_.assign(nops, 0);
+    coll_seq_.assign(nops, 0);
+
+    // An op owns at most one half of each side.
+    Table<HalfKey> sends, recvs;
+    sends.reserve(nops);
+    recvs.reserve(nops);
+    std::vector<std::uint32_t> colls_on(ncomms);
+    std::vector<bool> recv_request;
     for (Rank r = 0; r < prog_.num_ranks(); ++r) {
-      const auto& ops = prog_.ops[static_cast<std::size_t>(r)];
-      for (std::uint32_t i = 0; i < ops.size(); ++i) {
-        const Op& op = ops[i];
+      const auto ri = static_cast<std::size_t>(r);
+      const std::size_t first_send = sends.size();
+      std::fill(colls_on.begin(), colls_on.end(), 0);
+      recv_request.clear();
+      std::size_t events = 0;
+      for (std::size_t i = 0; i < prog_.ops[ri].size(); ++i) {
+        const Op& op = prog_.ops[ri][i];
+        const auto flat = static_cast<std::uint32_t>(op_base_[ri] + i);
         switch (op.kind) {
           case OpKind::Send:
           case OpKind::Isend:
-            channels[{r, op.peer, op.tag, op.comm.get()}].sends.push_back(
-                half_key(r, i, HalfSide::SendHalf));
+            sends.push_back({{r, op.peer, op.tag, op.comm.get()}, flat});
             break;
           case OpKind::Recv:
           case OpKind::Irecv:
-            channels[{op.peer, r, op.tag, op.comm.get()}].recvs.push_back(
-                half_key(r, i, HalfSide::RecvHalf));
+            recvs.push_back({{op.peer, r, op.tag, op.comm.get()}, flat});
             break;
           case OpKind::SendRecv:
-            channels[{r, op.peer, op.tag, op.comm.get()}].sends.push_back(
-                half_key(r, i, HalfSide::SendHalf));
-            channels[{op.recv_peer, r, op.tag, op.comm.get()}]
-                .recvs.push_back(half_key(r, i, HalfSide::RecvHalf));
+            sends.push_back({{r, op.peer, op.tag, op.comm.get()}, flat});
+            recvs.push_back({{op.recv_peer, r, op.tag, op.comm.get()}, flat});
             break;
           default:
+            if (is_collective(op.kind)) {
+              (void)prog_.comms.get(op.comm);  // rejects an unknown id
+              coll_seq_[flat] =
+                  colls_on[static_cast<std::size_t>(op.comm.get())]++;
+            }
             break;
         }
+        if (op.kind == OpKind::Isend || op.kind == OpKind::Irecv)
+          recv_request.push_back(op.kind == OpKind::Irecv);
+        const bool recv_wait =
+            op.kind == OpKind::Wait && op.request >= 0 &&
+            static_cast<std::size_t>(op.request) < recv_request.size() &&
+            recv_request[static_cast<std::size_t>(op.request)];
+        events += events_of(op, recv_wait);
       }
+      events_[ri].reserve(events);
+      // Rank r's sends all lead with source r, so sorting them here
+      // already puts them in their place in the sorted whole.
+      std::sort(sends.begin() + static_cast<std::ptrdiff_t>(first_send),
+                sends.end());
     }
-    for (const auto& [key, ch] : channels) {
-      MSC_ASSERT(ch.sends.size() == ch.recvs.size(),
+
+    // The m-th send on a channel matches the m-th receive on it (MPI
+    // non-overtaking order). Sorted by (channel, op), each channel's
+    // halves are in program order, so the two sorted lists zip into
+    // messages.
+    std::sort(recvs.begin(), recvs.end());
+    MSC_ASSERT(sends.size() == recvs.size(),
+               "validate() should have rejected unmatched p2p");
+    for (std::size_t m = 0; m < sends.size(); ++m) {
+      MSC_ASSERT(sends[m].channel == recvs[m].channel,
                  "validate() should have rejected unmatched p2p");
-      for (std::size_t i = 0; i < ch.sends.size(); ++i) {
-        partner_[ch.sends[i]] = ch.recvs[i];
-        partner_[ch.recvs[i]] = ch.sends[i];
-      }
+      send_half_[sends[m].op] = static_cast<std::uint32_t>(2 * m);
+      recv_half_[recvs[m].op] = static_cast<std::uint32_t>(2 * m + 1);
     }
+    halves_.assign(2 * sends.size(), HalfState{});
+
+    local_rank_.resize(ncomms);
+    for (std::size_t c = 0; c < ncomms; ++c)
+      local_rank_[c] = prog_.comms.local_ranks(CommId{static_cast<int>(c)});
+    coll_instances_.resize(ncomms);
+    comm_profile_.resize(ncomms);
   }
 
   // --- helpers ---------------------------------------------------------
 
   Dur overhead(Rank r) const { return cfg_.cpu_overhead / topo_.speed_of(r); }
 
-  HalfState& half(std::uint64_t key) { return halves_[key]; }
-
-  std::uint64_t partner_of(std::uint64_t key) const {
-    auto it = partner_.find(key);
-    MSC_ASSERT(it != partner_.end(), "unmatched half");
-    return it->second;
+  /// Flat index of rank r's op op_idx in the per-op tables.
+  std::size_t flat(Rank r, std::uint32_t op_idx) const {
+    return op_base_[static_cast<std::size_t>(r)] + op_idx;
   }
 
-  void post_send_half(Rank r, std::uint32_t op_idx, const Op& op,
-                      TrueTime t, Rank dst, double bytes) {
-    const auto key = half_key(r, op_idx, HalfSide::SendHalf);
-    HalfState& h = half(key);
-    h.posted = true;
-    h.post_time = t;
-    h.bytes = bytes;
-    h.src = r;
-    h.dst = dst;
-    h.rendezvous = bytes > cfg_.eager_threshold;
-    (void)op;
-    try_time_send(key);
+  /// Local rank of world rank r in communicator c, or -1.
+  int local_rank(CommId c, Rank r) const {
+    return local_rank_[static_cast<std::size_t>(c.get())]
+                      [static_cast<std::size_t>(r)];
   }
 
-  void post_recv_half(Rank r, std::uint32_t op_idx, TrueTime t, Rank src) {
-    const auto key = half_key(r, op_idx, HalfSide::RecvHalf);
-    HalfState& h = half(key);
-    h.posted = true;
-    h.post_time = t;
-    h.src = src;
-    h.dst = r;
+  void post_send_half(std::uint32_t h, Rank r, TrueTime t, Rank dst,
+                      double bytes) {
+    HalfState& s = halves_[h];
+    s.posted = true;
+    s.post_time = t;
+    s.bytes = bytes;
+    s.rendezvous = bytes > cfg_.eager_threshold;
+    try_time_send(h, r, dst);
+  }
+
+  void post_recv_half(std::uint32_t h, Rank r, TrueTime t, Rank src) {
+    HalfState& s = halves_[h];
+    s.posted = true;
+    s.post_time = t;
     // A rendezvous sender might be blocked on this post.
-    try_time_send(partner_of(key));
+    try_time_send(h ^ 1, src, r);
   }
 
-  /// Attempts to compute the transfer times for a send half. Eager sends
-  /// time immediately; rendezvous sends require the posted receive.
-  void try_time_send(std::uint64_t send_key) {
-    HalfState& s = half(send_key);
+  /// Attempts to compute the transfer times for a send half on the
+  /// channel src -> dst. Eager sends time immediately; rendezvous sends
+  /// require the posted receive.
+  void try_time_send(std::uint32_t send_half, Rank src, Rank dst) {
+    HalfState& s = halves_[send_half];
     if (!s.posted || s.timed) return;
-    const Dur o = overhead(s.src);
+    const Dur o = overhead(src);
     if (!s.rendezvous) {
       s.send_event = s.post_time + 0.5 * o;
-      const auto& link = topo_.link_between(s.src, s.dst);
+      const auto& link = topo_.link_between(src, dst);
       s.send_done = s.post_time + o + s.bytes / link.bandwidth_bps;
-      s.arrival = s.send_event + net_.sample_delay(s.src, s.dst, s.bytes);
+      s.arrival = s.send_event + net_.sample_delay(src, dst, s.bytes);
       s.timed = true;
     } else {
-      const HalfState& rhalf = half(partner_of(send_key));
+      const HalfState& rhalf = halves_[send_half ^ 1];
       if (!rhalf.posted) return;
-      const Dur o_r = overhead(s.dst);
-      const Dur l1 = net_.sample_delay(s.src, s.dst, 0.0);
-      const Dur l2 = net_.sample_delay(s.dst, s.src, 0.0);
-      const Dur l3 = net_.sample_delay(s.src, s.dst, 0.0);
+      const Dur o_r = overhead(dst);
+      const Dur l1 = net_.sample_delay(src, dst, 0.0);
+      const Dur l2 = net_.sample_delay(dst, src, 0.0);
+      const Dur l3 = net_.sample_delay(src, dst, 0.0);
       const TrueTime rts_at_recv = s.post_time + o + l1;
       const TrueTime cts_at_sender =
           std::max(rts_at_recv, rhalf.post_time + o_r) + l2;
-      const auto& link = topo_.link_between(s.src, s.dst);
+      const auto& link = topo_.link_between(src, dst);
       s.send_event = s.post_time + 0.5 * o;
       s.send_done = cts_at_sender + s.bytes / link.bandwidth_bps;
       s.arrival = s.send_done + l3;
@@ -320,6 +391,7 @@ class EngineImpl {
     while (ip_[ri] < ops.size()) {
       const auto op_idx = static_cast<std::uint32_t>(ip_[ri]);
       const Op& op = ops[op_idx];
+      const std::size_t f = flat(r, op_idx);
       const TrueTime t = now_[ri];
       const Dur o = overhead(r);
 
@@ -327,15 +399,15 @@ class EngineImpl {
       if (!posted_current_[ri]) {
         switch (op.kind) {
           case OpKind::Send:
-            post_send_half(r, op_idx, op, t, op.peer, op.bytes);
+            post_send_half(send_half_[f], r, t, op.peer, op.bytes);
             break;
           case OpKind::Recv:
-            post_recv_half(r, op_idx, t, op.peer);
+            post_recv_half(recv_half_[f], r, t, op.peer);
             break;
           case OpKind::Isend: {
-            post_send_half(r, op_idx, op, t, op.peer, op.bytes);
+            post_send_half(send_half_[f], r, t, op.peer, op.bytes);
             RequestState req;
-            req.half = half_key(r, op_idx, HalfSide::SendHalf);
+            req.half = send_half_[f];
             req.is_recv = false;
             req.bytes = op.bytes;
             req.peer = op.peer;
@@ -345,9 +417,9 @@ class EngineImpl {
             break;
           }
           case OpKind::Irecv: {
-            post_recv_half(r, op_idx, t, op.peer);
+            post_recv_half(recv_half_[f], r, t, op.peer);
             RequestState req;
-            req.half = half_key(r, op_idx, HalfSide::RecvHalf);
+            req.half = recv_half_[f];
             req.is_recv = true;
             req.peer = op.peer;
             req.tag = op.tag;
@@ -356,11 +428,11 @@ class EngineImpl {
             break;
           }
           case OpKind::SendRecv:
-            post_send_half(r, op_idx, op, t, op.peer, op.bytes);
-            post_recv_half(r, op_idx, t, op.recv_peer);
+            post_send_half(send_half_[f], r, t, op.peer, op.bytes);
+            post_recv_half(recv_half_[f], r, t, op.recv_peer);
             break;
           default:
-            if (is_collective(op.kind)) post_collective(r, op, t);
+            if (is_collective(op.kind)) post_collective(r, f, op, t);
             break;
         }
         posted_current_[ri] = true;
@@ -386,7 +458,7 @@ class EngineImpl {
           break;
         }
         case OpKind::Send: {
-          const HalfState& s = half(half_key(r, op_idx, HalfSide::SendHalf));
+          const HalfState& s = halves_[send_half_[f]];
           if (!s.timed) break;
           emit_enter(r, t, mpi_region(OpKind::Send));
           emit_send(r, s.send_event, op.peer, op.tag, op.bytes, op.comm);
@@ -396,8 +468,7 @@ class EngineImpl {
           break;
         }
         case OpKind::Recv: {
-          const HalfState& s = half(
-              partner_of(half_key(r, op_idx, HalfSide::RecvHalf)));
+          const HalfState& s = halves_[recv_half_[f] ^ 1];
           if (!s.timed) break;
           done = std::max(t, s.arrival) + o;
           emit_enter(r, t, mpi_region(OpKind::Recv));
@@ -427,14 +498,14 @@ class EngineImpl {
           const RequestState& req =
               requests_[ri][static_cast<std::size_t>(op.request)];
           if (req.is_recv) {
-            const HalfState& s = half(partner_of(req.half));
+            const HalfState& s = halves_[req.half ^ 1];
             if (!s.timed) break;
             done = std::max(t, s.arrival) + o;
             emit_enter(r, t, mpi_region(OpKind::Wait));
             emit_recv(r, done, req.peer, req.tag, s.bytes, req.comm);
             emit_exit(r, done);
           } else {
-            const HalfState& s = half(req.half);
+            const HalfState& s = halves_[req.half];
             if (!s.timed) break;
             done = std::max(t, s.send_done) + 0.5 * o;
             emit_enter(r, t, mpi_region(OpKind::Wait));
@@ -444,9 +515,8 @@ class EngineImpl {
           break;
         }
         case OpKind::SendRecv: {
-          const HalfState& s = half(half_key(r, op_idx, HalfSide::SendHalf));
-          const HalfState& ps = half(
-              partner_of(half_key(r, op_idx, HalfSide::RecvHalf)));
+          const HalfState& s = halves_[send_half_[f]];
+          const HalfState& ps = halves_[recv_half_[f] ^ 1];
           if (!s.timed || !ps.timed) break;
           const TrueTime recv_done = std::max(t, ps.arrival) + o;
           done = std::max(s.send_done, recv_done);
@@ -459,10 +529,9 @@ class EngineImpl {
         }
         default: {
           MSC_ASSERT(is_collective(op.kind), "unhandled op kind");
-          CollInstance& inst = coll_instance_of(r, op_idx);
+          const CollInstance& inst = coll_instance_of(f, op);
           if (!inst.timed) break;
-          const Communicator& comm = prog_.comms.get(op.comm);
-          const int local = comm.local_rank(r);
+          const int local = local_rank(op.comm, r);
           done = inst.timing.exit[static_cast<std::size_t>(local)];
           emit_enter(r, t, mpi_region(op.kind));
           ExecEvent ev;
@@ -493,16 +562,12 @@ class EngineImpl {
 
   // --- collectives -----------------------------------------------------
 
-  void post_collective(Rank r, const Op& op, TrueTime t) {
-    const auto ri = static_cast<std::size_t>(r);
-    const auto ci = static_cast<std::size_t>(op.comm.get());
-    const int seq = coll_count_[ri][ci]++;
+  void post_collective(Rank r, std::size_t f, const Op& op, TrueTime t) {
+    const std::uint32_t seq = coll_seq_[f];
     const Communicator& comm = prog_.comms.get(op.comm);
-    auto& list = coll_instances_[op.comm.get()];
-    if (static_cast<std::size_t>(seq) >= list.size()) {
-      list.resize(static_cast<std::size_t>(seq) + 1);
-    }
-    CollInstance& inst = list[static_cast<std::size_t>(seq)];
+    auto& list = coll_instances_[static_cast<std::size_t>(op.comm.get())];
+    if (seq >= list.size()) list.resize(seq + 1);
+    CollInstance& inst = list[seq];
     if (inst.enter.empty()) {
       inst.enter.assign(static_cast<std::size_t>(comm.size()), TrueTime{});
       inst.present.assign(static_cast<std::size_t>(comm.size()), false);
@@ -512,41 +577,28 @@ class EngineImpl {
     }
     MSC_ASSERT(inst.kind == op.kind,
                "collective kind mismatch (validate() hole?)");
-    const int local = comm.local_rank(r);
+    const int local = local_rank(op.comm, r);
     MSC_ASSERT(local >= 0, "collective poster not a member");
     const auto lu = static_cast<std::size_t>(local);
     MSC_ASSERT(!inst.present[lu], "double collective post");
     inst.present[lu] = true;
     inst.enter[lu] = t;
     ++inst.arrived;
-    // Remember which instance this rank's op refers to.
-    coll_ref_[half_key(r, current_op_index(r), HalfSide::SendHalf)] = seq;
     if (inst.arrived == comm.size()) {
-      auto pit = comm_profile_.find(op.comm.get());
-      if (pit == comm_profile_.end()) {
-        pit = comm_profile_
-                  .emplace(op.comm.get(), profile_comm(topo_, comm))
-                  .first;
-      }
+      auto& profile = comm_profile_[static_cast<std::size_t>(op.comm.get())];
+      if (!profile) profile = profile_comm(topo_, comm);
       inst.timing =
-          time_collective(inst.kind, topo_, comm, pit->second, inst.enter,
+          time_collective(inst.kind, topo_, comm, *profile, inst.enter,
                           inst.root, inst.bytes, cfg_.cpu_overhead);
       inst.timed = true;
       ++stats_.collectives;
     }
   }
 
-  std::uint32_t current_op_index(Rank r) const {
-    return static_cast<std::uint32_t>(ip_[static_cast<std::size_t>(r)]);
-  }
-
-  CollInstance& coll_instance_of(Rank r, std::uint32_t op_idx) {
-    const auto key = half_key(r, op_idx, HalfSide::SendHalf);
-    auto it = coll_ref_.find(key);
-    MSC_ASSERT(it != coll_ref_.end(), "collective op not posted");
-    const Op& op = prog_.ops[static_cast<std::size_t>(r)][op_idx];
-    return coll_instances_[op.comm.get()][static_cast<std::size_t>(
-        it->second)];
+  const CollInstance& coll_instance_of(std::size_t f, const Op& op) const {
+    const auto& list = coll_instances_[static_cast<std::size_t>(op.comm.get())];
+    MSC_ASSERT(coll_seq_[f] < list.size(), "collective op not posted");
+    return list[coll_seq_[f]];
   }
 
   // --- state -----------------------------------------------------------
@@ -561,13 +613,19 @@ class EngineImpl {
   std::vector<bool> posted_current_;
   std::vector<std::vector<ExecEvent>> events_;
   std::vector<std::vector<RequestState>> requests_;
-  std::vector<std::vector<int>> coll_count_;
 
-  std::unordered_map<std::uint64_t, std::uint64_t> partner_;
-  std::unordered_map<std::uint64_t, HalfState> halves_;
-  std::unordered_map<int, std::vector<CollInstance>> coll_instances_;
-  std::unordered_map<std::uint64_t, int> coll_ref_;
-  std::unordered_map<int, CommLinkProfile> comm_profile_;
+  // Rank r's ops start at op_base_[r]; the per-op tables below are
+  // indexed by flat(r, op_idx).
+  std::vector<std::size_t> op_base_;
+  Table<std::uint32_t> send_half_;
+  Table<std::uint32_t> recv_half_;
+  Table<std::uint32_t> coll_seq_;
+  // Two per message: send half at 2m, receive half at 2m + 1.
+  Table<HalfState> halves_;
+  // Per communicator, indexed by id.
+  std::vector<std::vector<int>> local_rank_;
+  std::vector<std::vector<CollInstance>> coll_instances_;
+  std::vector<std::optional<CommLinkProfile>> comm_profile_;
   std::vector<RegionId> mpi_region_;
 
   EngineStats stats_;

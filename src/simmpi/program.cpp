@@ -2,6 +2,7 @@
 
 #include <map>
 #include <sstream>
+#include <string>
 
 #include "common/error.hpp"
 
@@ -19,43 +20,45 @@ void Program::validate() const {
   // members; p2p sends/recvs must pair up per (src, dst, tag, comm).
   std::map<std::pair<int, int>, std::vector<OpKind>> coll_seq;  // (comm,rank)
   std::map<std::tuple<int, int, int, int>, long> p2p_balance;
+  // Per communicator: world rank -> local rank, -1 for non-members.
+  std::vector<std::vector<int>> local(comms.size());
+  for (std::size_t c = 0; c < comms.size(); ++c)
+    local[c] = comms.local_ranks(CommId{static_cast<int>(c)});
 
   for (Rank r = 0; r < n; ++r) {
     int depth = 0;
     int requests = 0;
     std::vector<bool> waited;
+    const std::string where = "rank " + std::to_string(r);
     for (const auto& op : ops[static_cast<std::size_t>(r)]) {
-      std::ostringstream where;
-      where << "rank " << r;
       switch (op.kind) {
         case OpKind::Enter:
-          MSC_CHECK(op.region.valid(), where.str() + ": Enter without region");
+          MSC_CHECK(op.region.valid(), where + ": Enter without region");
           ++depth;
           break;
         case OpKind::Exit:
-          MSC_CHECK(depth > 0, where.str() + ": Exit without Enter");
+          MSC_CHECK(depth > 0, where + ": Exit without Enter");
           --depth;
           break;
         case OpKind::Compute:
-          MSC_CHECK(op.work >= 0.0, where.str() + ": negative work");
+          MSC_CHECK(op.work >= 0.0, where + ": negative work");
           break;
         case OpKind::Send:
         case OpKind::Isend:
           MSC_CHECK(op.peer >= 0 && op.peer < n && op.peer != r,
-                    where.str() + ": bad send peer");
+                    where + ": bad send peer");
           p2p_balance[{r, op.peer, op.tag, op.comm.get()}] += 1;
           break;
         case OpKind::Recv:
         case OpKind::Irecv:
           MSC_CHECK(op.peer >= 0 && op.peer < n && op.peer != r,
-                    where.str() + ": bad recv peer");
+                    where + ": bad recv peer");
           p2p_balance[{op.peer, r, op.tag, op.comm.get()}] -= 1;
           break;
         case OpKind::SendRecv:
-          MSC_CHECK(op.peer >= 0 && op.peer < n,
-                    where.str() + ": bad sendrecv dst");
+          MSC_CHECK(op.peer >= 0 && op.peer < n, where + ": bad sendrecv dst");
           MSC_CHECK(op.recv_peer >= 0 && op.recv_peer < n,
-                    where.str() + ": bad sendrecv src");
+                    where + ": bad sendrecv src");
           p2p_balance[{r, op.peer, op.tag, op.comm.get()}] += 1;
           p2p_balance[{op.recv_peer, r, op.tag, op.comm.get()}] -= 1;
           break;
@@ -64,34 +67,35 @@ void Program::validate() const {
       }
       if (op.kind == OpKind::Isend || op.kind == OpKind::Irecv) {
         MSC_CHECK(op.request == requests,
-                  where.str() + ": request slots must be sequential");
+                  where + ": request slots must be sequential");
         ++requests;
         waited.push_back(false);
       }
       if (op.kind == OpKind::Wait) {
         MSC_CHECK(op.request >= 0 && op.request < requests,
-                  where.str() + ": Wait on unknown request");
+                  where + ": Wait on unknown request");
         MSC_CHECK(!waited[static_cast<std::size_t>(op.request)],
-                  where.str() + ": double Wait on request");
+                  where + ": double Wait on request");
         waited[static_cast<std::size_t>(op.request)] = true;
       }
       if (is_collective(op.kind)) {
-        const Communicator& c = comms.get(op.comm);
-        MSC_CHECK(c.contains(r),
-                  where.str() + ": collective on non-member communicator");
+        (void)comms.get(op.comm);  // rejects an unknown id
+        const std::vector<int>& local_of =
+            local[static_cast<std::size_t>(op.comm.get())];
+        MSC_CHECK(local_of[static_cast<std::size_t>(r)] >= 0,
+                  where + ": collective on non-member communicator");
         if (op.kind != OpKind::Barrier && op.kind != OpKind::Allreduce &&
             op.kind != OpKind::Allgather && op.kind != OpKind::Alltoall) {
-          MSC_CHECK(op.root >= 0 && c.contains(op.root),
-                    where.str() + ": rooted collective needs member root");
+          MSC_CHECK(op.root >= 0 && op.root < n &&
+                        local_of[static_cast<std::size_t>(op.root)] >= 0,
+                    where + ": rooted collective needs member root");
         }
         coll_seq[{op.comm.get(), r}].push_back(op.kind);
       }
     }
-    std::ostringstream where;
-    where << "rank " << r;
-    MSC_CHECK(depth == 0, where.str() + ": unbalanced Enter/Exit");
+    MSC_CHECK(depth == 0, where + ": unbalanced Enter/Exit");
     for (std::size_t q = 0; q < waited.size(); ++q)
-      MSC_CHECK(waited[q], where.str() + ": request never waited");
+      MSC_CHECK(waited[q], where + ": request never waited");
   }
 
   for (const auto& [key, bal] : p2p_balance) {

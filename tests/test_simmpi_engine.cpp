@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.hpp"
 
@@ -13,23 +15,26 @@ using simnet::LinkSpec;
 using simnet::MetahostSpec;
 using simnet::Topology;
 
-/// Two metahosts, two 2-way nodes each, jitter-free links for exact
-/// timing checks. Ranks 0..3 on A, 4..7 on B.
-Topology make_two_host(double speed_a = 1.0, double speed_b = 1.0) {
+/// Two metahosts, two 2-way nodes each. Ranks 0..3 on A, 4..7 on B.
+/// Links are jitter-free for exact timing checks unless `jitter` adds
+/// latency jitter and route asymmetry to every one of them.
+Topology make_two_host(double speed_a = 1.0, double speed_b = 1.0,
+                       bool jitter = false) {
+  const double j = jitter ? 1.0 : 0.0;
   Topology topo;
   MetahostSpec a;
   a.name = "A";
   a.num_nodes = 2;
   a.cpus_per_node = 2;
   a.speed_factor = speed_a;
-  a.internal = LinkSpec{10e-6, 0.0, 1e9};
-  a.intra_node = LinkSpec{1e-6, 0.0, 4e9};
+  a.internal = LinkSpec{10e-6, 2e-6 * j, 1e9, 0.05 * j};
+  a.intra_node = LinkSpec{1e-6, 0.3e-6 * j, 4e9, 0.05 * j};
   MetahostSpec b = a;
   b.name = "B";
   b.speed_factor = speed_b;
   const auto ia = topo.add_metahost(a);
   const auto ib = topo.add_metahost(b);
-  topo.set_external_link(ia, ib, LinkSpec{1000e-6, 0.0, 1e9});
+  topo.set_external_link(ia, ib, LinkSpec{1000e-6, 40e-6 * j, 1e9, 0.1 * j});
   topo.place_block(ia, 2, 2);
   topo.place_block(ib, 2, 2);
   return topo;
@@ -267,23 +272,107 @@ TEST(Engine, BalancedEnterExitPerRank) {
   }
 }
 
-TEST(Engine, DeterministicAcrossRuns) {
-  auto build = [] {
-    ProgramBuilder b(8);
-    for (Rank r = 0; r < 8; ++r) {
-      auto& c = b.on(r);
-      c.enter("m");
-      c.compute(0.01 * (r + 1));
-      c.sendrecv((r + 1) % 8, 2048.0, (r + 7) % 8, 2048.0, 0);
-      c.allreduce(64.0);
-      c.exit();
+/// Every op kind: eager and rendezvous Send/Recv with several messages
+/// per channel, Isend/Irecv/Wait in both directions, SendRecv, and
+/// rooted and rootless collectives on a sub-communicator and the world.
+Program every_op_kind() {
+  ProgramBuilder b(8);
+  const CommId sub = b.comms().create("sub", {1, 3, 4, 6});
+  for (Rank r = 0; r < 8; ++r) {
+    auto& c = b.on(r);
+    const Rank p = (r + 4) % 8;  // the partner on the other metahost
+    c.enter("main").compute(0.001 * (r + 1));
+    c.enter("blocking");
+    if (r < 4) {
+      c.send(p, 1, 512.0).send(p, 1, 1 << 20).send(p, 1, 64.0).recv(p, 2);
+    } else {
+      c.recv(p, 1).recv(p, 1).recv(p, 1).send(p, 2, 1 << 18);
     }
-    return b.take();
+    c.exit();
+    const int rq = c.irecv(p, 3);
+    const int sq = c.isend(p, 3, r % 2 ? 1 << 20 : 256.0);
+    c.compute(0.0005 * (r % 3));
+    if (r % 2) {
+      c.wait(sq).wait(rq);
+    } else {
+      c.wait(rq).wait(sq);
+    }
+    for (const double bytes : {2048.0, 131072.0, 16.0})
+      c.sendrecv((r + 1) % 8, bytes, (r + 7) % 8, bytes, 4);
+    if (r == 1 || r == 3 || r == 4 || r == 6) {
+      c.bcast(4, 4096.0, sub).allgather(128.0, sub).reduce(1, 1024.0, sub);
+      c.compute(0.0001 * r);
+      c.gather(6, 256.0, sub).scatter(3, 512.0, sub).alltoall(64.0, sub);
+      c.barrier(sub);
+    }
+    c.barrier().allreduce(64.0);
+    c.exit();
+  }
+  return b.take();
+}
+
+/// FNV-1a over every field of an ExecResult, doubles by bit pattern.
+std::uint64_t digest(const ExecResult& res) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
   };
-  // Jittery topology this time.
-  simnet::Topology topo = make_two_host();
-  const Program p1 = build();
-  const Program p2 = build();
+  const auto mix_int = [&mix](std::int64_t v) {
+    mix(static_cast<std::uint64_t>(v));
+  };
+  const auto mix_double = [&mix](double v) {
+    mix(std::bit_cast<std::uint64_t>(v));
+  };
+  for (const auto& events : res.per_rank) {
+    mix(events.size());
+    for (const ExecEvent& e : events) {
+      mix_int(static_cast<int>(e.type));
+      mix_double(e.time.s);
+      mix_int(e.region.get());
+      mix_int(e.peer);
+      mix_int(e.tag);
+      mix_double(e.bytes);
+      mix_int(e.comm.get());
+      mix_int(e.root);
+      mix_double(e.sent_bytes);
+      mix_double(e.recvd_bytes);
+    }
+  }
+  mix_double(res.end_time.s);
+  for (const TrueTime t : res.rank_end) mix_double(t.s);
+  mix(res.stats.messages);
+  mix_double(res.stats.message_bytes);
+  mix(res.stats.collectives);
+  mix(res.stats.events);
+  mix(res.stats.sweeps);
+  return h;
+}
+
+void expect_same_event(const ExecEvent& a, const ExecEvent& b) {
+  EXPECT_EQ(a.type, b.type);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.time.s),
+            std::bit_cast<std::uint64_t>(b.time.s));
+  EXPECT_EQ(a.region, b.region);
+  EXPECT_EQ(a.peer, b.peer);
+  EXPECT_EQ(a.tag, b.tag);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.bytes),
+            std::bit_cast<std::uint64_t>(b.bytes));
+  EXPECT_EQ(a.comm, b.comm);
+  EXPECT_EQ(a.root, b.root);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.sent_bytes),
+            std::bit_cast<std::uint64_t>(b.sent_bytes));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.recvd_bytes),
+            std::bit_cast<std::uint64_t>(b.recvd_bytes));
+}
+
+TEST(Engine, DeterministicAcrossRuns) {
+  // Jittery links, so timestamps depend on the order of the RNG draws.
+  const Topology topo = make_two_host(1.0, 0.7, true);
+  const Program p1 = every_op_kind();
+  const Program p2 = every_op_kind();
   EngineConfig cfg = exact_config();
   cfg.seed = 99;
   const ExecResult a = execute(topo, p1, cfg);
@@ -292,8 +381,19 @@ TEST(Engine, DeterministicAcrossRuns) {
   for (std::size_t r = 0; r < a.per_rank.size(); ++r) {
     ASSERT_EQ(a.per_rank[r].size(), b2.per_rank[r].size());
     for (std::size_t i = 0; i < a.per_rank[r].size(); ++i)
-      EXPECT_DOUBLE_EQ(a.per_rank[r][i].time.s, b2.per_rank[r][i].time.s);
+      expect_same_event(a.per_rank[r][i], b2.per_rank[r][i]);
   }
+  // Every kind of event ran, and the jitter reached the timestamps: the
+  // run is not a fixed point of the link means.
+  EXPECT_EQ(a.stats.messages, 48u);
+  EXPECT_EQ(a.stats.collectives, 9u);
+  cfg.seed = 100;
+  EXPECT_NE(digest(execute(topo, p1, cfg)), digest(a));
+  // Pinned: a change to the sweep order or to the order of the latency
+  // draws changes this digest. Recorded with the engine's hash-map
+  // lookup tables, before they became dense arrays.
+  EXPECT_EQ(digest(a), 0x56bee9d9c3e1c13eull);
+  EXPECT_EQ(digest(b2), digest(a));
 }
 
 TEST(Engine, RankCountMismatchThrows) {
@@ -301,6 +401,30 @@ TEST(Engine, RankCountMismatchThrows) {
   for (Rank r = 0; r < 4; ++r) b.on(r).enter("m").exit();
   const Topology topo = make_two_host();  // 8 ranks
   EXPECT_THROW(execute(topo, b.take(), exact_config()), Error);
+}
+
+TEST(Engine, UnvalidatedUnmatchedSendThrows) {
+  // program() hands a program out without validate(); the engine's own
+  // pairing must still refuse a send nobody receives: one more send than
+  // receives on a channel, and as many of each but on different tags.
+  const Topology topo = make_two_host();
+  for (const int recv_tag : {0, 1}) {
+    ProgramBuilder b(8);
+    auto& sender = b.on(0).enter("m").send(4, 0, 100.0);
+    if (recv_tag == 0) sender.send(4, 0, 100.0);
+    sender.exit();
+    b.on(4).enter("m").recv(0, recv_tag).exit();
+    for (Rank r : {1, 2, 3, 5, 6, 7}) b.on(r).enter("m").exit();
+    try {
+      execute(topo, b.program(), exact_config());
+      ADD_FAILURE() << "expected an unmatched send to throw";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "validate() should have rejected unmatched p2p"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Engine, StatsCountMessagesAndCollectives) {

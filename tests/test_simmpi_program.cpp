@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hpp"
 
 namespace metascope::simmpi {
@@ -29,6 +31,7 @@ TEST(CommSet, RejectsBadMembers) {
   CommSet cs(4);
   EXPECT_THROW(cs.create("bad", {0, 9}), Error);
   EXPECT_THROW(cs.create("empty", {}), Error);
+  EXPECT_THROW(cs.create("dup", {0, 0, 1}), Error);
   EXPECT_THROW((void)cs.get(CommId{5}), Error);
 }
 
@@ -66,77 +69,98 @@ TEST(ProgramBuilder, RequestSlotsSequential) {
   EXPECT_NO_THROW(b.take());
 }
 
+/// take() must throw an Error whose message contains `want`.
+void expect_rejected(ProgramBuilder& b, const std::string& want) {
+  try {
+    (void)b.take();
+    ADD_FAILURE() << "no error, expected " << want;
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ProgramValidate, UnbalancedEnterExit) {
   ProgramBuilder b(1);
   b.on(0).enter("main");
-  EXPECT_THROW(b.take(), Error);
+  expect_rejected(b, "rank 0: unbalanced Enter/Exit");
 }
 
 TEST(ProgramValidate, ExitWithoutEnter) {
   ProgramBuilder b(1);
   b.on(0).exit();
-  EXPECT_THROW(b.take(), Error);
+  expect_rejected(b, "rank 0: Exit without Enter");
 }
 
 TEST(ProgramValidate, UnmatchedSend) {
   ProgramBuilder b(2);
   b.on(0).send(1, 0, 8.0);
-  EXPECT_THROW(b.take(), Error);
+  expect_rejected(b,
+                  "unmatched point-to-point: 0 -> 1 tag 0 comm 0 (balance 1)");
 }
 
 TEST(ProgramValidate, UnmatchedRecv) {
   ProgramBuilder b(2);
   b.on(1).recv(0, 0);
-  EXPECT_THROW(b.take(), Error);
+  expect_rejected(b,
+                  "unmatched point-to-point: 0 -> 1 tag 0 comm 0 (balance -1)");
 }
 
 TEST(ProgramValidate, TagMismatchIsUnmatched) {
   ProgramBuilder b(2);
   b.on(0).send(1, 1, 8.0);
   b.on(1).recv(0, 2);
-  EXPECT_THROW(b.take(), Error);
+  expect_rejected(b,
+                  "unmatched point-to-point: 0 -> 1 tag 1 comm 0 (balance 1)");
 }
 
 TEST(ProgramValidate, SelfSendRejected) {
   ProgramBuilder b(2);
   b.on(0).send(0, 0, 8.0);
-  EXPECT_THROW(b.take(), Error);
+  expect_rejected(b, "rank 0: bad send peer");
 }
 
 TEST(ProgramValidate, PeerOutOfRange) {
   ProgramBuilder b(2);
   b.on(0).send(5, 0, 8.0);
   b.on(1).recv(0, 0);
-  EXPECT_THROW(b.take(), Error);
+  expect_rejected(b, "rank 0: bad send peer");
 }
 
 TEST(ProgramValidate, CollectiveSequenceMismatch) {
   ProgramBuilder b(2);
   b.on(0).barrier();
   // rank 1 never calls the barrier.
-  EXPECT_THROW(b.take(), Error);
+  expect_rejected(b,
+                  "collective sequence mismatch on MPI_COMM_WORLD: rank 0 "
+                  "has 1 collectives, rank 1 has 0");
 }
 
 TEST(ProgramValidate, CollectiveKindMismatch) {
   ProgramBuilder b(2);
   b.on(0).barrier();
   b.on(1).allreduce(8.0);
-  EXPECT_THROW(b.take(), Error);
+  expect_rejected(b,
+                  "collective sequence mismatch on MPI_COMM_WORLD: rank 0 "
+                  "has 1 collectives, rank 1 has 1");
 }
 
 TEST(ProgramValidate, CollectiveOnNonMemberComm) {
   ProgramBuilder b(4);
   const CommId sub = b.comms().create("sub", {0, 1});
   b.on(2).barrier(sub);
-  EXPECT_THROW(b.take(), Error);
+  expect_rejected(b, "rank 2: collective on non-member communicator");
 }
 
 TEST(ProgramValidate, RootedCollectiveNeedsMemberRoot) {
-  ProgramBuilder b(4);
-  const CommId sub = b.comms().create("sub", {0, 1});
-  b.on(0).bcast(3, 8.0, sub);
-  b.on(1).bcast(3, 8.0, sub);
-  EXPECT_THROW(b.take(), Error);
+  // A world rank outside the communicator, and one outside the world.
+  for (const Rank root : {3, 9}) {
+    ProgramBuilder b(4);
+    const CommId sub = b.comms().create("sub", {0, 1});
+    b.on(0).bcast(root, 8.0, sub);
+    b.on(1).bcast(root, 8.0, sub);
+    expect_rejected(b, "rank 0: rooted collective needs member root");
+  }
 }
 
 TEST(ProgramValidate, WaitWithoutRequest) {
@@ -146,7 +170,7 @@ TEST(ProgramValidate, WaitWithoutRequest) {
   op.request = 0;
   ProgramBuilder b2(1);
   b2.program().ops[0].push_back(op);
-  EXPECT_THROW(b2.take(), Error);
+  expect_rejected(b2, "rank 0: Wait on unknown request");
 }
 
 TEST(ProgramValidate, DoubleWaitRejected) {
@@ -156,14 +180,14 @@ TEST(ProgramValidate, DoubleWaitRejected) {
   const int req = c.isend(1, 0, 4.0);
   c.wait(req).wait(req).exit();
   b.on(1).enter("m").recv(0, 0).exit();
-  EXPECT_THROW(b.take(), Error);
+  expect_rejected(b, "rank 0: double Wait on request");
 }
 
 TEST(ProgramValidate, UnwaitedRequestRejected) {
   ProgramBuilder b(2);
   b.on(0).isend(1, 0, 4.0);
   b.on(1).recv(0, 0);
-  EXPECT_THROW(b.take(), Error);
+  expect_rejected(b, "rank 0: request never waited");
 }
 
 TEST(ProgramValidate, SendRecvBalances) {
@@ -176,7 +200,7 @@ TEST(ProgramValidate, SendRecvBalances) {
 TEST(ProgramValidate, NegativeWorkRejected) {
   ProgramBuilder b(1);
   b.on(0).compute(-1.0);
-  EXPECT_THROW(b.take(), Error);
+  expect_rejected(b, "rank 0: negative work");
 }
 
 TEST(Program, TotalOpsCounts) {
