@@ -66,7 +66,7 @@ int main() {
   bench::note(
       "\nShape check: a distributed replay (analyze_streaming) exchanges a\n"
       "fraction of the trace volume — each analysis process reads only\n"
-      "its local trace file, so no shared file system and no bulk trace\n"
+      "its local trace data, so no shared file system and no bulk trace\n"
       "copying between metahosts is needed (paper Sections 3-4). Parallel\n"
       "wall-clock on this 1-core host reflects thread overhead, not the\n"
       "metacomputer speedup.");

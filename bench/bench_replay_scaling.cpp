@@ -130,7 +130,7 @@ int main() {
   analysis::ReplayOptions opts;
   opts.max_workers = hw;
   const auto topo1024 = two_site(512);
-  // The pass writes and re-reads 1024 trace files; on a spinning or
+  // The pass writes and re-reads a 1024-rank archive; on a spinning or
   // shared disk the writeback stalls swamp the few-ms effect being
   // measured, so prefer a RAM-backed directory when the host has one.
   const std::filesystem::path ovbase =

@@ -7,8 +7,14 @@
 //           [--trace-out trace.json] [--sample-interval-ms n]
 //           [--patterns key[,key...]] [--list-patterns]
 //           [--archive-dir dir] [--permissive]
-//           [--stream] [--memory-budget bytes]
+//           [--stream] [--memory-budget bytes] [--workers n]
 //           [--log-level {debug,info,warn,error,off}]
+//
+// --workers caps every worker pool the run uses — the archive write,
+// read and stream open, clock synchronization and amortization, and the
+// analyzers — at n threads; 0 (the default) means hardware concurrency.
+// The run metadata records the count in effect. Results do not depend
+// on it: archives and cubes are byte-identical for every n.
 //
 // --archive-dir routes the traces through the on-disk archive layer:
 // the measured traces are written into a trace archive under the given
@@ -142,6 +148,7 @@ int main(int argc, char** argv) {
   bool permissive = false;
   bool streaming = false;
   long long memory_budget = 0;
+  long long max_workers = 0;
   bool want_profile = false;
   bool want_amortize = false;
   bool want_timeline = false;
@@ -194,6 +201,10 @@ int main(int argc, char** argv) {
       memory_budget = std::atoll(argv[++i]);
     } else if (std::strncmp(argv[i], "--memory-budget=", 16) == 0) {
       memory_budget = std::atoll(argv[i] + 16);
+    } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
+      max_workers = std::atoll(argv[++i]);
+    } else if (std::strncmp(argv[i], "--workers=", 10) == 0) {
+      max_workers = std::atoll(argv[i] + 10);
     } else if (std::strcmp(argv[i], "--progress") == 0) {
       telemetry::set_progress_enabled(true);
     } else if (std::strcmp(argv[i], "--profile") == 0) {
@@ -221,6 +232,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "msc_run: --memory-budget requires --stream\n");
     return 1;
   }
+  if (max_workers < 0) {
+    std::fprintf(stderr, "msc_run: --workers must be >= 0\n");
+    return 1;
+  }
 
   try {
     workloads::ExperimentSpec spec =
@@ -242,13 +257,14 @@ int main(int argc, char** argv) {
     if (!metrics_path.empty()) ensure_writable_file(metrics_path);
     if (!trace_path.empty()) ensure_writable_file(trace_path);
 
-    const std::size_t workers = std::thread::hardware_concurrency();
+    const auto workers = static_cast<std::size_t>(max_workers);
     Json run_meta{Json::Object{}};
     run_meta.set("workload", spec.name);
     run_meta.set("seed",
                  static_cast<std::int64_t>(spec.config.clock_seed));
     run_meta.set("ranks", spec.topology.num_ranks());
-    run_meta.set("workers", workers);
+    run_meta.set("workers", workers != 0 ? workers
+                                          : std::thread::hardware_concurrency());
     telemetry::set_run_metadata(std::move(run_meta));
 
     if (!trace_path.empty()) {
@@ -279,9 +295,10 @@ int main(int argc, char** argv) {
           archive_dir, spec.topology.num_metahosts());
       const auto arch =
           archive::ExperimentArchive::create(spec.topology, layout, spec.name);
-      arch.write_traces(spec.topology, data.traces);
+      arch.write_traces(spec.topology, data.traces, workers);
       archive::ReadOptions ropts;
       ropts.permissive = permissive;
+      ropts.max_workers = workers;
       archive::ReadReport rep;
       data.traces = arch.read_traces(ropts, &rep);
       std::printf("archive round-trip via %s (%s mode)\n", archive_dir.c_str(),
@@ -308,13 +325,15 @@ int main(int argc, char** argv) {
     }
 
     if (spec.config.measurement.scheme != tracing::SyncScheme::None) {
-      clocksync::synchronize(data.traces);
+      clocksync::synchronize(data.traces, workers);
       const auto violations =
           clocksync::check_clock_condition(data.traces);
       std::printf("clock condition after synchronization: %zu/%zu violations\n",
                   violations.violations, violations.messages);
       if (want_amortize && violations.violations > 0) {
-        const auto rep = clocksync::amortize_violations(data.traces);
+        clocksync::AmortizationConfig acfg;
+        acfg.max_workers = workers;
+        const auto rep = clocksync::amortize_violations(data.traces, acfg);
         std::printf(
             "amortization: repaired %zu receives in %zu passes (max shift "
             "%.1f us)\n",
@@ -334,6 +353,7 @@ int main(int argc, char** argv) {
     }
 
     analysis::ReplayOptions aopts;
+    aopts.max_workers = workers;
     aopts.patterns = have_cli_patterns ? cli_patterns : spec.patterns;
     aopts.memory_budget_bytes = static_cast<std::size_t>(memory_budget);
     analysis::AnalysisResult res;
@@ -346,9 +366,10 @@ int main(int argc, char** argv) {
           archive_dir, spec.topology.num_metahosts());
       const auto arch = archive::ExperimentArchive::create(
           spec.topology, layout, spec.name);
-      arch.write_traces(spec.topology, data.traces);
+      arch.write_traces(spec.topology, data.traces, workers);
       archive::ReadOptions ropts;
       ropts.permissive = permissive;
+      ropts.max_workers = workers;
       archive::ReadReport rep;
       const auto src = arch.stream_source(ropts, &rep);
       std::printf("streaming analysis from %s (%s mode, budget %s)\n",

@@ -1,7 +1,7 @@
 // Out-of-core streaming replay: the SCALASCA-style parallel analysis
 // over v3 archives on disk, and the one user of the replay protocol.
 // Each rank task owns a windowed cursor (tracing::TraceStream) over its
-// mapped trace file and decodes one bounded window of communication
+// mapped trace blob and decodes one bounded window of communication
 // events at a time; a consumed window is evicted before the next one is
 // brought in, so peak trace-resident memory is ~ budget instead of
 // ~ trace size.
@@ -102,10 +102,14 @@ class Residency {
   telemetry::Gauge& peak_gauge_;
 };
 
-/// Everything one rank task owns: the mapped file and its windowed
-/// cursor, the op walk bridging windows, and the current window.
+/// Everything one rank task owns: its mapped blob (the page-aligned
+/// window of its container extent) and the windowed cursor over it, the
+/// op walk bridging windows, and the current window.
 struct RankStream {
   MappedFile file;
+  /// The blob's offset in its container: cursor errors count from the
+  /// blob's start, reported errors from the container's.
+  std::uint64_t base{0};
   std::optional<tracing::TraceStream> ts;  ///< nullopt: quarantined rank
 
   // Decoded-but-unwalked lookahead ring (bounded by kMaxDecodeChunk).
@@ -134,7 +138,7 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
   MSC_CHECK(tc.synchronized || tc.scheme == tracing::SyncScheme::None,
             "analyze_streaming requires synchronized timestamps");
   const auto n = static_cast<std::size_t>(tc.num_ranks());
-  MSC_CHECK(src.paths.size() == n, "stream source paths/defs mismatch");
+  MSC_CHECK(src.extents.size() == n, "stream source extents/defs mismatch");
   const tracing::TraceDefs& defs = tc.defs;
 
   const tracing::Quarantine quarantine(tc, src.quarantined);
@@ -148,7 +152,7 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
   telemetry::Counter& windows_counter =
       telemetry::counter("analysis.stream.windows");
 
-  // Streaming prepare: open every surviving rank's file and run the
+  // Streaming prepare: map every surviving rank's blob and run the
   // light pass, ranks in ascending order so call-path ids match the
   // materializing prepare exactly. Quarantined ranks stay closed and
   // stream zero events.
@@ -165,9 +169,16 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
     parallel_for(n, opts.max_workers, [&](std::size_t r) {
       if (quarantine.holds(static_cast<Rank>(r))) return;
       RankStream& rs = streams[r];
+      const tracing::TraceExtent& at = src.extents[r];
       try {
-        rs.file = MappedFile::open(src.paths[r]);
-        rs.ts.emplace(rs.file.data(), rs.file.size(), src.paths[r]);
+        rs.base = at.offset;
+        rs.file = MappedFile::open(at.path, at.offset,
+                                   static_cast<std::size_t>(at.length));
+        try {
+          rs.ts.emplace(rs.file.data(), rs.file.size(), at.path);
+        } catch (const Error& e) {
+          throw e.offset_by(rs.base);
+        }
       } catch (const Error&) {
         open_err[r] = std::current_exception();
       }
@@ -179,17 +190,21 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
         if (open_err[r]) std::rethrow_exception(open_err[r]);
         RankWalk walk(static_cast<Rank>(r), defs.comms.size(), calls,
                       comm_in[r]);
-        rs.ts->scan_light([&](const Event& scanned) {
-          Event e = scanned;
-          const tracing::Pruned p = quarantine.apply(e);
-          if (p != tracing::Pruned::No) ++rs.pruned;
-          if (p != tracing::Pruned::Dropped) (void)walk.step(e);
-        });
+        try {
+          rs.ts->scan_light([&](const Event& scanned) {
+            Event e = scanned;
+            const tracing::Pruned p = quarantine.apply(e);
+            if (p != tracing::Pruned::No) ++rs.pruned;
+            if (p != tracing::Pruned::Dropped) (void)walk.step(e);
+          });
+        } catch (const Error& e) {
+          throw e.offset_by(rs.base);
+        }
         rs.events_kept = walk.finish();
         rs.walk.emplace(calls, rs.ops);
       } catch (const Error& e) {
         throw e.with_context(
-            ErrorContext{src.paths[r], static_cast<Rank>(r), -1});
+            ErrorContext{src.extents[r].path, static_cast<Rank>(r), -1});
       }
       // Sync records are materialized for the stream's whole lifetime;
       // window bytes come and go on top of this floor.
@@ -237,7 +252,11 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
         if (ts.at_end()) break;
         rs.raw.clear();
         rs.rpos = 0;
-        ts.next(rs.raw, chunk);
+        try {
+          ts.next(rs.raw, chunk);
+        } catch (const Error& e) {
+          throw e.offset_by(rs.base);
+        }
         continue;
       }
       Event& e = rs.raw[rs.rpos++];

@@ -80,72 +80,185 @@ bool is_visible(const std::string& path, CreationStats* stats) {
   return fs::exists(path);
 }
 
+/// Ranks encoded per write batch. A worker keeps the blobs it encoded
+/// until the batch is appended, and they fragment its malloc arena: at
+/// 8 ranks (4 per worker at 2 workers) the analyze phase of metabench's
+/// stream-512 peaked ~0.9 MB higher than with a file per rank; at 2 it
+/// peaked the same.
+constexpr std::size_t kWriteBatch = 2;
+
+/// One partial archive: its directory and the ranks its trace container
+/// holds, ascending.
+struct PartialArchive {
+  std::string dir;
+  std::vector<Rank> ranks;
+
+  [[nodiscard]] std::string container() const {
+    return dir + "/" + tracing::container_filename();
+  }
+};
+
+/// The distinct partial archives, in order of first appearance over the
+/// metahosts (metahosts that share a file system share one).
+std::vector<PartialArchive> partial_archives(
+    const std::vector<std::string>& dir_by_metahost,
+    const std::vector<std::vector<Rank>>& ranks_by_metahost) {
+  std::vector<PartialArchive> out;
+  for (std::size_t m = 0; m < dir_by_metahost.size(); ++m) {
+    const std::string& dir = dir_by_metahost[m];
+    if (dir.empty()) continue;
+    auto it = std::find_if(
+        out.begin(), out.end(),
+        [&](const PartialArchive& p) { return p.dir == dir; });
+    if (it == out.end()) it = out.insert(out.end(), PartialArchive{dir, {}});
+    it->ranks.insert(it->ranks.end(), ranks_by_metahost[m].begin(),
+                     ranks_by_metahost[m].end());
+  }
+  for (PartialArchive& p : out) std::sort(p.ranks.begin(), p.ranks.end());
+  return out;
+}
+
 /// The shared definitions from the first replica that decodes (every
-/// partial archive in `dirs` holds one). In permissive mode a corrupt
-/// copy just means trying the next one; strict mode fails on the first.
+/// partial archive holds one). In permissive mode a corrupt copy just
+/// means trying the next one; strict mode fails on the first.
 tracing::TraceCollection read_first_defs(
-    const std::vector<std::string>& dirs, const ReadOptions& opts,
+    const std::vector<PartialArchive>& parts, const ReadOptions& opts,
     std::atomic<std::uint64_t>& bytes_read) {
   for (std::size_t i = 0;; ++i) {
-    const std::string path = dirs[i] + "/" + tracing::defs_filename();
+    const std::string path = parts[i].dir + "/" + tracing::defs_filename();
     try {
       const MappedFile f = MappedFile::open(path);
       auto tc = tracing::decode_defs(f.data(), f.size(), path);
       bytes_read.fetch_add(f.size(), std::memory_order_relaxed);
       return tc;
     } catch (const Error&) {
-      if (!opts.permissive || i + 1 == dirs.size()) throw;
+      if (!opts.permissive || i + 1 == parts.size()) throw;
     }
   }
 }
 
-/// Every rank's trace file, flattened over the partial archives.
-std::vector<std::pair<Rank, std::string>> rank_files(
-    const std::vector<std::string>& dirs,
-    const std::vector<std::vector<Rank>>& ranks_by_metahost) {
-  std::vector<std::pair<Rank, std::string>> files;
-  for (std::size_t m = 0; m < dirs.size(); ++m)
-    for (Rank r : ranks_by_metahost[m])
-      files.emplace_back(r, dirs[m] + "/" + tracing::trace_filename(r));
-  return files;
+/// A container's validated index: trailer first, then the index, all
+/// before any blob is touched. Adds the bytes read to `bytes_read`.
+struct ContainerIndex {
+  std::string path;
+  std::uint64_t index_offset{0};
+  std::vector<tracing::ContainerExtent> extents;
+
+  /// Where rank r's blob lies; Corrupt (naming the index) if the index
+  /// has no entry for it.
+  [[nodiscard]] tracing::TraceExtent find(Rank r) const {
+    const auto it = std::lower_bound(
+        extents.begin(), extents.end(), r,
+        [](const tracing::ContainerExtent& e, Rank x) { return e.rank < x; });
+    if (it == extents.end() || it->rank != r)
+      throw Error(ErrorCode::Corrupt,
+                  "trace container index has no entry for rank " +
+                      std::to_string(r),
+                  ErrorContext{path, r,
+                               static_cast<std::int64_t>(index_offset)});
+    return tracing::TraceExtent{path, it->offset, it->length};
+  }
+};
+
+ContainerIndex read_index(const PartialArchive& part,
+                          std::atomic<std::uint64_t>& bytes_read) {
+  ContainerIndex ci;
+  ci.path = part.container();
+  const std::uint64_t size = file_size(ci.path);
+  const std::size_t tail = static_cast<std::size_t>(
+      std::min<std::uint64_t>(size, tracing::kContainerTrailerBytes));
+  const auto trailer = read_file_range(ci.path, size - tail, tail);
+  ci.index_offset = tracing::decode_container_trailer(
+      trailer.data(), trailer.size(), size, ci.path);
+  const auto index = read_file_range(
+      ci.path, ci.index_offset,
+      static_cast<std::size_t>(size - tracing::kContainerTrailerBytes -
+                               ci.index_offset));
+  ci.extents = tracing::decode_container_index(
+      index.data(), index.size(), ci.index_offset, part.ranks, ci.path);
+  bytes_read.fetch_add(trailer.size() + index.size(),
+                       std::memory_order_relaxed);
+  return ci;
 }
 
-/// The per-rank read fan-out of read_traces and stream_source: maps each
-/// rank's file and runs `step(rank, path, file, claim)` on it. The step
-/// decodes or validates the bytes and calls `claim(rank the file
-/// names)` as soon as it knows, which counts the file's bytes and
-/// rejects a rank mismatch. A failure is rethrown with file/rank
+/// Maps rank r's blob — the page-aligned window of its extent, not the
+/// container — and runs `step(file, claim)` on it. The step calls
+/// `claim(rank the blob names)` as soon as it knows, which rejects a
+/// blob filed under another rank. Decode errors come back with
+/// container-absolute offsets.
+template <typename Step>
+void visit_blob(Rank r, const tracing::TraceExtent& at, Step step) {
+  const MappedFile f = MappedFile::open(at.path, at.offset,
+                                        static_cast<std::size_t>(at.length));
+  try {
+    step(f, [&](Rank claimed) {
+      if (claimed != r)
+        throw Error(ErrorCode::Corrupt,
+                    "trace blob rank mismatch (blob claims rank " +
+                        std::to_string(claimed) + ")",
+                    ErrorContext{at.path, r, 0});
+    });
+  } catch (const Error& e) {
+    throw e.offset_by(at.offset);
+  }
+}
+
+/// The per-rank read fan-out of read_traces and stream_source. Every
+/// container index is read and validated first, serially; then each
+/// rank's blob is visited on up to opts.max_workers threads by
+/// `step(rank, extent, file, claim)` (see visit_blob). A container
+/// whose trailer or index fails fails every rank it holds; a blob that
+/// fails fails only its rank. A failure is rethrown with container/rank
 /// context in strict mode and quarantines the rank in permissive mode.
 /// Adds `bytes_read` to telemetry and returns the quarantine records
 /// sorted by rank (deterministic whatever the reader interleaving).
 template <typename Step>
-std::vector<QuarantineRecord> read_rank_files(
-    const std::vector<std::pair<Rank, std::string>>& files,
-    const ReadOptions& opts, const char* stage,
-    std::atomic<std::uint64_t>& bytes_read, Step step) {
+std::vector<QuarantineRecord> read_ranks(
+    const std::vector<PartialArchive>& parts, const ReadOptions& opts,
+    const char* stage, std::atomic<std::uint64_t>& bytes_read, Step step) {
   std::mutex quarantine_mu;
   std::vector<QuarantineRecord> quarantined;
+  const auto fail = [&](Rank r, const std::string& path, const Error& e) {
+    if (!opts.permissive) throw e.with_context(ErrorContext{path, r, -1});
+    const std::lock_guard<std::mutex> lock(quarantine_mu);
+    quarantined.push_back(
+        QuarantineRecord{r, path, e.code(), e.base_message()});
+  };
+
+  std::vector<std::pair<Rank, tracing::TraceExtent>> blobs;
+  for (const PartialArchive& part : parts) {
+    if (part.ranks.empty()) continue;
+    ContainerIndex ci;
+    try {
+      ci = read_index(part, bytes_read);
+    } catch (const Error& e) {
+      for (Rank r : part.ranks) fail(r, part.container(), e);
+      continue;
+    }
+    for (Rank r : part.ranks) {
+      try {
+        blobs.emplace_back(r, ci.find(r));
+      } catch (const Error& e) {
+        fail(r, ci.path, e);
+      }
+    }
+  }
+
   telemetry::RecordingObserver rec_obs(
-      stage, telemetry::RecordingObserver::fanout_stride(files.size()));
+      stage, telemetry::RecordingObserver::fanout_stride(blobs.size()));
   const auto pst = parallel_for(
-      files.size(), opts.max_workers,
+      blobs.size(), opts.max_workers,
       [&](std::size_t i) {
-        const auto& [r, path] = files[i];
+        const auto& [r, at] = blobs[i];
         try {
-          const MappedFile f = MappedFile::open(path);
-          step(r, path, f, [&](Rank claimed) {
-            bytes_read.fetch_add(f.size(), std::memory_order_relaxed);
-            if (claimed != r)
-              throw Error(ErrorCode::Corrupt,
-                          "trace file rank mismatch (file claims rank " +
-                              std::to_string(claimed) + ")",
-                          ErrorContext{path, r, -1});
+          visit_blob(r, at, [&](const MappedFile& f, const auto& claim) {
+            step(r, at, f, [&](Rank claimed) {
+              claim(claimed);
+              bytes_read.fetch_add(f.size(), std::memory_order_relaxed);
+            });
           });
         } catch (const Error& e) {
-          if (!opts.permissive) throw e.with_context(ErrorContext{path, r, -1});
-          const std::lock_guard<std::mutex> lock(quarantine_mu);
-          quarantined.push_back(
-              QuarantineRecord{r, path, e.code(), e.base_message()});
+          fail(r, at.path, e);
         }
       },
       &rec_obs);
@@ -160,6 +273,17 @@ std::vector<QuarantineRecord> read_rank_files(
     telemetry::counter("archive.read.quarantined").add(quarantined.size());
   }
   return quarantined;
+}
+
+/// Sums per-batch parallel_for summaries into one per-stage summary.
+void accumulate(ParallelForStats& total, const ParallelForStats& batch) {
+  total.workers = std::max(total.workers, batch.workers);
+  total.items += batch.items;
+  total.steals += batch.steals;
+  if (total.items_per_worker.size() < batch.items_per_worker.size())
+    total.items_per_worker.resize(batch.items_per_worker.size());
+  for (std::size_t w = 0; w < batch.items_per_worker.size(); ++w)
+    total.items_per_worker[w] += batch.items_per_worker[w];
 }
 
 }  // namespace
@@ -270,9 +394,9 @@ const std::string& ExperimentArchive::dir_of(MetahostId m) const {
 
 std::vector<std::string> ExperimentArchive::partial_dirs() const {
   std::vector<std::string> out;
-  for (const auto& d : dir_by_metahost_)
-    if (!d.empty() && std::find(out.begin(), out.end(), d) == out.end())
-      out.push_back(d);
+  for (PartialArchive& p :
+       partial_archives(dir_by_metahost_, ranks_by_metahost_))
+    out.push_back(std::move(p.dir));
   return out;
 }
 
@@ -282,33 +406,53 @@ void ExperimentArchive::write_traces(const simnet::Topology& topo,
   MSC_CHECK(tc.num_ranks() == topo.num_ranks(),
             "collection/topology rank mismatch");
   telemetry::ScopedSpan span("archive_write");
-  // Definitions + manifest go into every partial archive; each rank's
-  // trace goes only where that rank can write.
-  std::atomic<std::uint64_t> bytes_on_disk{0};
+  // Every partial archive gets the definitions, one trace container
+  // holding the ranks that write there, and one manifest per metahost.
+  std::uint64_t bytes_on_disk = 0;
+  std::uint64_t files_written = 0;
+  const auto parts = partial_archives(dir_by_metahost_, ranks_by_metahost_);
   const auto defs_bytes = tracing::encode_defs(tc);
-  for (const std::string& dir : partial_dirs()) {
-    write_file_bytes(dir + "/" + tracing::defs_filename(), defs_bytes);
-    bytes_on_disk.fetch_add(defs_bytes.size(), std::memory_order_relaxed);
+  for (const PartialArchive& part : parts) {
+    write_file_bytes(part.dir + "/" + tracing::defs_filename(), defs_bytes);
+    bytes_on_disk += defs_bytes.size();
+    ++files_written;
   }
 
-  // One task per rank: encode + write its own trace file. Files are
-  // distinct paths, so the fan-out never contends on a target.
-  telemetry::RecordingObserver rec_obs(
-      "archive_write",
-      telemetry::RecordingObserver::fanout_stride(tc.ranks.size()));
-  const auto pst = parallel_for(
-      tc.ranks.size(), opts.max_workers,
-      [&](std::size_t i) {
-        const auto& t = tc.ranks[i];
-        const std::string& dir = dir_of(topo.metahost_of(t.rank));
-        const auto bytes = tracing::encode_local_trace(t);
-        write_file_bytes(dir + "/" + tracing::trace_filename(t.rank), bytes);
-        bytes_on_disk.fetch_add(bytes.size(), std::memory_order_relaxed);
-      },
-      &rec_obs);
+  // Each container is appended in rank order, one fixed batch at a
+  // time: the batch's ranks encode in parallel, then go out in order.
+  // The bytes do not depend on the worker count, and only one batch of
+  // blobs is ever resident. One slice per batch is recorded.
+  telemetry::RecordingObserver rec_obs("archive_write", kWriteBatch);
+  ParallelForStats pst;
+  std::vector<std::vector<std::uint8_t>> blobs(kWriteBatch);
+  for (const PartialArchive& part : parts) {
+    FileWriter out(part.container());
+    std::vector<tracing::ContainerExtent> index;
+    index.reserve(part.ranks.size());
+    for (std::size_t b = 0; b < part.ranks.size(); b += kWriteBatch) {
+      const std::size_t k = std::min(kWriteBatch, part.ranks.size() - b);
+      accumulate(pst, parallel_for(
+                          k, opts.max_workers,
+                          [&](std::size_t i) {
+                            const auto& t = tc.ranks[static_cast<std::size_t>(
+                                part.ranks[b + i])];
+                            MSC_CHECK(t.rank == part.ranks[b + i],
+                                      "collection rank slot mismatch");
+                            blobs[i] = tracing::encode_local_trace(t);
+                          },
+                          &rec_obs));
+      for (std::size_t i = 0; i < k; ++i) {
+        out.write(blobs[i]);
+        index.push_back({part.ranks[b + i], 0, blobs[i].size()});
+      }
+    }
+    out.write(tracing::encode_container_index(index));
+    out.close();
+    bytes_on_disk += out.size();
+    ++files_written;
+  }
   telemetry::record_stage_parallelism("archive_write", pst);
-  telemetry::counter("archive.bytes_on_disk")
-      .add(bytes_on_disk.load(std::memory_order_relaxed));
+  telemetry::counter("archive.bytes_on_disk").add(bytes_on_disk);
   telemetry::counter("archive.bytes_in_memory")
       .add(tracing::in_memory_bytes(tc));
 
@@ -327,7 +471,9 @@ void ExperimentArchive::write_traces(const simnet::Topology& topo,
     manifest.set("ranks", ranks);
     save_json_file(dir_of(mh) + "/manifest." + std::to_string(m) + ".json",
                    manifest);
+    ++files_written;
   }
+  telemetry::counter("archive.files_written").add(files_written);
 }
 
 void ExperimentArchive::write_traces(const simnet::Topology& topo,
@@ -352,18 +498,17 @@ tracing::TraceCollection ExperimentArchive::read_traces(
   if (report) *report = ReadReport{};
 
   // The defs header names the rank count, so each rank's slot is
-  // pre-sized before any trace file is opened; each task then decodes
-  // one file straight out of its mapping into its own slot. A
+  // pre-sized before any container is opened; each task then decodes
+  // one blob straight out of its mapped window into its own slot. A
   // quarantined rank keeps the empty trace decode_defs left there.
   std::atomic<std::uint64_t> bytes_read{0};
-  tracing::TraceCollection tc =
-      read_first_defs(partial_dirs(), opts, bytes_read);
-  auto quarantined = read_rank_files(
-      rank_files(dir_by_metahost_, ranks_by_metahost_), opts,
-      "archive_read", bytes_read,
-      [&](Rank r, const std::string& path, const MappedFile& f,
+  const auto parts = partial_archives(dir_by_metahost_, ranks_by_metahost_);
+  tracing::TraceCollection tc = read_first_defs(parts, opts, bytes_read);
+  auto quarantined = read_ranks(
+      parts, opts, "archive_read", bytes_read,
+      [&](Rank r, const tracing::TraceExtent& at, const MappedFile& f,
           const auto& claim) {
-        auto trace = tracing::decode_local_trace(f.data(), f.size(), path);
+        auto trace = tracing::decode_local_trace(f.data(), f.size(), at.path);
         claim(trace.rank);
         tc.ranks[static_cast<std::size_t>(r)] = std::move(trace);
       });
@@ -399,23 +544,22 @@ tracing::StreamSource ExperimentArchive::stream_source(
 
   tracing::StreamSource src;
   std::atomic<std::uint64_t> bytes_read{0};
-  src.defs = read_first_defs(partial_dirs(), opts, bytes_read);
-  const auto files = rank_files(dir_by_metahost_, ranks_by_metahost_);
-  src.paths.resize(static_cast<std::size_t>(src.defs.num_ranks()));
-  for (const auto& [r, path] : files)
-    src.paths[static_cast<std::size_t>(r)] = path;
+  const auto parts = partial_archives(dir_by_metahost_, ranks_by_metahost_);
+  src.defs = read_first_defs(parts, opts, bytes_read);
+  src.extents.resize(static_cast<std::size_t>(src.defs.num_ranks()));
 
   // Open-time validation fan-out: everything short of the column
-  // payloads is checked per rank, so a corrupt file is caught (and, in
+  // payloads is checked per rank, so a corrupt blob is caught (and, in
   // permissive mode, quarantined) before any analysis state exists.
-  // The replay re-opens the files; the whole file's bytes are counted
-  // as read here, since streaming decodes all of them exactly once.
-  auto quarantined = read_rank_files(
-      files, opts, "archive_stream_open", bytes_read,
-      [&](Rank, const std::string& path, const MappedFile& f,
+  // The replay maps the blobs again; their bytes are counted as read
+  // here, since streaming decodes all of them exactly once.
+  auto quarantined = read_ranks(
+      parts, opts, "archive_stream_open", bytes_read,
+      [&](Rank r, const tracing::TraceExtent& at, const MappedFile& f,
           const auto& claim) {
-        tracing::TraceStream s(f.data(), f.size(), path);
+        tracing::TraceStream s(f.data(), f.size(), at.path);
         claim(s.rank());
+        src.extents[static_cast<std::size_t>(r)] = at;
         if (!opts.permissive) return;
         // Quarantine decisions must match read_traces, and open-time
         // validation alone cannot see codec-level corruption inside the
@@ -424,7 +568,7 @@ tracing::StreamSource ExperimentArchive::stream_source(
         // materialized — so every rank is classified up front. Strict
         // mode skips the drain: payload corruption surfaces from
         // whichever replay window decodes it, with the same error code
-        // and file/rank context.
+        // and container/rank context.
         std::vector<tracing::Event> sink;
         while (!s.at_end()) {
           sink.clear();
@@ -439,14 +583,25 @@ tracing::StreamSource ExperimentArchive::stream_source(
 
 tracing::LocalTrace ExperimentArchive::read_local_trace(
     const simnet::Topology& topo, Rank r) const {
-  const std::string path =
-      dir_of(topo.metahost_of(r)) + "/" + tracing::trace_filename(r);
-  try {
-    const MappedFile f = MappedFile::open(path);
-    return tracing::decode_local_trace(f.data(), f.size(), path);
-  } catch (const Error& e) {
-    throw e.with_context(ErrorContext{path, r, -1});
+  const std::string& dir = dir_of(topo.metahost_of(r));
+  for (const PartialArchive& part :
+       partial_archives(dir_by_metahost_, ranks_by_metahost_)) {
+    if (part.dir != dir) continue;
+    try {
+      std::atomic<std::uint64_t> bytes_read{0};
+      tracing::LocalTrace trace;
+      visit_blob(r, read_index(part, bytes_read).find(r),
+                 [&](const MappedFile& f, const auto& claim) {
+                   trace = tracing::decode_local_trace(f.data(), f.size(),
+                                                       part.container());
+                   claim(trace.rank);
+                 });
+      return trace;
+    } catch (const Error& e) {
+      throw e.with_context(ErrorContext{part.container(), r, -1});
+    }
   }
+  throw Error("rank " + std::to_string(r) + " has no partial archive");
 }
 
 tracing::TraceCollection ExperimentArchive::read_defs(MetahostId m) const {

@@ -17,6 +17,13 @@
 // metahost is assigned a root directory ("its file system"); metahosts
 // sharing a root share a file system. Directory operations are real
 // (std::filesystem), so the protocol is exercised end to end.
+//
+// Each partial archive holds a few files whatever its rank count: the
+// shared definitions, one trace container with the blobs of every rank
+// that writes there (tracing/epilog_io.hpp, DESIGN.md §5e), and one
+// manifest per metahost. Creating a file costs far more than writing a
+// rank's few kilobytes, so a file per rank would make the write scale
+// with the rank count (the layout SIONlib later replaced in Scalasca).
 #pragma once
 
 #include <cstddef>
@@ -33,15 +40,17 @@ namespace metascope::archive {
 
 /// How read_traces reacts to undecodable data (see ReadReport).
 struct ReadOptions {
-  /// Strict (default): the first undecodable file aborts the read with
-  /// a typed Error naming the file, rank, and byte offset. Permissive:
-  /// ranks whose trace files are missing/corrupt are *quarantined* —
-  /// their traces come back empty, events in surviving ranks that can
-  /// no longer match (p2p with a quarantined peer, collectives on a
-  /// communicator containing one) are pruned, and the analyzer proceeds
-  /// on the survivors. Quarantines are recorded in the ReadReport and
-  /// in telemetry ("archive.read.quarantined" /
-  /// "archive.read.pruned_events").
+  /// Strict (default): the first undecodable container or blob aborts
+  /// the read with a typed Error naming the container, the rank, and a
+  /// container-absolute byte offset. Permissive: ranks whose blobs are
+  /// missing/corrupt are *quarantined* — their traces come back empty,
+  /// events in surviving ranks that can no longer match (p2p with a
+  /// quarantined peer, collectives on a communicator containing one)
+  /// are pruned, and the analyzer proceeds on the survivors. A damaged
+  /// blob quarantines its own rank only; an unreadable container,
+  /// index or trailer quarantines every rank the container holds.
+  /// Quarantines are recorded in the ReadReport and in telemetry
+  /// ("archive.read.quarantined" / "archive.read.pruned_events").
   bool permissive{false};
   /// Per-rank reads fan out on up to this many threads (0 = hardware
   /// concurrency). The result is identical for any count.
@@ -134,16 +143,18 @@ class ExperimentArchive {
   /// All distinct partial-archive directories.
   [[nodiscard]] std::vector<std::string> partial_dirs() const;
 
-  /// Writes each rank's local trace into the partial archive of its
-  /// metahost, plus the shared definitions and a manifest into every
-  /// partial archive. The per-rank encodes + writes are independent
-  /// (distinct files), so they fan out on up to `max_workers` threads
-  /// (0 = hardware concurrency); the bytes written are identical for
-  /// any count. Telemetry: "archive.bytes_on_disk" accumulates the
-  /// encoded bytes written (defs replicas + every trace file) and
-  /// "archive.bytes_in_memory" the resident size of the collection —
-  /// their ratio is the trace-format compression ratio the bench
-  /// sidecars report.
+  /// Writes each rank's local trace into the trace container of its
+  /// metahost's partial archive, plus the shared definitions into every
+  /// partial archive and one manifest per metahost. A container is
+  /// appended through one file in rank order, a fixed batch of ranks at
+  /// a time: each batch encodes on up to `max_workers` threads (0 =
+  /// hardware concurrency), so the bytes are identical for any count
+  /// and one batch of blobs is resident at most. Telemetry:
+  /// "archive.files_written" counts the files created,
+  /// "archive.bytes_on_disk" the bytes (defs replicas + containers,
+  /// index and trailer included) and "archive.bytes_in_memory" the
+  /// resident size of the collection — the last two give the
+  /// trace-format compression ratio the bench sidecars report.
   void write_traces(const simnet::Topology& topo,
                     const tracing::TraceCollection& tc,
                     const WriteOptions& opts) const;
@@ -154,9 +165,11 @@ class ExperimentArchive {
   /// Re-assembles the full collection from all partial archives (what a
   /// post-mortem analysis with access to all file systems would do; the
   /// parallel analyzer instead reads only local files — see analysis/).
-  /// Per-rank reads + decodes fan out like write_traces. Strict by
-  /// default; see ReadOptions for the permissive-recovery mode. The
-  /// optional report receives the quarantine outcome (cleared first).
+  /// Each container's index is read and validated once, before any
+  /// blob; then each rank maps only its blob's pages and decodes it, on
+  /// up to ReadOptions::max_workers threads. Strict by default; see
+  /// ReadOptions for the permissive-recovery mode. The optional report
+  /// receives the quarantine outcome (cleared first).
   [[nodiscard]] tracing::TraceCollection read_traces(
       const ReadOptions& opts, ReadReport* report = nullptr) const;
   /// Back-compat shim: strict read with a worker-count cap.
@@ -164,12 +177,13 @@ class ExperimentArchive {
       std::size_t max_workers = 0) const;
 
   /// Builds a bounded-memory streaming view of the archive instead of
-  /// materializing it: the shared definitions plus each rank's
-  /// trace-file path, with every trace file validated up front through
-  /// the windowed reader (tracing::TraceStream — header, counts, type
-  /// stream and column frames are checked; column payloads stay on
-  /// disk until replay windows pull them in). Strict mode rethrows the
-  /// first failure with file/rank context. Permissive mode quarantines
+  /// materializing it: the shared definitions plus each rank's blob
+  /// extent (container path, offset, length), with every container
+  /// index and every blob validated up front through the windowed
+  /// reader (tracing::TraceStream — header, counts, type stream and
+  /// column frames are checked; column payloads stay on disk until
+  /// replay windows pull them in). Strict mode rethrows the first
+  /// failure with container/rank context. Permissive mode quarantines
   /// undecodable ranks in the source (and the report): they stream
   /// zero events and analysis::analyze_streaming filters surviving
   /// ranks' events against them on the fly with the rule
@@ -179,7 +193,9 @@ class ExperimentArchive {
       const ReadOptions& opts, ReadReport* report = nullptr) const;
 
   /// Loads one rank's trace from the partial archive of its metahost —
-  /// the parallel analyzer's access pattern (local data only).
+  /// the parallel analyzer's access pattern (local data only): reads
+  /// that container's index, then maps and decodes the rank's blob.
+  /// Safe to call from many threads at once.
   [[nodiscard]] tracing::LocalTrace read_local_trace(
       const simnet::Topology& topo, Rank r) const;
   /// Loads the shared definitions from the partial archive visible to

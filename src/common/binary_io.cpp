@@ -229,40 +229,99 @@ void Decoder::require_end(const char* what) {
                                  " undecoded)");
 }
 
-// --- whole-file helpers --------------------------------------------------
+// --- file helpers -------------------------------------------------------
+
+namespace {
+
+[[noreturn]] void throw_io(const std::string& what, const std::string& path,
+                           int err) {
+  throw Error(ErrorCode::Io,
+              what + (err != 0 ? std::string(" (") + std::strerror(err) + ")"
+                               : std::string()),
+              ErrorContext{path, -1, -1});
+}
+
+/// Opens `path` for reading at its end, so tellg() is its size.
+std::ifstream open_for_read(const std::string& path) {
+  errno = 0;
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) throw_io("cannot open for read", path, errno);
+  return in;
+}
+
+std::vector<std::uint8_t> read_range(std::ifstream& in,
+                                     const std::string& path,
+                                     std::uint64_t offset,
+                                     std::size_t length) {
+  const auto size = static_cast<std::uint64_t>(in.tellg());
+  if (offset > size || length > size - offset)
+    throw Error(ErrorCode::Truncated,
+                "file holds " + std::to_string(size) +
+                    " bytes, fewer than the range [" +
+                    std::to_string(offset) + ", " +
+                    std::to_string(offset + length) + ") needs",
+                ErrorContext{path, -1, static_cast<std::int64_t>(size)});
+  std::vector<std::uint8_t> bytes(length);
+  in.seekg(static_cast<std::streamoff>(offset));
+  in.read(reinterpret_cast<char*>(bytes.data()),
+          static_cast<std::streamsize>(length));
+  if (!in) throw_io("read failed", path, 0);
+  return bytes;
+}
+
+}  // namespace
+
+FileWriter::FileWriter(std::string path) : path_(std::move(path)) {
+  errno = 0;
+  file_ = std::fopen(path_.c_str(), "wb");
+  if (file_ == nullptr) fail("cannot open for write");
+}
+
+FileWriter::~FileWriter() {
+  if (file_ != nullptr) std::fclose(file_);
+}
+
+void FileWriter::fail(const char* what) const { throw_io(what, path_, errno); }
+
+void FileWriter::write(const void* data, std::size_t n) {
+  MSC_CHECK(file_ != nullptr, "write after close: " + path_);
+  errno = 0;
+  if (n != 0 && std::fwrite(data, 1, n, file_) != n) fail("write failed");
+  size_ += n;
+}
+
+void FileWriter::close() {
+  MSC_CHECK(file_ != nullptr, "file closed twice: " + path_);
+  errno = 0;
+  const bool flushed = std::fflush(file_) == 0;
+  const int flush_err = errno;
+  const bool closed = std::fclose(file_) == 0;
+  file_ = nullptr;
+  if (!flushed) throw_io("write failed at flush", path_, flush_err);
+  if (!closed) fail("close failed");
+}
 
 void write_file_bytes(const std::string& path,
                       const std::vector<std::uint8_t>& bytes) {
-  errno = 0;
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out)
-    throw Error(ErrorCode::Io,
-                std::string("cannot open for write") +
-                    (errno ? std::string(" (") + std::strerror(errno) + ")"
-                           : ""),
-                ErrorContext{path, -1, -1});
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  if (!out) throw Error(ErrorCode::Io, "write failed",
-                        ErrorContext{path, -1, -1});
+  FileWriter out(path);
+  out.write(bytes);
+  out.close();
 }
 
 std::vector<std::uint8_t> read_file_bytes(const std::string& path) {
-  errno = 0;
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in)
-    throw Error(ErrorCode::Io,
-                std::string("cannot open for read") +
-                    (errno ? std::string(" (") + std::strerror(errno) + ")"
-                           : ""),
-                ErrorContext{path, -1, -1});
-  const std::streamsize size = in.tellg();
-  in.seekg(0);
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  in.read(reinterpret_cast<char*>(bytes.data()), size);
-  if (!in) throw Error(ErrorCode::Io, "read failed",
-                       ErrorContext{path, -1, -1});
-  return bytes;
+  std::ifstream in = open_for_read(path);
+  return read_range(in, path, 0, static_cast<std::size_t>(in.tellg()));
+}
+
+std::uint64_t file_size(const std::string& path) {
+  return static_cast<std::uint64_t>(open_for_read(path).tellg());
+}
+
+std::vector<std::uint8_t> read_file_range(const std::string& path,
+                                          std::uint64_t offset,
+                                          std::size_t length) {
+  std::ifstream in = open_for_read(path);
+  return read_range(in, path, offset, length);
 }
 
 // --- MappedFile ----------------------------------------------------------
@@ -295,48 +354,68 @@ MappedFile::~MappedFile() {
 }
 
 MappedFile MappedFile::open(const std::string& path, bool allow_mmap) {
+  return map(path, 0, std::nullopt, allow_mmap);
+}
+
+MappedFile MappedFile::open(const std::string& path, std::uint64_t offset,
+                            std::size_t length, bool allow_mmap) {
+  return map(path, offset, length, allow_mmap);
+}
+
+MappedFile MappedFile::map(const std::string& path, std::uint64_t offset,
+                           std::optional<std::size_t> length,
+                           bool allow_mmap) {
   MappedFile f;
 #if defined(__unix__) || defined(__APPLE__)
   if (allow_mmap) {
     errno = 0;
     const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0)
-      throw Error(ErrorCode::Io,
-                  std::string("cannot open for read (") +
-                      std::strerror(errno) + ")",
-                  ErrorContext{path, -1, -1});
+    if (fd < 0) throw_io("cannot open for read", path, errno);
     struct stat st{};
     if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
-      const std::string why =
-          errno ? std::strerror(errno) : "not a regular file";
+      const int err = errno;
       ::close(fd);
-      throw Error(ErrorCode::Io, "cannot stat for read (" + why + ")",
-                  ErrorContext{path, -1, -1});
+      if (err != 0) throw_io("cannot stat for read", path, err);
+      throw_io("cannot stat for read (not a regular file)", path, 0);
     }
-    const auto size = static_cast<std::size_t>(st.st_size);
-    if (size == 0) {
-      // mmap rejects zero-length mappings; an empty file is a valid
-      // (empty) view that simply fails decoding with Truncated later.
+    const auto file_bytes = static_cast<std::uint64_t>(st.st_size);
+    const std::size_t size =
+        length ? *length : static_cast<std::size_t>(file_bytes);
+    if (offset > file_bytes || size > file_bytes - offset) {
+      // Let the owned-buffer path raise the range error.
+      ::close(fd);
+    } else if (size == 0) {
+      // mmap rejects zero-length mappings; an empty view simply fails
+      // decoding with Truncated later.
       ::close(fd);
       return f;
-    }
-    void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-    ::close(fd);  // the mapping keeps its own reference
-    if (map != MAP_FAILED) {
+    } else {
+      // mmap offsets must be page-aligned: map from the page holding
+      // `offset` and point the view at the range inside it.
+      static const auto page =
+          static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+      const std::uint64_t start = offset - offset % page;
+      const auto lead = static_cast<std::size_t>(offset - start);
+      void* map = ::mmap(nullptr, lead + size, PROT_READ, MAP_PRIVATE, fd,
+                         static_cast<off_t>(start));
+      ::close(fd);  // the mapping keeps its own reference
+      if (map != MAP_FAILED) {
 #if defined(POSIX_MADV_SEQUENTIAL)
-      ::posix_madvise(map, size, POSIX_MADV_SEQUENTIAL);
+        ::posix_madvise(map, lead + size, POSIX_MADV_SEQUENTIAL);
 #endif
-      f.map_ = map;
-      f.map_len_ = size;
-      f.data_ = static_cast<const std::uint8_t*>(map);
-      f.size_ = size;
-      return f;
+        f.map_ = map;
+        f.map_len_ = lead + size;
+        f.data_ = static_cast<const std::uint8_t*>(map) + lead;
+        f.size_ = size;
+        return f;
+      }
+      // Mapping refused (e.g. a file system without mmap support): fall
+      // through to the owned-buffer path.
     }
-    // Mapping refused (e.g. a file system without mmap support): fall
-    // through to the owned-buffer path.
   }
 #endif
-  f.fallback_ = read_file_bytes(path);
+  f.fallback_ = length ? read_file_range(path, offset, *length)
+                       : read_file_bytes(path);
   f.data_ = f.fallback_.data();
   f.size_ = f.fallback_.size();
   return f;

@@ -13,6 +13,8 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -137,27 +139,71 @@ class Decoder {
   int rank_{-1};
 };
 
+/// A file being written: creates (or truncates) `path` and appends to
+/// it. Every write is checked for errors and short counts, and close()
+/// checks the final flush, so a full disk fails the write that hits it
+/// instead of passing unnoticed. Failures throw Error (ErrorCode::Io,
+/// path attached). A writer destroyed without close() (an exception
+/// unwinding past it) closes without checking.
+class FileWriter {
+ public:
+  explicit FileWriter(std::string path);
+  FileWriter(const FileWriter&) = delete;
+  FileWriter& operator=(const FileWriter&) = delete;
+  ~FileWriter();
+
+  void write(const void* data, std::size_t n);
+  void write(const std::vector<std::uint8_t>& bytes) {
+    write(bytes.data(), bytes.size());
+  }
+  /// Flushes and closes; throws if either fails.
+  void close();
+  /// Bytes written so far.
+  [[nodiscard]] std::uint64_t size() const { return size_; }
+
+ private:
+  [[noreturn]] void fail(const char* what) const;
+
+  std::string path_;
+  std::FILE* file_{nullptr};
+  std::uint64_t size_{0};
+};
+
 /// Whole-file helpers; throw Error (ErrorCode::Io, path attached) on I/O
-/// failure.
+/// failure. write_file_bytes goes through FileWriter.
 void write_file_bytes(const std::string& path,
                       const std::vector<std::uint8_t>& bytes);
 std::vector<std::uint8_t> read_file_bytes(const std::string& path);
+/// Size of the file at `path`; Io if it cannot be opened.
+std::uint64_t file_size(const std::string& path);
+/// `length` bytes of the file at `path`, starting `offset` bytes in. Io
+/// if it cannot be read; Truncated if the file ends before the range.
+std::vector<std::uint8_t> read_file_range(const std::string& path,
+                                          std::uint64_t offset,
+                                          std::size_t length);
 
-/// A read-only view of a whole file, memory-mapped when the platform
-/// supports it (POSIX mmap) and read into an owned buffer otherwise.
-/// The zero-copy archive read path decodes trace files straight out of
-/// the mapping instead of copying them through read_file_bytes first.
+/// A read-only view of a whole file or of a byte range of one,
+/// memory-mapped when the platform supports it (POSIX mmap) and read
+/// into an owned buffer otherwise. The zero-copy archive read path
+/// decodes trace blobs straight out of the mapping instead of copying
+/// them through read_file_bytes first.
 ///
-/// Zero-length files yield an empty view without mapping (mmap rejects
-/// length 0). Decoding results are byte-for-byte identical whichever
-/// path backs the view — tests assert the parity. Move-only; the
-/// mapping is released on destruction.
+/// Zero-length views are empty without mapping (mmap rejects length 0).
+/// Decoding results are byte-for-byte identical whichever path backs
+/// the view — tests assert the parity. Move-only; the mapping is
+/// released on destruction.
 class MappedFile {
  public:
   /// Opens `path`; throws Error (ErrorCode::Io, path attached) if it
   /// cannot be opened or read. With allow_mmap = false (or on platforms
   /// without mmap) the file is read into an owned buffer instead.
   static MappedFile open(const std::string& path, bool allow_mmap = true);
+  /// A view of `length` bytes of `path` starting `offset` bytes in. Only
+  /// the pages the range touches are mapped, so a reader holds one
+  /// rank's window of a trace container, not the container. Errors as
+  /// for read_file_range.
+  static MappedFile open(const std::string& path, std::uint64_t offset,
+                         std::size_t length, bool allow_mmap = true);
 
   MappedFile() = default;
   MappedFile(MappedFile&& other) noexcept { *this = std::move(other); }
@@ -173,6 +219,11 @@ class MappedFile {
   [[nodiscard]] bool mapped() const { return map_ != nullptr; }
 
  private:
+  /// The range [offset, offset + length), or the whole file when no
+  /// length is given.
+  static MappedFile map(const std::string& path, std::uint64_t offset,
+                        std::optional<std::size_t> length, bool allow_mmap);
+
   const std::uint8_t* data_{nullptr};
   std::size_t size_{0};
   void* map_{nullptr};

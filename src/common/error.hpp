@@ -120,6 +120,16 @@ class Error : public std::runtime_error {
     return Error(code_, base_, std::move(merged));
   }
 
+  /// A copy whose byte offset, if known, is moved `base` bytes on: for
+  /// bytes decoded out of a region that starts `base` bytes into its
+  /// file (one rank's blob inside a trace container).
+  [[nodiscard]] Error offset_by(std::uint64_t base) const {
+    ErrorContext moved = ctx_;
+    if (moved.byte_offset >= 0)
+      moved.byte_offset += static_cast<std::int64_t>(base);
+    return Error(code_, base_, std::move(moved));
+  }
+
  private:
   std::string base_;
   ErrorCode code_{ErrorCode::None};

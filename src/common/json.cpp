@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/binary_io.hpp"
 #include "common/error.hpp"
 
 namespace metascope {
@@ -480,11 +481,10 @@ void create_parent_dirs(const std::string& path) {
 
 void save_json_file(const std::string& path, const Json& v) {
   create_parent_dirs(path);
-  errno = 0;
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw_open_error("cannot write json file", path, errno);
-  out << v.dump(2) << '\n';
-  if (!out) throw Error("write failed: " + path);
+  const std::string text = v.dump(2) + '\n';
+  FileWriter out(path);
+  out.write(text.data(), text.size());
+  out.close();
 }
 
 void ensure_writable_file(const std::string& path) {

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <vector>
 
+#include "common/binary_io.hpp"
 #include "common/error.hpp"
 
 namespace metascope::report {
@@ -315,10 +316,10 @@ Cube from_cube_xml(const std::string& xml) {
 }
 
 void save_cube(const std::string& path, const Cube& cube) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw Error("cannot write cube file: " + path);
-  out << to_cube_xml(cube);
-  if (!out) throw Error("write failed: " + path);
+  const std::string xml = to_cube_xml(cube);
+  FileWriter out(path);
+  out.write(xml.data(), xml.size());
+  out.close();
 }
 
 Cube load_cube(const std::string& path) {

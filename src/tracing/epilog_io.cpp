@@ -1,5 +1,6 @@
 #include "tracing/epilog_io.hpp"
 
+#include <algorithm>
 #include <array>
 
 #include "common/binary_io.hpp"
@@ -11,7 +12,8 @@
 namespace metascope::tracing {
 
 namespace {
-constexpr std::uint32_t kDefsMagic = 0x4453434DU;   // "MCSD"
+constexpr std::uint32_t kDefsMagic = 0x4453434DU;       // "MCSD"
+constexpr std::uint32_t kContainerMagic = 0x4353434DU;  // "MCSC"
 using v3::kNumEventTypes;
 using v3::kTraceMagic;
 
@@ -426,7 +428,121 @@ LocalTrace decode_local_trace(const std::vector<std::uint8_t>& bytes,
   return decode_local_trace(bytes.data(), bytes.size(), path);
 }
 
+std::vector<std::uint8_t> encode_container_index(
+    const std::vector<ContainerExtent>& entries) {
+  BufWriter w;
+  std::uint64_t blob_bytes = 0;
+  w.put_varint(entries.size());
+  for (const ContainerExtent& e : entries) {
+    w.put_varint(static_cast<std::uint64_t>(e.rank));
+    w.put_varint(e.length);
+    blob_bytes += e.length;
+  }
+  w.put_u64(blob_bytes);
+  w.put_u32(kContainerMagic);
+  w.put_u32(kContainerVersion);
+  return w.data();
+}
+
+std::uint64_t decode_container_trailer(const std::uint8_t* tail,
+                                       std::size_t tail_size,
+                                       std::uint64_t size,
+                                       const std::string& path) {
+  const std::uint64_t at = size - tail_size;
+  try {
+    Decoder d(tail, tail_size, path);
+    if (size < kContainerTrailerBytes)
+      d.fail(ErrorCode::Truncated,
+             "trace container of " + std::to_string(size) +
+                 " bytes ends before its " +
+                 std::to_string(kContainerTrailerBytes) + "-byte trailer");
+    const std::uint64_t index_offset = d.get_u64();
+    d.expect_magic(kContainerMagic, "trace container");
+    d.expect_version(kContainerVersion, "trace container");
+    // The offset field sits at the trailer's first byte.
+    if (index_offset > size - kContainerTrailerBytes)
+      throw Error(ErrorCode::Truncated,
+                  "trace container index offset " +
+                      std::to_string(index_offset) +
+                      " lies past its trailer at " +
+                      std::to_string(size - kContainerTrailerBytes),
+                  ErrorContext{path, -1, 0});
+    return index_offset;
+  } catch (const Error& e) {
+    throw e.offset_by(at);
+  }
+}
+
+std::vector<ContainerExtent> decode_container_index(
+    const std::uint8_t* index, std::size_t index_size,
+    std::uint64_t index_offset, const std::vector<Rank>& holds,
+    const std::string& path) {
+  std::vector<ContainerExtent> out;
+  try {
+    Decoder d(index, index_size, path);
+    // Validated before the reserve: the count is capped absolutely and
+    // by the two bytes (rank, length) each entry takes at least.
+    const std::uint64_t n = d.get_varint();
+    if (n > kMaxRanksPerArchive)
+      d.fail(ErrorCode::LimitExceeded,
+             "container index count " + std::to_string(n) +
+                 " exceeds the cap of " + std::to_string(kMaxRanksPerArchive));
+    if (n > d.remaining() / 2)
+      d.fail(ErrorCode::Truncated,
+             "truncated: container index promises " + std::to_string(n) +
+                 " entries but only " + std::to_string(d.remaining()) +
+                 " index bytes are present");
+    out.reserve(static_cast<std::size_t>(n));
+    std::uint64_t offset = 0;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const std::uint64_t rank = d.get_varint();
+      if (!out.empty() && rank <= static_cast<std::uint64_t>(out.back().rank))
+        d.fail(ErrorCode::Corrupt,
+               "container index ranks not strictly ascending (rank " +
+                   std::to_string(rank) + " after rank " +
+                   std::to_string(out.back().rank) + ")");
+      if (rank > kMaxRanksPerArchive ||
+          !std::binary_search(holds.begin(), holds.end(),
+                              static_cast<Rank>(rank)))
+        d.fail(ErrorCode::Corrupt, "container index names rank " +
+                                       std::to_string(rank) +
+                                       ", which this archive does not hold");
+      const std::uint64_t length = d.get_varint();
+      if (length > index_offset - offset)
+        d.fail(ErrorCode::Corrupt,
+               "container blob lengths overrun the " +
+                   std::to_string(index_offset) + "-byte blob region");
+      out.push_back(ContainerExtent{static_cast<Rank>(rank), offset, length});
+      offset += length;
+    }
+    d.require_end("container index");
+    if (offset != index_offset)
+      d.fail(ErrorCode::Corrupt,
+             "container blob lengths sum to " + std::to_string(offset) +
+                 " bytes, short of the " + std::to_string(index_offset) +
+                 "-byte blob region");
+  } catch (const Error& e) {
+    throw e.offset_by(index_offset);
+  }
+  return out;
+}
+
+std::vector<ContainerExtent> decode_container(const std::uint8_t* data,
+                                              std::size_t size,
+                                              const std::vector<Rank>& holds,
+                                              const std::string& path) {
+  const std::size_t tail = std::min(size, kContainerTrailerBytes);
+  const std::uint64_t index_offset =
+      decode_container_trailer(data + (size - tail), tail, size, path);
+  const std::size_t index_end = size - kContainerTrailerBytes;
+  return decode_container_index(
+      data + index_offset, index_end - static_cast<std::size_t>(index_offset),
+      index_offset, holds, path);
+}
+
 std::string defs_filename() { return "experiment.defs"; }
+
+std::string container_filename() { return "traces.elg"; }
 
 std::string trace_filename(Rank rank) {
   return "trace." + std::to_string(rank) + ".elg";

@@ -1,8 +1,8 @@
 // Binary trace format ("EPILOG-like"): one definitions file shared by the
-// experiment plus one event file per process. The per-process split is
+// experiment plus one event blob per process. The per-process split is
 // what makes the metacomputing archive layout (paper §4 "Runtime archive
 // management") natural: each metahost's partial archive holds exactly the
-// files of its own processes.
+// blobs of its own processes, in one trace container (below).
 //
 // Format versions (decode accepts all of them; encode writes v3 only —
 // see DESIGN.md §5e for the byte-level v3 layout; tests/golden/legacy
@@ -80,11 +80,73 @@ LocalTrace decode_local_trace(const std::uint8_t* data, std::size_t size,
 LocalTrace decode_local_trace(const std::vector<std::uint8_t>& bytes,
                               const std::string& path = {});
 
+// ---- trace containers ---------------------------------------------------
+//
+// A partial archive keeps all of its ranks' traces in one container
+// file (container_filename()): each rank's blob, exactly as
+// encode_local_trace produces it, in ascending rank order; then an
+// index (a varint entry count, then per rank its id and blob length as
+// varints); then a fixed trailer of kContainerTrailerBytes: the index's
+// byte offset (u64), the container magic (u32) and the container
+// version (u32). DESIGN.md §5e has the byte table, §5d the validation
+// order. Container errors name the path and a container-absolute byte
+// offset; the archive layer adds the rank.
+
+/// Newest (and only) container version.
+inline constexpr std::uint32_t kContainerVersion = 1;
+inline constexpr std::size_t kContainerTrailerBytes = 16;
+
+/// Where one rank's blob lies inside its container.
+struct ContainerExtent {
+  Rank rank{kNoRank};
+  std::uint64_t offset{0};  ///< container-absolute
+  std::uint64_t length{0};
+};
+
+/// The index and trailer that close a container whose blobs — one per
+/// entry, in entry order, ranks ascending — make up everything before
+/// them. Only each entry's rank and length are used.
+std::vector<std::uint8_t> encode_container_index(
+    const std::vector<ContainerExtent>& entries);
+
+/// Reads a container's trailer. `tail` holds the container's last
+/// min(size, kContainerTrailerBytes) bytes and `size` is the
+/// container's length. Returns the index offset. Truncated if the
+/// container is shorter than a trailer or the index would start past
+/// the trailer; Corrupt on a bad magic; VersionMismatch on another
+/// container version.
+std::uint64_t decode_container_trailer(const std::uint8_t* tail,
+                                       std::size_t tail_size,
+                                       std::uint64_t size,
+                                       const std::string& path = {});
+
+/// Parses and validates a container's index: the `index_size` bytes
+/// from `index_offset` up to the trailer. `holds` lists the ranks the
+/// container's directory holds, ascending. The entry count is capped by
+/// kMaxRanksPerArchive (LimitExceeded) and by the bytes present
+/// (Truncated); ranks must be strictly ascending and held, and the
+/// lengths must sum exactly to the blob region [0, index_offset)
+/// (Corrupt). Returns one extent per entry, ranks ascending; a held
+/// rank may be absent (the archive layer fails that rank alone).
+std::vector<ContainerExtent> decode_container_index(
+    const std::uint8_t* index, std::size_t index_size,
+    std::uint64_t index_offset, const std::vector<Rank>& holds,
+    const std::string& path = {});
+
+/// Trailer and index of a whole container held in memory.
+std::vector<ContainerExtent> decode_container(const std::uint8_t* data,
+                                              std::size_t size,
+                                              const std::vector<Rank>& holds,
+                                              const std::string& path = {});
+
 /// Conventional file names inside an archive directory.
 std::string defs_filename();
+std::string container_filename();
+/// Per-rank trace files of the directory layout write_collection and
+/// read_collection use (the committed v1/v2 fixtures are laid out so).
 std::string trace_filename(Rank rank);
 
-/// Writes defs + all rank traces into `dir` (must exist).
+/// Writes defs + one file per rank into `dir` (must exist).
 void write_collection(const std::string& dir, const TraceCollection& tc);
 
 /// Reads a collection previously written by write_collection.

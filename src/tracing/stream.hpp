@@ -16,9 +16,12 @@
 // at open; corruption inside a column payload (bad XOR lead bytes,
 // malformed varints, column length mismatches) when the window
 // containing it decodes. Every error names the path, the rank and a
-// file-absolute byte offset. Only v3 is read here; v1/v2 files are
-// VersionMismatch (they interleave fields row-wise, so windowed
-// decoding would save nothing — decode_local_trace reads them whole).
+// byte offset counted from the start of the bytes the stream was given
+// (for a blob inside a trace container, the archive layer and
+// analysis::analyze_streaming move it to the container's start). Only
+// v3 is read here; v1/v2 files are VersionMismatch (they interleave
+// fields row-wise, so windowed decoding would save nothing —
+// decode_local_trace reads them whole).
 #pragma once
 
 #include <algorithm>
@@ -128,15 +131,25 @@ class TraceStream {
   std::vector<std::int64_t> b_coll_region_, b_coll_comm_, b_coll_root_;
 };
 
-/// A streamable experiment: the shared definitions plus each rank's
-/// trace file path. Produced by archive::ExperimentArchive::stream_source
-/// (which performs open-time validation and, in permissive mode, fills
-/// `quarantined`); consumed by analysis::analyze_streaming.
+/// Where one rank's trace blob lies on disk: a byte range of a trace
+/// container (epilog_io.hpp). Errors decoding it name `path` and offsets
+/// counted from the container's start.
+struct TraceExtent {
+  std::string path;
+  std::uint64_t offset{0};
+  std::uint64_t length{0};
+};
+
+/// A streamable experiment: the shared definitions plus where each
+/// rank's blob lies. Produced by archive::ExperimentArchive::stream_source
+/// (which validates every container index and blob header up front and,
+/// in permissive mode, fills `quarantined`); consumed by
+/// analysis::analyze_streaming.
 struct StreamSource {
   /// Defs, flags and rank slots (event vectors stay empty).
   TraceCollection defs;
-  /// Per-rank trace file path, indexed by rank.
-  std::vector<std::string> paths;
+  /// Per-rank blob extent, indexed by rank.
+  std::vector<TraceExtent> extents;
   /// Ranks whose files failed open-time validation under a permissive
   /// read: they stream zero events, and surviving ranks' events go
   /// through the rule tracing::prune_quarantined applies

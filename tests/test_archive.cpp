@@ -11,7 +11,9 @@
 #include "common/binary_io.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
+#include "container_edit.hpp"
 #include "simmpi/program.hpp"
+#include "telemetry/metrics.hpp"
 #include "tracing/epilog_io.hpp"
 #include "simnet/presets.hpp"
 #include "tracing/measurement.hpp"
@@ -120,18 +122,88 @@ TEST_F(ArchiveTest, EachRankTraceLandsOnItsOwnFileSystem) {
       FileSystemLayout::per_metahost(base_, topo.num_metahosts());
   const auto arch = ExperimentArchive::create(topo, layout, "mt");
   arch.write_traces(topo, data.traces);
-  for (Rank r = 0; r < topo.num_ranks(); ++r) {
-    const std::string expected = layout.root_of(topo.metahost_of(r)) +
-                                 "/mt.msc/" + tracing::trace_filename(r);
-    EXPECT_TRUE(fs::exists(expected)) << expected;
-    // And nowhere else.
-    for (int m = 0; m < topo.num_metahosts(); ++m) {
-      if (topo.metahost_of(r) == MetahostId{m}) continue;
-      const std::string wrong = layout.root_of(MetahostId{m}) + "/mt.msc/" +
-                                tracing::trace_filename(r);
-      EXPECT_FALSE(fs::exists(wrong)) << wrong;
-    }
+  // Each metahost's container holds exactly its own ranks, ascending —
+  // so every rank's trace is on its own file system and nowhere else —
+  // and no partial archive holds a file per rank.
+  for (int m = 0; m < topo.num_metahosts(); ++m) {
+    const std::string dir = layout.root_of(MetahostId{m}) + "/mt.msc";
+    std::vector<Rank> held;
+    for (const auto& e :
+         test::container_extents(dir + "/" + tracing::container_filename()))
+      held.push_back(e.rank);
+    EXPECT_EQ(held, topo.ranks_on(MetahostId{m})) << dir;
+    for (Rank r = 0; r < topo.num_ranks(); ++r)
+      EXPECT_FALSE(fs::exists(dir + "/" + tracing::trace_filename(r)));
   }
+}
+
+TEST_F(ArchiveTest, SharedLayoutWritesOneContainer) {
+  const auto topo = simnet::make_viola_experiment1();
+  auto prog = workloads::build_metatrace();
+  workloads::ExperimentConfig cfg;
+  const auto data = workloads::run_experiment(topo, prog, cfg);
+  const auto layout = FileSystemLayout::shared(base_, topo.num_metahosts());
+  const auto arch = ExperimentArchive::create(topo, layout, "one");
+  arch.write_traces(topo, data.traces);
+  // One directory: the defs, one container holding every rank in
+  // order, and one manifest per metahost.
+  std::size_t files = 0;
+  for (const auto& entry : fs::directory_iterator(base_ + "/one.msc")) {
+    (void)entry;
+    ++files;
+  }
+  EXPECT_EQ(files, 2u + static_cast<std::size_t>(topo.num_metahosts()));
+  const auto extents =
+      test::container_extents(base_ + "/one.msc/" + tracing::container_filename());
+  ASSERT_EQ(extents.size(), static_cast<std::size_t>(topo.num_ranks()));
+  std::uint64_t offset = 0;
+  for (Rank r = 0; r < topo.num_ranks(); ++r) {
+    const auto& e = extents[static_cast<std::size_t>(r)];
+    EXPECT_EQ(e.rank, r);
+    EXPECT_EQ(e.offset, offset);
+    // Each blob is byte for byte the rank's own encoding.
+    EXPECT_EQ(e.length, tracing::encode_local_trace(
+                            data.traces.ranks[static_cast<std::size_t>(r)])
+                            .size());
+    offset += e.length;
+  }
+  const auto loaded = arch.read_traces();
+  for (int r = 0; r < loaded.num_ranks(); ++r)
+    EXPECT_EQ(loaded.ranks[static_cast<std::size_t>(r)],
+              data.traces.ranks[static_cast<std::size_t>(r)]);
+}
+
+TEST_F(ArchiveTest, FilesWrittenCounterCountsArchiveFiles) {
+  // Two metahosts, each with its own file system: each partial archive
+  // gets the defs, one container and one manifest — six files for any
+  // rank count. bytes_on_disk counts the defs and the containers whole,
+  // container framing included.
+  simnet::Topology topo;
+  simnet::MetahostSpec a;
+  a.name = "A";
+  a.num_nodes = 3;
+  simnet::MetahostSpec b = a;
+  b.name = "B";
+  topo.place_block(topo.add_metahost(a), 3, 1);
+  topo.place_block(topo.add_metahost(b), 3, 1);
+  simmpi::ProgramBuilder pb(topo.num_ranks());
+  for (Rank r = 0; r < topo.num_ranks(); ++r)
+    pb.on(r).enter("main").barrier().exit();
+  workloads::ExperimentConfig cfg;
+  cfg.perfect_clocks = true;
+  cfg.measurement.scheme = tracing::SyncScheme::None;
+  const auto data = workloads::run_experiment(topo, pb.take(), cfg);
+
+  const auto layout = FileSystemLayout::per_metahost(base_, 2);
+  const auto arch = ExperimentArchive::create(topo, layout, "n");
+  telemetry::Registry::instance().reset();
+  arch.write_traces(topo, data.traces);
+  EXPECT_EQ(telemetry::counter("archive.files_written").value(), 6u);
+  std::uint64_t on_disk = 0;
+  for (const auto& dir : arch.partial_dirs())
+    on_disk += fs::file_size(dir + "/" + tracing::defs_filename()) +
+               fs::file_size(dir + "/" + tracing::container_filename());
+  EXPECT_EQ(telemetry::counter("archive.bytes_on_disk").value(), on_disk);
 }
 
 TEST_F(ArchiveTest, LocalTraceAccessReadsOnlyLocalArchive) {
@@ -237,6 +309,18 @@ TEST_F(ArchiveTest, MetahostWithoutRanksRoundTrips) {
   ASSERT_TRUE(fs::exists(manifest_path));
   const metascope::Json manifest = load_json_file(manifest_path);
   EXPECT_EQ(manifest.at("ranks").as_array().size(), 0u);
+  // Its container is valid and empty: an index of zero entries.
+  const std::string idle =
+      arch.dir_of(MetahostId{2}) + "/" + tracing::container_filename();
+  EXPECT_EQ(fs::file_size(idle), 1u + tracing::kContainerTrailerBytes);
+  EXPECT_TRUE(test::container_extents(idle).empty());
+  // The streamed view skips it as cleanly as the materialized read.
+  const auto src = arch.stream_source(ReadOptions{});
+  EXPECT_TRUE(src.quarantined.empty());
+  for (Rank r = 0; r < topo.num_ranks(); ++r)
+    EXPECT_EQ(src.extents[static_cast<std::size_t>(r)].path,
+              arch.dir_of(topo.metahost_of(r)) + "/" +
+                  tracing::container_filename());
 }
 
 TEST_F(ArchiveTest, ParallelWriteAndReadMatchSerial) {
@@ -248,17 +332,22 @@ TEST_F(ArchiveTest, ParallelWriteAndReadMatchSerial) {
       FileSystemLayout::per_metahost(base_ + "/serial", topo.num_metahosts());
   const auto layout_p = FileSystemLayout::per_metahost(
       base_ + "/parallel", topo.num_metahosts());
+  const auto layout_2 =
+      FileSystemLayout::per_metahost(base_ + "/two", topo.num_metahosts());
   const auto arch_s = ExperimentArchive::create(topo, layout_s, "w");
+  const auto arch_2 = ExperimentArchive::create(topo, layout_2, "w");
   const auto arch_p = ExperimentArchive::create(topo, layout_p, "w");
   arch_s.write_traces(topo, data.traces, 1);
+  arch_2.write_traces(topo, data.traces, 2);
   arch_p.write_traces(topo, data.traces, 8);
-  // Byte-identical files regardless of worker count.
-  for (Rank r = 0; r < topo.num_ranks(); ++r) {
-    const std::string rel =
-        "/w.msc/" + tracing::trace_filename(r);
-    EXPECT_EQ(read_file_bytes(layout_s.root_of(topo.metahost_of(r)) + rel),
-              read_file_bytes(layout_p.root_of(topo.metahost_of(r)) + rel))
-        << "rank " << r;
+  // Byte-identical containers regardless of worker count.
+  for (int m = 0; m < topo.num_metahosts(); ++m) {
+    const std::string rel = "/w.msc/" + tracing::container_filename();
+    const auto serial = read_file_bytes(layout_s.root_of(MetahostId{m}) + rel);
+    EXPECT_EQ(serial, read_file_bytes(layout_2.root_of(MetahostId{m}) + rel))
+        << "metahost " << m;
+    EXPECT_EQ(serial, read_file_bytes(layout_p.root_of(MetahostId{m}) + rel))
+        << "metahost " << m;
   }
   // And the parallel read reassembles the same collection.
   const auto loaded = arch_p.read_traces(8);
@@ -306,10 +395,10 @@ TEST_F(ArchiveTest, TruncatedTraceFileFailsWithClearError) {
   const auto arch = ExperimentArchive::create(topo, layout, "cut");
   arch.write_traces(topo, data.traces);
   const std::string victim = layout.root_of(topo.metahost_of(4)) +
-                             "/cut.msc/" + tracing::trace_filename(4);
-  auto bytes = read_file_bytes(victim);
+                             "/cut.msc/" + tracing::container_filename();
+  auto bytes = test::read_blob(victim, 4);
   bytes.resize(bytes.size() / 2);
-  write_file_bytes(victim, bytes);
+  test::replace_blob(victim, 4, bytes);
   try {
     (void)arch.read_traces();
     FAIL() << "expected Error";

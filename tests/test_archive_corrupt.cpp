@@ -3,7 +3,10 @@
 // ErrorCode the taxonomy promises in strict mode and against the
 // quarantine-and-proceed contract in permissive mode (including
 // serial == parallel determinism of the recovered collection and its
-// severity cube).
+// severity cube). A damaged rank is a damaged blob inside its partial
+// archive's trace container (container_edit.hpp keeps the container
+// consistent around it); damage to the container's own index or
+// trailer fails every rank it holds.
 #include "archive/archive.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +19,7 @@
 #include "analysis/analyzer.hpp"
 #include "common/binary_io.hpp"
 #include "common/error.hpp"
+#include "container_edit.hpp"
 #include "simnet/topology.hpp"
 #include "tracing/epilog_io.hpp"
 #include "workloads/experiment.hpp"
@@ -75,29 +79,55 @@ class ArchiveCorruptTest : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(base_); }
 
-  [[nodiscard]] std::string trace_path(Rank r) const {
+  /// The trace container holding rank r.
+  [[nodiscard]] std::string container_path(Rank r) const {
     return layout_.root_of(topo_.metahost_of(r)) + "/exp.msc/" +
-           tracing::trace_filename(r);
+           tracing::container_filename();
+  }
+  /// Replaces rank r's blob inside its container.
+  void write_blob(Rank r, const std::vector<std::uint8_t>& blob) {
+    test::replace_blob(container_path(r), r, blob);
+  }
+  [[nodiscard]] std::vector<std::uint8_t> read_blob(Rank r) const {
+    return test::read_blob(container_path(r), r);
+  }
+  /// The offset a strict read must report for a failure in rank r's
+  /// blob: where decoding the blob alone fails, moved by the blob's
+  /// start in its container (-1 if the decoder names no offset).
+  [[nodiscard]] std::int64_t blob_failure_offset(Rank r) const {
+    const auto at = test::extent_of(container_path(r), r);
+    try {
+      (void)tracing::decode_local_trace(read_blob(r));
+    } catch (const Error& e) {
+      return e.context().byte_offset < 0
+                 ? -1
+                 : e.context().byte_offset +
+                       static_cast<std::int64_t>(at.offset);
+    }
+    ADD_FAILURE() << "rank " << r << "'s blob decodes on its own";
+    return -1;
   }
   [[nodiscard]] std::string defs_path(int metahost) const {
     return layout_.root_of(MetahostId{metahost}) + "/exp.msc/" +
            tracing::defs_filename();
   }
 
-  /// Strict read, asserting it fails with the exact code (and, when
-  /// rank >= 0, that the error context names the file and rank).
+  /// Strict read, asserting it fails with the exact code, and that the
+  /// error context names the rank's container, the rank, and the
+  /// container-absolute offset of the failure in its blob.
   void expect_strict_failure(ErrorCode code, Rank rank,
                              const std::string& label) {
+    const std::int64_t offset = blob_failure_offset(rank);
     try {
       (void)arch_.read_traces();
       FAIL() << label << ": expected Error, read succeeded";
     } catch (const Error& e) {
       EXPECT_EQ(e.code(), code) << label << ": " << e.what();
-      if (rank >= 0) {
-        EXPECT_EQ(e.context().rank, rank) << label << ": " << e.what();
-        EXPECT_EQ(e.context().path, trace_path(rank))
-            << label << ": " << e.what();
-      }
+      EXPECT_EQ(e.context().rank, rank) << label << ": " << e.what();
+      EXPECT_EQ(e.context().path, container_path(rank))
+          << label << ": " << e.what();
+      EXPECT_EQ(e.context().byte_offset, offset)
+          << label << ": " << e.what();
     }
   }
 
@@ -110,7 +140,7 @@ class ArchiveCorruptTest : public ::testing::Test {
 
 TEST_F(ArchiveCorruptTest, TruncationAtEverySectionBoundary) {
   const Rank victim = 1;
-  const auto intact = read_file_bytes(trace_path(victim));
+  const auto intact = read_blob(victim);
   ASSERT_GT(intact.size(), 16u);
   struct Cut {
     const char* label;
@@ -127,8 +157,8 @@ TEST_F(ArchiveCorruptTest, TruncationAtEverySectionBoundary) {
       {"all but the last byte", intact.size() - 1},
   };
   for (const auto& cut : cuts) {
-    write_file_bytes(
-        trace_path(victim),
+    write_blob(
+        victim,
         std::vector<std::uint8_t>(
             intact.begin(),
             intact.begin() + static_cast<std::ptrdiff_t>(cut.keep)));
@@ -139,9 +169,9 @@ TEST_F(ArchiveCorruptTest, TruncationAtEverySectionBoundary) {
 TEST_F(ArchiveCorruptTest, FlippedMagicIsCorrupt) {
   const Rank victim = 2;
   for (std::size_t byte = 0; byte < 4; ++byte) {
-    auto bytes = read_file_bytes(trace_path(victim));
+    auto bytes = read_blob(victim);
     bytes[byte] ^= 0x40;
-    write_file_bytes(trace_path(victim), bytes);
+    write_blob(victim, bytes);
     expect_strict_failure(ErrorCode::Corrupt, victim,
                           "magic byte " + std::to_string(byte));
   }
@@ -149,9 +179,9 @@ TEST_F(ArchiveCorruptTest, FlippedMagicIsCorrupt) {
 
 TEST_F(ArchiveCorruptTest, FutureVersionIsVersionMismatch) {
   const Rank victim = 0;
-  auto bytes = read_file_bytes(trace_path(victim));
+  auto bytes = read_blob(victim);
   bytes[4] = 99;  // header version field (u32 LE at offset 4)
-  write_file_bytes(trace_path(victim), bytes);
+  write_blob(victim, bytes);
   try {
     (void)arch_.read_traces();
     FAIL() << "expected VersionMismatch";
@@ -159,6 +189,8 @@ TEST_F(ArchiveCorruptTest, FutureVersionIsVersionMismatch) {
     EXPECT_EQ(e.code(), ErrorCode::VersionMismatch) << e.what();
     EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
     EXPECT_EQ(e.context().rank, victim);
+    EXPECT_EQ(e.context().path, container_path(victim));
+    EXPECT_EQ(e.context().byte_offset, blob_failure_offset(victim));
   }
 }
 
@@ -213,7 +245,7 @@ TEST_F(ArchiveCorruptTest, OversizedCountIsLimitExceeded) {
   w.put_u32(tracing::kTraceFormatVersion);
   w.put_svarint(victim);
   w.put_varint(1ULL << 30);  // sync-record count far past the cap
-  write_file_bytes(trace_path(victim), w.data());
+  write_blob(victim, w.data());
   expect_strict_failure(ErrorCode::LimitExceeded, victim, "huge sync count");
 }
 
@@ -227,7 +259,7 @@ TEST_F(ArchiveCorruptTest, CountLargerThanPayloadIsTruncated) {
   w.put_svarint(victim);
   w.put_varint(0);     // no sync records
   w.put_varint(1000);  // ...but 1000 promised events and no payload
-  write_file_bytes(trace_path(victim), w.data());
+  write_blob(victim, w.data());
   try {
     (void)arch_.read_traces();
     FAIL() << "expected Truncated";
@@ -236,6 +268,7 @@ TEST_F(ArchiveCorruptTest, CountLargerThanPayloadIsTruncated) {
     EXPECT_NE(std::string(e.what()).find("truncated trace file"),
               std::string::npos)
         << e.what();
+    EXPECT_EQ(e.context().byte_offset, blob_failure_offset(victim));
   }
 }
 
@@ -250,7 +283,7 @@ TEST_F(ArchiveCorruptTest, UnknownEventTypeIsCorruptRowWise) {
   w.put_varint(1);
   w.put_u8(200);  // no such EventType
   w.put_f64(1.0);
-  write_file_bytes(trace_path(victim), w.data());
+  write_blob(victim, w.data());
   expect_strict_failure(ErrorCode::Corrupt, victim, "unknown event type");
 }
 
@@ -267,7 +300,7 @@ TEST_F(ArchiveCorruptTest, OutOfRangeIdIsCorruptRowWise) {
   w.put_u8(0);  // Enter
   w.put_f64(1.0);
   w.put_svarint(std::int64_t{1} << 40);
-  write_file_bytes(trace_path(victim), w.data());
+  write_blob(victim, w.data());
   expect_strict_failure(ErrorCode::Corrupt, victim, "enter.region 2^40");
 }
 
@@ -285,17 +318,17 @@ TEST_F(ArchiveCorruptTest, UnknownEventTypeIsCorruptColumnar) {
   const std::size_t type_stream = 8 + 1 + 1 + 1 + 5;
   bytes[type_stream] = static_cast<std::uint8_t>(
       (bytes[type_stream] & 0xF0) | 0x0F);
-  write_file_bytes(trace_path(victim), bytes);
+  write_blob(victim, bytes);
   expect_strict_failure(ErrorCode::Corrupt, victim,
                         "unknown event type 15 in type stream");
 }
 
 TEST_F(ArchiveCorruptTest, ZeroLengthTraceFileTruncatedStrictQuarantinedPermissive) {
-  // A zero-byte file is the degenerate mmap case (no mapping is
+  // A zero-byte blob is the degenerate mmap case (no mapping is
   // created): strict mode reports Truncated, permissive mode
   // quarantines the rank.
   const Rank victim = 1;
-  write_file_bytes(trace_path(victim), {});
+  write_blob(victim, {});
   try {
     (void)arch_.read_traces();
     FAIL() << "expected Truncated";
@@ -314,13 +347,16 @@ TEST_F(ArchiveCorruptTest, ZeroLengthTraceFileTruncatedStrictQuarantinedPermissi
 }
 
 TEST_F(ArchiveCorruptTest, MmapAndCopyReadPathsAreByteIdentical) {
-  // read_traces decodes out of mappings; decoding each file out of the
-  // owned-buffer fallback (the only path on platforms without mmap)
-  // must give the same traces.
+  // read_traces decodes out of mapped windows; decoding each blob out
+  // of the owned-buffer fallback (the only path on platforms without
+  // mmap) must give the same traces.
   const auto mapped = arch_.read_traces();
   ASSERT_EQ(mapped.num_ranks(), data_.traces.num_ranks());
   for (Rank r = 0; r < mapped.num_ranks(); ++r) {
-    const MappedFile copy = MappedFile::open(trace_path(r), false);
+    const auto at = test::extent_of(container_path(r), r);
+    const MappedFile copy =
+        MappedFile::open(container_path(r), at.offset,
+                         static_cast<std::size_t>(at.length), false);
     ASSERT_FALSE(copy.mapped());
     EXPECT_EQ(mapped.ranks[static_cast<std::size_t>(r)],
               tracing::decode_local_trace(copy.data(), copy.size()))
@@ -333,9 +369,9 @@ TEST_F(ArchiveCorruptTest, MmapPermissiveQuarantinesMidDecodeFailure) {
   // columnar payload (not at the header): the permissive read must
   // quarantine it and recover exactly the pruned survivors.
   const Rank victim = 2;
-  auto bytes = read_file_bytes(trace_path(victim));
+  auto bytes = read_blob(victim);
   bytes.resize(bytes.size() - bytes.size() / 4);
-  write_file_bytes(trace_path(victim), bytes);
+  write_blob(victim, bytes);
 
   ReadOptions opts;
   opts.permissive = true;
@@ -357,9 +393,18 @@ TEST_F(ArchiveCorruptTest, MmapPermissiveQuarantinesMidDecodeFailure) {
 }
 
 TEST_F(ArchiveCorruptTest, MissingTraceFileIsIoError) {
+  // The container is the trace file now: losing it is an Io error
+  // naming the container and the first rank it holds.
   const Rank victim = 1;
-  fs::remove(trace_path(victim));
-  expect_strict_failure(ErrorCode::Io, victim, "deleted trace file");
+  fs::remove(container_path(victim));
+  try {
+    (void)arch_.read_traces();
+    FAIL() << "expected Io error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::Io) << e.what();
+    EXPECT_EQ(e.context().rank, 0) << e.what();
+    EXPECT_EQ(e.context().path, container_path(victim)) << e.what();
+  }
 }
 
 TEST_F(ArchiveCorruptTest, EmptyArchiveDirIsIoError) {
@@ -375,16 +420,17 @@ TEST_F(ArchiveCorruptTest, EmptyArchiveDirIsIoError) {
 }
 
 TEST_F(ArchiveCorruptTest, PermissiveQuarantinesAndProceeds) {
-  // Three victims, three damage classes: truncation, bad magic, missing
-  // file. Permissive mode must quarantine exactly those ranks with the
-  // matching codes (sorted by rank) and hand back decodable survivors.
-  auto t1 = read_file_bytes(trace_path(1));
+  // Three victims, three damage classes: truncation, bad magic, and a
+  // blob missing from its container's index. Permissive mode must
+  // quarantine exactly those ranks with the matching codes (sorted by
+  // rank) and hand back decodable survivors.
+  auto t1 = read_blob(1);
   t1.resize(t1.size() / 2);
-  write_file_bytes(trace_path(1), t1);
-  auto t2 = read_file_bytes(trace_path(2));
+  write_blob(1, t1);
+  auto t2 = read_blob(2);
   t2[0] ^= 0xFF;
-  write_file_bytes(trace_path(2), t2);
-  fs::remove(trace_path(3));
+  write_blob(2, t2);
+  test::replace_blob(container_path(3), 3, {}, /*drop=*/true);
 
   ReadOptions opts;
   opts.permissive = true;
@@ -397,7 +443,7 @@ TEST_F(ArchiveCorruptTest, PermissiveQuarantinesAndProceeds) {
   EXPECT_EQ(report.quarantined[1].rank, 2);
   EXPECT_EQ(report.quarantined[1].code, ErrorCode::Corrupt);
   EXPECT_EQ(report.quarantined[2].rank, 3);
-  EXPECT_EQ(report.quarantined[2].code, ErrorCode::Io);
+  EXPECT_EQ(report.quarantined[2].code, ErrorCode::Corrupt);
   EXPECT_EQ(report.quarantined_ranks(), (std::vector<Rank>{1, 2, 3}));
   for (const auto& q : report.quarantined)
     EXPECT_FALSE(q.path.empty()) << "rank " << q.rank;
@@ -415,9 +461,9 @@ TEST_F(ArchiveCorruptTest, PermissiveQuarantinesAndProceeds) {
 }
 
 TEST_F(ArchiveCorruptTest, PermissiveRecoveryIsDeterministicAndAnalyzable) {
-  auto bytes = read_file_bytes(trace_path(2));
+  auto bytes = read_blob(2);
   bytes.resize(bytes.size() / 3);
-  write_file_bytes(trace_path(2), bytes);
+  write_blob(2, bytes);
 
   ReadOptions serial;
   serial.permissive = true;
@@ -448,6 +494,148 @@ TEST_F(ArchiveCorruptTest, PermissiveRecoveryIsDeterministicAndAnalyzable) {
   const auto res_s = analysis::analyze_serial(ls);
   const auto res_p = analysis::analyze_parallel(lp);
   EXPECT_TRUE(res_s.cube.approx_equal(res_p.cube, 0.0));
+}
+
+/// A container whose first `region` bytes are the blob region, closed
+/// by a hand-written index and a valid trailer pointing at it.
+std::vector<std::uint8_t> with_index(
+    const std::vector<std::uint8_t>& region,
+    const std::vector<std::uint64_t>& index_varints) {
+  BufWriter w;
+  w.put_bytes(region.data(), region.size());
+  for (const std::uint64_t v : index_varints) w.put_varint(v);
+  w.put_u64(region.size());
+  w.put_u32(0x4353434DU);  // "MCSC"
+  w.put_u32(tracing::kContainerVersion);
+  return w.data();
+}
+
+TEST_F(ArchiveCorruptTest, ContainerIndexErrorsHaveExactCodes) {
+  // Damage to metahost 1's container itself (ranks 2 and 3): every
+  // trailer and index check, by exact code. Strict mode names the
+  // container, its first rank and a container-absolute offset inside
+  // the damaged part; permissive mode quarantines both of its ranks
+  // with that code and nothing else.
+  const std::string path = container_path(2);
+  const auto intact = read_file_bytes(path);
+  const auto at2 = test::extent_of(path, 2);
+  const auto at3 = test::extent_of(path, 3);
+  const std::vector<std::uint8_t> region(
+      intact.begin(),
+      intact.begin() + static_cast<std::ptrdiff_t>(at3.offset + at3.length));
+  const std::uint64_t n2 = at2.length, n3 = at3.length;
+
+  auto with_u32_at_end = [&](std::size_t from_end, std::uint32_t v) {
+    auto b = intact;
+    for (int i = 0; i < 4; ++i)
+      b[b.size() - from_end + static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(v >> (8 * i));
+    return b;
+  };
+  auto index_offset_past_trailer = intact;
+  index_offset_past_trailer[intact.size() - 16] =
+      static_cast<std::uint8_t>(intact.size());
+  struct Case {
+    const char* label;
+    std::vector<std::uint8_t> bytes;
+    ErrorCode code;
+    std::int64_t offset;  ///< -1: anywhere in the index
+  };
+  const auto trailer = static_cast<std::int64_t>(intact.size() - 16);
+  const std::vector<Case> cases = {
+      {"shorter than a trailer",
+       std::vector<std::uint8_t>(intact.end() - 10, intact.end()),
+       ErrorCode::Truncated, 0},
+      {"cut short (no trailer left)",
+       std::vector<std::uint8_t>(intact.begin(), intact.begin() + 12),
+       ErrorCode::Truncated, 0},
+      {"bad trailer magic", with_u32_at_end(8, 0xDEADBEEFU),
+       ErrorCode::Corrupt, trailer + 8},
+      {"future container version", with_u32_at_end(4, 99),
+       ErrorCode::VersionMismatch, trailer + 12},
+      {"index offset past the trailer", index_offset_past_trailer,
+       ErrorCode::Truncated, trailer},
+      {"index count over the rank cap",
+       with_index(region, {tracing::kMaxRanksPerArchive + 1, 2, n2, 3, n3}),
+       ErrorCode::LimitExceeded, -1},
+      {"index count beyond the index bytes",
+       with_index(region, {100, 2, n2, 3, n3}), ErrorCode::Truncated, -1},
+      {"index entry cut short", with_index(region, {2, 2, n2, 3}),
+       ErrorCode::Truncated, -1},
+      {"descending ranks", with_index(region, {2, 3, n3, 2, n2}),
+       ErrorCode::Corrupt, -1},
+      {"rank the archive does not hold",
+       with_index(region, {2, 2, n2, 1, n3}), ErrorCode::Corrupt, -1},
+      {"lengths overrun the blob region",
+       with_index(region, {2, 2, n2, 3, n3 + 1}), ErrorCode::Corrupt, -1},
+      {"lengths fall short of the blob region",
+       with_index(region, {2, 2, n2, 3, n3 - 1}), ErrorCode::Corrupt, -1},
+      {"trailing index bytes", with_index(region, {2, 2, n2, 3, n3, 0}),
+       ErrorCode::Corrupt, -1},
+  };
+  for (const Case& c : cases) {
+    write_file_bytes(path, c.bytes);
+    try {
+      (void)arch_.read_traces();
+      ADD_FAILURE() << c.label << ": strict read succeeded";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), c.code) << c.label << ": " << e.what();
+      EXPECT_EQ(e.context().path, path) << c.label;
+      EXPECT_EQ(e.context().rank, 2) << c.label;
+      if (c.offset >= 0) {
+        EXPECT_EQ(e.context().byte_offset, c.offset) << c.label;
+      } else {
+        EXPECT_GE(e.context().byte_offset,
+                  static_cast<std::int64_t>(region.size()))
+            << c.label;
+        EXPECT_LE(e.context().byte_offset,
+                  static_cast<std::int64_t>(c.bytes.size() - 16))
+            << c.label;
+      }
+    }
+    ReadOptions permissive;
+    permissive.permissive = true;
+    ReadReport report;
+    const auto loaded = arch_.read_traces(permissive, &report);
+    ASSERT_EQ(report.quarantined_ranks(), (std::vector<Rank>{2, 3}))
+        << c.label;
+    for (const auto& q : report.quarantined) {
+      EXPECT_EQ(q.code, c.code) << c.label;
+      EXPECT_EQ(q.path, path) << c.label;
+    }
+    EXPECT_FALSE(loaded.ranks[0].events.empty()) << c.label;
+    EXPECT_FALSE(loaded.ranks[1].events.empty()) << c.label;
+  }
+  // The untouched bytes still read back whole.
+  write_file_bytes(path, intact);
+  EXPECT_EQ(arch_.read_traces().ranks[3], data_.traces.ranks[3]);
+}
+
+TEST_F(ArchiveCorruptTest, PermissiveQuarantineScopeIsBlobOrContainer) {
+  // A damaged blob costs its own rank only, even with a neighbour in the
+  // same container; a lost container costs every rank it holds, in
+  // both permissive reads.
+  auto bytes = read_blob(3);
+  bytes[0] ^= 0xFF;
+  write_blob(3, bytes);
+  fs::remove(container_path(0));
+
+  ReadOptions opts;
+  opts.permissive = true;
+  ReadReport mat;
+  const auto loaded = arch_.read_traces(opts, &mat);
+  EXPECT_EQ(mat.quarantined_ranks(), (std::vector<Rank>{0, 1, 3}));
+  EXPECT_EQ(mat.quarantined[0].code, ErrorCode::Io);
+  EXPECT_EQ(mat.quarantined[1].code, ErrorCode::Io);
+  EXPECT_EQ(mat.quarantined[2].code, ErrorCode::Corrupt);
+  EXPECT_FALSE(loaded.ranks[2].events.empty());
+
+  ReadReport streamed;
+  const auto src = arch_.stream_source(opts, &streamed);
+  EXPECT_EQ(src.quarantined, (std::vector<Rank>{0, 1, 3}));
+  ASSERT_EQ(streamed.quarantined.size(), mat.quarantined.size());
+  for (std::size_t i = 0; i < mat.quarantined.size(); ++i)
+    EXPECT_EQ(streamed.quarantined[i].code, mat.quarantined[i].code);
 }
 
 TEST_F(ArchiveCorruptTest, StrictAndPermissiveAgreeOnCleanArchives) {

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <iterator>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -300,6 +302,109 @@ TEST(MappedFile, MoveTransfersTheView) {
   ASSERT_EQ(b.size(), 3u);
   EXPECT_EQ(b.data()[0], 9);
   EXPECT_EQ(a.size(), 0u);  // NOLINT(bugprone-use-after-move): reset state
+  std::filesystem::remove(path);
+}
+
+// --- writes that hit a full disk -----------------------------------------
+//
+// /dev/full fails every write with ENOSPC. A small write is buffered and
+// only fails at the flush on close, which is the error an unchecked close
+// would lose.
+
+TEST(FileWriter, SmallWriteToFullDeviceFailsAtClose) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  FileWriter out("/dev/full");
+  const std::vector<std::uint8_t> bytes(100, 0x5A);
+  out.write(bytes);
+  try {
+    out.close();
+    FAIL() << "close on /dev/full succeeded";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::Io) << e.what();
+    EXPECT_EQ(e.context().path, "/dev/full");
+  }
+}
+
+TEST(FileWriter, LargeWriteToFullDeviceFailsAtWrite) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  FileWriter out("/dev/full");
+  const std::vector<std::uint8_t> bytes(std::size_t{1} << 20, 0x5A);
+  try {
+    out.write(bytes);
+    FAIL() << "1 MiB write to /dev/full succeeded";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::Io) << e.what();
+    EXPECT_EQ(e.context().path, "/dev/full");
+  }
+}
+
+TEST(FileWriter, WriteFileBytesToFullDeviceThrows) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  try {
+    write_file_bytes("/dev/full", std::vector<std::uint8_t>(100, 1));
+    FAIL() << "write_file_bytes to /dev/full succeeded";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::Io) << e.what();
+    EXPECT_EQ(e.context().path, "/dev/full");
+  }
+}
+
+TEST(FileWriter, AppendsAndCountsBytes) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "msc_file_writer.bin").string();
+  FileWriter out(path);
+  out.write(std::vector<std::uint8_t>{1, 2, 3});
+  out.write(std::vector<std::uint8_t>{});
+  out.write(std::vector<std::uint8_t>{4});
+  EXPECT_EQ(out.size(), 4u);
+  out.close();
+  EXPECT_EQ(read_file_bytes(path), (std::vector<std::uint8_t>{1, 2, 3, 4}));
+  std::filesystem::remove(path);
+}
+
+// --- byte ranges ------------------------------------------------------------
+
+TEST(MappedFile, RangeViewsMatchTheFileAtEveryOffset) {
+  // Ranges that start on, before and after page boundaries, mapped and
+  // read into a buffer, must show exactly the bytes of the file.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "msc_mmap_range.bin").string();
+  std::vector<std::uint8_t> bytes(3 * 4096 + 123);
+  for (std::size_t i = 0; i < bytes.size(); ++i)
+    bytes[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  write_file_bytes(path, bytes);
+  for (const std::uint64_t offset : {0u, 1u, 4095u, 4096u, 4097u, 9000u}) {
+    for (const std::size_t length : {0u, 1u, 100u, 5000u}) {
+      if (offset + length > bytes.size()) continue;
+      const std::vector<std::uint8_t> want(
+          bytes.begin() + static_cast<std::ptrdiff_t>(offset),
+          bytes.begin() + static_cast<std::ptrdiff_t>(offset + length));
+      for (const bool allow_mmap : {true, false}) {
+        const MappedFile f = MappedFile::open(path, offset, length, allow_mmap);
+        ASSERT_EQ(f.size(), length);
+        EXPECT_TRUE(std::equal(want.begin(), want.end(), f.data()))
+            << "offset " << offset << " length " << length;
+      }
+      EXPECT_EQ(read_file_range(path, offset, length), want);
+    }
+  }
+  EXPECT_EQ(file_size(path), bytes.size());
+  std::filesystem::remove(path);
+}
+
+TEST(MappedFile, RangePastTheEndIsTruncated) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "msc_mmap_short.bin").string();
+  write_file_bytes(path, std::vector<std::uint8_t>(10, 1));
+  for (const bool allow_mmap : {true, false}) {
+    try {
+      (void)MappedFile::open(path, 4, 7, allow_mmap);
+      FAIL() << "range past the end opened";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::Truncated) << e.what();
+      EXPECT_EQ(e.context().path, path);
+    }
+  }
   std::filesystem::remove(path);
 }
 

@@ -164,5 +164,20 @@ TEST(Json, EnsureWritableLeavesExistingContentsAlone) {
   std::filesystem::remove(path);
 }
 
+TEST(Json, SaveToFullDeviceFailsWithIo) {
+  // A manifest-sized document is buffered whole; the full disk only
+  // shows at the flush on close, which must not be lost.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  Json v{Json::Object{}};
+  v.set("experiment", "full");
+  try {
+    save_json_file("/dev/full", v);
+    FAIL() << "save_json_file to /dev/full succeeded";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::Io) << e.what();
+    EXPECT_EQ(e.context().path, "/dev/full");
+  }
+}
+
 }  // namespace
 }  // namespace metascope

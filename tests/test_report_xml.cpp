@@ -110,5 +110,16 @@ TEST(CubeXml, ZeroEntriesNotStored) {
   EXPECT_EQ(count, 3u);
 }
 
+TEST(CubeXml, SaveToFullDeviceFailsWithIo) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  try {
+    save_cube("/dev/full", small_cube());
+    FAIL() << "save_cube to /dev/full succeeded";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::Io) << e.what();
+    EXPECT_EQ(e.context().path, "/dev/full");
+  }
+}
+
 }  // namespace
 }  // namespace metascope::report

@@ -19,6 +19,7 @@
 #include "common/binary_io.hpp"
 #include "common/column_codec.hpp"
 #include "common/error.hpp"
+#include "container_edit.hpp"
 #include "simmpi/program.hpp"
 #include "simnet/topology.hpp"
 #include "telemetry/metrics.hpp"
@@ -70,8 +71,15 @@ class StreamWindowTest : public ::testing::Test {
     return arch;
   }
 
-  [[nodiscard]] std::string trace_path(Rank r) const {
-    return base_ + "/exp.msc/" + tracing::trace_filename(r);
+  /// The one trace container of the shared layout.
+  [[nodiscard]] std::string container_path() const {
+    return base_ + "/exp.msc/" + tracing::container_filename();
+  }
+  [[nodiscard]] std::vector<std::uint8_t> read_blob(Rank r) const {
+    return test::read_blob(container_path(), r);
+  }
+  void write_blob(Rank r, const std::vector<std::uint8_t>& blob) const {
+    test::replace_blob(container_path(), r, blob);
   }
 
   std::string base_;
@@ -258,9 +266,9 @@ TEST_F(StreamWindowTest, PermissiveStreamingMatchesPermissiveMaterialized) {
   const auto arch = write_archive(topo, tc);
 
   // Damage rank 2 mid-payload: open-time validation quarantines it.
-  auto bytes = read_file_bytes(trace_path(2));
+  auto bytes = read_blob(2);
   bytes.resize(bytes.size() - bytes.size() / 4);
-  write_file_bytes(trace_path(2), bytes);
+  write_blob(2, bytes);
 
   archive::ReadOptions popts;
   popts.permissive = true;
@@ -340,18 +348,21 @@ TEST_F(StreamWindowTest, TruncatedMidBlockStreamingMatchesBatchErrorCode) {
   const auto tc = run_none(topo, lopsided_program(40));
   const auto arch = write_archive(topo, tc);
 
-  auto bytes = read_file_bytes(trace_path(1));
+  auto bytes = read_blob(1);
   bytes.resize(bytes.size() - bytes.size() / 3);  // cut inside the columns
-  write_file_bytes(trace_path(1), bytes);
+  write_blob(1, bytes);
 
   ErrorCode batch_code = ErrorCode::None;
   Rank batch_rank = kNoRank;
+  std::int64_t batch_offset = -1;
   try {
     (void)arch.read_traces();
     FAIL() << "batch read succeeded on a truncated file";
   } catch (const Error& e) {
     batch_code = e.code();
     batch_rank = e.context().rank;
+    batch_offset = e.context().byte_offset;
+    EXPECT_EQ(e.context().path, container_path());
   }
   try {
     const auto src = arch.stream_source(archive::ReadOptions{});
@@ -360,6 +371,12 @@ TEST_F(StreamWindowTest, TruncatedMidBlockStreamingMatchesBatchErrorCode) {
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), batch_code) << e.what();
     EXPECT_EQ(e.context().rank, batch_rank) << e.what();
+    EXPECT_EQ(e.context().path, container_path()) << e.what();
+    // The same byte, counted from the container's start.
+    EXPECT_EQ(e.context().byte_offset, batch_offset) << e.what();
+    EXPECT_GT(e.context().byte_offset,
+              static_cast<std::int64_t>(
+                  test::extent_of(container_path(), 1).offset));
   }
 }
 
@@ -367,7 +384,7 @@ TEST_F(StreamWindowTest, ZeroByteFileQuarantinedPermissivelyLikeBatch) {
   const auto topo = local_topo(3);
   const auto tc = run_none(topo, lopsided_program(10));
   const auto arch = write_archive(topo, tc);
-  write_file_bytes(trace_path(0), {});
+  write_blob(0, {});
 
   EXPECT_THROW((void)arch.stream_source(archive::ReadOptions{}), Error);
 
@@ -501,7 +518,7 @@ TEST_F(StreamWindowTest, OutOfRangeIdIsCorruptInBothModes) {
   const auto tc = one_rank(barrier_events(0));
   ASSERT_EQ(barrier_file(0), tracing::encode_local_trace(tc.ranks[0]));
   const auto arch = write_archive(local_topo(1), tc);
-  write_file_bytes(trace_path(0), barrier_file(std::int64_t{1} << 32));
+  write_blob(0, barrier_file(std::int64_t{1} << 32));
 
   const auto expect_corrupt = [](const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::Corrupt) << e.what();

@@ -11,9 +11,11 @@
 // broken column frames, bad XOR lead bytes / scale indices / residual
 // widths) into one subdirectory per harness:
 //
-//   <outdir>/trace_decode/   defs + trace bytes (also seeds sync_decode)
-//   <outdir>/sync_decode/    trace bytes rich in sync records
-//   <outdir>/config_json/    valid experiment configs
+//   <outdir>/trace_decode/       defs + trace bytes (also seeds sync_decode)
+//   <outdir>/sync_decode/        trace bytes rich in sync records
+//   <outdir>/config_json/        valid experiment configs
+//   <outdir>/archive_container/  trace containers: the experiment's own
+//                                and mutants of its trailer and index
 //
 // Seeding with real encodings matters: libFuzzer mutates from these, so
 // it starts past the magic/version gate instead of spending its budget
@@ -22,6 +24,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/binary_io.hpp"
@@ -220,6 +223,67 @@ void put_midblock_mutants(const fs::path& dir) {
   put(dir, "v3_multiwindow", bytes);
 }
 
+/// A container over `region` (the blobs) closed by an index of the
+/// given varints and a valid trailer ("MCSC", current version).
+std::vector<std::uint8_t> container_with_index(
+    const std::vector<std::uint8_t>& region,
+    const std::vector<std::uint64_t>& index) {
+  BufWriter w;
+  w.put_bytes(region.data(), region.size());
+  for (const std::uint64_t v : index) w.put_varint(v);
+  w.put_u64(region.size());
+  w.put_u32(0x4353434DU);  // "MCSC"
+  w.put_u32(tracing::kContainerVersion);
+  return w.data();
+}
+
+/// The experiment's traces as one container (every rank, in order) plus
+/// mutants aimed at each check of the trailer and the index.
+void put_container_seeds(const fs::path& dir,
+                         const tracing::TraceCollection& tc) {
+  std::vector<std::uint8_t> region;
+  std::vector<tracing::ContainerExtent> index;
+  std::vector<std::uint64_t> entries;
+  for (const auto& t : tc.ranks) {
+    const auto blob = tracing::encode_local_trace(t);
+    region.insert(region.end(), blob.begin(), blob.end());
+    index.push_back({t.rank, 0, blob.size()});
+    entries.push_back(static_cast<std::uint64_t>(t.rank));
+    entries.push_back(blob.size());
+  }
+  auto container = region;
+  const auto tail = tracing::encode_container_index(index);
+  container.insert(container.end(), tail.begin(), tail.end());
+  put(dir, "container", container);
+  put(dir, "container_empty", tracing::encode_container_index({}));
+
+  auto bad_magic = container;
+  bad_magic[bad_magic.size() - 8] ^= 0xFF;
+  put(dir, "container_bad_trailer_magic", bad_magic);
+  auto future = container;
+  future[future.size() - 4] = 0x7F;  // far-future container version
+  put(dir, "container_future_version", future);
+
+  const std::uint64_t n = index.size();
+  auto with = [&](std::vector<std::uint64_t> e) {
+    e.insert(e.begin(), n);
+    return container_with_index(region, e);
+  };
+  auto overrun = entries;
+  overrun.back() += 1;
+  put(dir, "container_lengths_overrun", with(overrun));
+  auto short_of = entries;
+  short_of.back() -= 1;
+  put(dir, "container_lengths_short", with(short_of));
+  auto descending = entries;  // first two entries swapped
+  std::swap(descending[0], descending[2]);
+  std::swap(descending[1], descending[3]);
+  put(dir, "container_descending_ranks", with(descending));
+  auto cut = entries;
+  cut.pop_back();  // the last entry loses its length
+  put(dir, "container_truncated_index", with(cut));
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -232,9 +296,11 @@ int main(int argc, char** argv) {
     const fs::path trace_dir = out / "trace_decode";
     const fs::path sync_dir = out / "sync_decode";
     const fs::path config_dir = out / "config_json";
+    const fs::path container_dir = out / "archive_container";
     fs::create_directories(trace_dir);
     fs::create_directories(sync_dir);
     fs::create_directories(config_dir);
+    fs::create_directories(container_dir);
 
     workloads::ExperimentSpec spec =
         workloads::parse_experiment(Json::parse(kSeedConfig));
@@ -259,6 +325,7 @@ int main(int argc, char** argv) {
                           ".elg"));
     put_v3_mutants(trace_dir);
     put_midblock_mutants(trace_dir);
+    put_container_seeds(container_dir, data.traces);
     // An empty trace is valid too — seed the minimal accepting input.
     tracing::LocalTrace empty;
     empty.rank = 0;
