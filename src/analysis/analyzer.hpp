@@ -11,8 +11,9 @@
 //    communication, exchanging only the few bytes each pattern needs;
 //    each rank task touches only its own local trace.
 //
-// All of them walk each rank once for its op records (prepare.hpp's
-// OpWalk) and collect match records into the shared replay core
+// All of them walk each rank in parallel for its call paths and op
+// records (prepare.hpp's RankWalk), unify the call paths in rank order,
+// and collect match records into the shared replay core
 // (replay_core.hpp), which evaluates the pattern formulas in one
 // canonical order: the cubes are bit-identical, and tests enforce it.
 #pragma once

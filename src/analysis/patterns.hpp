@@ -73,33 +73,6 @@ struct PatternSet {
 
   /// Fills every field whose well-known metric name exists in `tree`.
   static PatternSet from_tree(const report::MetricTree& tree);
-
-  /// Base pattern or its grid child, by whether the wait crossed
-  /// metahosts.
-  [[nodiscard]] MetricId late_sender_of(bool grid) const {
-    return grid ? grid_late_sender : late_sender;
-  }
-  [[nodiscard]] MetricId late_receiver_of(bool grid) const {
-    return grid ? grid_late_receiver : late_receiver;
-  }
-  [[nodiscard]] MetricId early_reduce_of(bool grid) const {
-    return grid ? grid_early_reduce : early_reduce;
-  }
-  [[nodiscard]] MetricId late_broadcast_of(bool grid) const {
-    return grid ? grid_late_broadcast : late_broadcast;
-  }
-  [[nodiscard]] MetricId wait_nxn_of(bool grid) const {
-    return grid ? grid_wait_nxn : wait_nxn;
-  }
-  [[nodiscard]] MetricId wait_barrier_of(bool grid) const {
-    return grid ? grid_wait_barrier : wait_barrier;
-  }
-  [[nodiscard]] MetricId nxn_completion_of(bool grid) const {
-    return grid ? grid_nxn_completion : nxn_completion;
-  }
-  [[nodiscard]] MetricId barrier_completion_of(bool grid) const {
-    return grid ? grid_barrier_completion : barrier_completion;
-  }
 };
 
 /// Where a region's exclusive time belongs in the metric tree.

@@ -1,6 +1,7 @@
 #include "analysis/prepare.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -15,12 +16,31 @@ namespace metascope::analysis {
 using tracing::Event;
 using tracing::EventType;
 
-RankWalk::RankWalk(Rank rank, std::size_t num_comms, report::CallTree& calls,
-                   RankComm& rc)
-    : rank_(rank), calls_(calls), rc_(rc) {
-  rc_ = RankComm{};
-  rc_.colls.assign(num_comms, 0);
+void RankComm::add(const Event& e) {
+  if (e.type == EventType::Send) {
+    send_peers.push_back(e.peer);
+  } else if (e.type == EventType::Recv) {
+    ++recvs;
+  } else {
+    const auto comm = static_cast<std::size_t>(e.comm.get());
+    if (comm >= colls.size()) colls.resize(comm + 1, 0);
+    ++colls[comm];
+  }
 }
+
+void RankComm::finish(std::size_t num_ranks) {
+  std::sort(send_peers.begin(), send_peers.end());
+  send_peers.erase(std::unique(send_peers.begin(), send_peers.end()),
+                   send_peers.end());
+  std::erase_if(send_peers, [num_ranks](Rank p) {
+    return p < 0 || static_cast<std::size_t>(p) >= num_ranks;
+  });
+  send_peers.shrink_to_fit();
+}
+
+RankWalk::RankWalk(Rank rank, std::size_t num_comms,
+                   std::vector<OpRecord>& ops)
+    : rank_(rank), num_comms_(num_comms), ops_(ops) {}
 
 void RankWalk::fail(const char* what) const {
   std::ostringstream os;
@@ -29,67 +49,28 @@ void RankWalk::fail(const char* what) const {
   throw Error(os.str());
 }
 
-CallPathId RankWalk::step(const Event& e) {
-  CallPathId c;
-  switch (e.type) {
-    case EventType::Enter:
-      c = calls_.get_or_add(stack_.empty() ? CallPathId{} : stack_.back().cnode,
-                            e.region);
-      stack_.push_back(Frame{c, e.time});
-      break;
-    case EventType::Exit:
-    case EventType::CollExit:
-      if (stack_.empty()) fail("Exit without Enter");
-      if (e.time - stack_.back().enter_time < 0.0)
-        fail("negative region duration");
-      if (e.type == EventType::CollExit) {
-        const auto comm = static_cast<std::size_t>(e.comm.get());
-        if (e.comm.get() < 0 || comm >= rc_.colls.size())
-          fail("collective on an unknown communicator");
-        ++rc_.colls[comm];
-      }
-      c = stack_.back().cnode;
-      stack_.pop_back();
-      break;
-    case EventType::Send:
-    case EventType::Recv:
-      if (stack_.empty()) fail("message event outside any region");
-      if (e.type == EventType::Send)
-        rc_.send_peers.push_back(e.peer);
-      else
-        ++rc_.recvs;
-      c = stack_.back().cnode;
-      break;
-  }
-  ++index_;
-  return c;
-}
-
-std::uint32_t RankWalk::finish() const {
-  if (!stack_.empty()) fail("unclosed region");
-  return index_;
-}
-
-OpWalk::OpWalk(const report::CallTree& calls, std::vector<OpRecord>& ops)
-    : calls_(calls), ops_(ops) {}
-
-bool OpWalk::step(const Event& e) {
-  const std::uint32_t index = index_++;
+bool RankWalk::step(const Event& e) {
+  bool recorded = false;
   switch (e.type) {
     case EventType::Enter: {
-      const CallPathId c = calls_.find(
+      const CallPathId c = calls_.get_or_add(
           stack_.empty() ? CallPathId{} : stack_.back().cnode, e.region);
-      MSC_CHECK(c.valid(),
-                "op walk met a call path the structural walk never created");
+      if (excl_.size() < calls_.size()) excl_.resize(calls_.size(), 0.0);
       stack_.push_back(Frame{c, e.time, 0.0, open_.size()});
-      return false;
+      break;
     }
     case EventType::Exit:
     case EventType::CollExit: {
+      if (stack_.empty()) fail("Exit without Enter");
       const Frame f = stack_.back();
-      stack_.pop_back();
       const double dur = e.time - f.enter_time;
-      excl_[f.cnode.get()] += dur - f.child_time;
+      if (dur < 0.0) fail("negative region duration");
+      if (e.type == EventType::CollExit &&
+          (e.comm.get() < 0 ||
+           static_cast<std::size_t>(e.comm.get()) >= num_comms_))
+        fail("collective on an unknown communicator");
+      stack_.pop_back();
+      excl_[static_cast<std::size_t>(f.cnode.get())] += dur - f.child_time;
       if (!stack_.empty()) stack_.back().child_time += dur;
       // Inner regions have closed their own slots already, so the ones
       // left above this frame's base sit directly inside it.
@@ -99,25 +80,62 @@ bool OpWalk::step(const Event& e) {
         op.op_exit = e.time;
       }
       open_.resize(f.open_base);
-      if (e.type == EventType::Exit) return false;
-      ops_.push_back(OpRecord{index, f.cnode, f.enter_time, e.time});
-      return true;
+      if (e.type == EventType::CollExit) {
+        ops_.push_back(OpRecord{index_, f.cnode, f.enter_time, e.time});
+        recorded = true;
+      }
+      break;
     }
     case EventType::Send:
     case EventType::Recv:
+      if (stack_.empty()) fail("message event outside any region");
       open_.push_back(static_cast<std::uint32_t>(ops_.size()));
-      ops_.push_back(OpRecord{index, stack_.back().cnode, 0.0, 0.0});
-      return true;
+      ops_.push_back(OpRecord{index_, stack_.back().cnode, 0.0, 0.0});
+      recorded = true;
+      break;
   }
-  return false;
+  ++index_;
+  return recorded;
 }
 
-std::vector<ExclusiveTime> OpWalk::exclusive_times() const {
-  std::vector<ExclusiveTime> out;
-  out.reserve(excl_.size());
-  for (const auto& [cnode, seconds] : excl_)
-    out.push_back(ExclusiveTime{CallPathId{cnode}, seconds});
-  return out;
+void RankWalk::finish(CallPathPool& paths) const {
+  if (!stack_.empty()) fail("unclosed region");
+  paths.add(static_cast<std::size_t>(rank_), calls_, excl_);
+}
+
+void CallPathPool::add(std::size_t r, const report::CallTree& calls,
+                       const std::vector<double>& excl) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  at_[r] = Slot{nodes_.size(), calls.size()};
+  for (std::size_t c = 0; c < calls.size(); ++c)
+    nodes_.push_back(calls.node(CallPathId{static_cast<int>(c)}));
+  excl_.insert(excl_.end(), excl.begin(), excl.end());
+}
+
+std::vector<std::vector<CallPathId>> CallPathPool::unify(
+    report::CallTree& global,
+    std::vector<std::vector<ExclusiveTime>>& excl_time) const {
+  std::vector<std::vector<CallPathId>> ids(at_.size());
+  for (std::size_t r = 0; r < at_.size(); ++r) {
+    const Slot at = at_[r];
+    std::vector<CallPathId>& id = ids[r];
+    std::vector<ExclusiveTime>& excl = excl_time[r];
+    id.resize(at.count);
+    excl.resize(at.count);
+    for (std::size_t c = 0; c < at.count; ++c) {
+      const report::CallPathNode& n = nodes_[at.first + c];
+      id[c] = global.get_or_add(
+          n.parent.valid() ? id[static_cast<std::size_t>(n.parent.get())]
+                           : CallPathId{},
+          n.region);
+      excl[c] = ExclusiveTime{id[c], excl_[at.first + c]};
+    }
+    std::sort(excl.begin(), excl.end(),
+              [](const ExclusiveTime& a, const ExclusiveTime& b) {
+                return a.cnode.get() < b.cnode.get();
+              });
+  }
+  return ids;
 }
 
 std::size_t CommTables::channel(Rank src, Rank dst) const {
@@ -135,12 +153,11 @@ std::size_t CommTables::channel(Rank src, Rank dst) const {
 }
 
 CommTables build_comm_tables(const tracing::TraceDefs& defs,
-                             std::vector<RankComm>& ranks,
-                             std::size_t max_workers) {
+                             const std::vector<RankComm>& ranks) {
   const std::size_t n = ranks.size();
   const std::size_t ncomm = defs.comms.size();
   const auto colls = [&](std::size_t r, std::size_t c) {
-    return ranks[r].colls.empty() ? 0 : ranks[r].colls[c];
+    return c < ranks[r].colls.size() ? ranks[r].colls[c] : 0;
   };
   CommTables t;
 
@@ -203,16 +220,7 @@ CommTables build_comm_tables(const tracing::TraceDefs& defs,
     t.member_begin[c + 1] = t.member_begin[c] + instances * members.size();
   }
 
-  // Sender-major channel directory: each rank's distinct in-range
-  // destinations, ascending.
-  parallel_for(n, max_workers, [&](std::size_t r) {
-    std::vector<Rank>& peers = ranks[r].send_peers;
-    std::sort(peers.begin(), peers.end());
-    peers.erase(std::unique(peers.begin(), peers.end()), peers.end());
-    std::erase_if(peers, [n](Rank p) {
-      return p < 0 || static_cast<std::size_t>(p) >= n;
-    });
-  });
+  // Sender-major channel directory.
   t.pair_begin.assign(n + 1, 0);
   t.recv_begin.assign(n + 1, 0);
   for (std::size_t r = 0; r < n; ++r) {
@@ -235,22 +243,12 @@ PreparedTrace prepare(const tracing::TraceCollection& tc,
   out.ops.resize(n);
   out.excl_time.resize(n);
 
-  // Pass 1 (serial): the structural walk, ranks in order — call-path
-  // ids, every structural check and the communication counts — so the
-  // parallel op walk below runs on validated input against a finished
-  // call tree.
+  // One walk per rank, each into its own call tree and writing only its
+  // own rank's slots. A walk's error is stashed, not thrown, so the
+  // lowest failing rank surfaces whatever the schedule.
+  CallPathPool paths(n);
   std::vector<RankComm> comm_in(n);
-  for (const auto& trace : tc.ranks) {
-    RankWalk walk(trace.rank, tc.defs.comms.size(), out.calls,
-                  comm_in[static_cast<std::size_t>(trace.rank)]);
-    for (const Event& e : trace.events) (void)walk.step(e);
-    (void)walk.finish();
-  }
-
-  // Pass 2 (parallel, one task per rank): the op walk — the records the
-  // replay iterates and the exclusive times. Each task writes only its
-  // own rank's slots and only reads the call tree, so results are
-  // deterministic and identical for every worker count.
+  std::vector<std::exception_ptr> err(n);
   telemetry::RecordingObserver rec_obs(
       "prepare", telemetry::RecordingObserver::fanout_stride(tc.ranks.size()));
   const auto pst = parallel_for(
@@ -258,20 +256,31 @@ PreparedTrace prepare(const tracing::TraceCollection& tc,
       [&](std::size_t ti) {
         const auto& trace = tc.ranks[ti];
         const auto ri = static_cast<std::size_t>(trace.rank);
-        // Pass 1 counted the rank's ops (send_peers is deduplicated only
-        // by build_comm_tables, below), so the records fit exactly.
-        const RankComm& rc = comm_in[ri];
-        std::size_t num_ops = rc.send_peers.size() + rc.recvs;
-        for (const int c : rc.colls) num_ops += static_cast<std::size_t>(c);
-        out.ops[ri].reserve(num_ops);
-        OpWalk walk(out.calls, out.ops[ri]);
-        for (const Event& e : trace.events) (void)walk.step(e);
-        out.excl_time[ri] = walk.exclusive_times();
+        try {
+          RankWalk walk(trace.rank, tc.defs.comms.size(), out.ops[ri]);
+          for (const Event& e : trace.events)
+            if (walk.step(e)) comm_in[ri].add(e);
+          walk.finish(paths);
+          comm_in[ri].finish(n);
+        } catch (const Error&) {
+          err[ri] = std::current_exception();
+        }
+        out.ops[ri].shrink_to_fit();
       },
       &rec_obs);
   telemetry::record_stage_parallelism("prepare", pst);
+  for (const std::exception_ptr& e : err)
+    if (e) std::rethrow_exception(e);
 
-  out.comm = build_comm_tables(tc.defs, comm_in, max_workers);
+  // Definition unification, ranks ascending over call-tree nodes; then
+  // each rank's records move to the global ids.
+  const auto ids = paths.unify(out.calls, out.excl_time);
+  parallel_for(n, max_workers, [&](std::size_t r) {
+    for (OpRecord& op : out.ops[r])
+      op.cnode = ids[r][static_cast<std::size_t>(op.cnode.get())];
+  });
+
+  out.comm = build_comm_tables(tc.defs, comm_in);
   telemetry::counter("prepare.ranks").add(out.ops.size());
   telemetry::counter("prepare.call_paths").add(out.calls.size());
   if (telemetry::progress_enabled()) telemetry::progress("prepare", 1.0);

@@ -1,15 +1,14 @@
-// Pre-analysis pass ("definition unification"): builds the global call
-// tree, records every communication event with its call path and
-// enclosing-operation times, and accumulates per-call-path exclusive
-// times. Call-path ids are assigned in a serial first pass (ranks in
-// order, events in order) so that ids — and therefore cubes — are
-// bit-identical between the serial and the parallel analysis for any
-// worker count; the op walk then fans out one task per rank.
+// Pre-analysis pass ("definition unification"): one walk per rank, in
+// parallel, numbers the rank's call paths locally, checks its structure,
+// records every communication event with its call path and
+// enclosing-operation times, and sums per-call-path exclusive times; a
+// serial merge over call-tree nodes then assigns the global ids, the
+// same for every analyzer and worker count.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
+#include <mutex>
 #include <vector>
 
 #include "report/cube.hpp"
@@ -71,72 +70,86 @@ struct CommTables {
   [[nodiscard]] std::size_t num_records() const { return recv_begin.back(); }
 };
 
-/// What one rank's trace contributes to the CommTables, as RankWalk
-/// counts it.
+/// What one rank's trace contributes to the CommTables.
 struct RankComm {
   std::vector<Rank> send_peers;  ///< destination of every Send, any order
   std::size_t recvs{0};
   std::vector<int> colls;  ///< CollExit count per communicator id
+
+  /// Counts one event RankWalk::step recorded (a Send, Recv or CollExit
+  /// on a communicator the walk checked).
+  void add(const tracing::Event& e);
+  /// Ends the rank: send_peers becomes its distinct destinations in
+  /// [0, num_ranks), ascending, without spare capacity (every rank's
+  /// counts wait for build_comm_tables at once).
+  void finish(std::size_t num_ranks);
 };
 
-/// The structural walk of one rank, shared by both prepares: prepare()
-/// feeds it the rank's event vector, analyze_streaming the events
-/// TraceStream::scan_light decodes (after the quarantine rule, so event
-/// indices match the pruned collection's). Fed every event in order, it
-/// assigns call-path ids — get_or_add at every Enter; walking the ranks
-/// in ascending order makes the ids identical for every analyzer and
-/// worker count — runs every structural check, and counts the rank's
-/// share of the CommTables.
-class RankWalk {
+/// Definition unification. Each rank's walk files its call paths here,
+/// in any order and from any thread, into a few shared buffers: small
+/// per-rank allocations, made on a worker and freed on another thread,
+/// kept the workers' malloc arenas from shrinking (~2 MB on 2048 ranks).
+class CallPathPool {
  public:
-  /// `rc` is reset to zero counts over `num_comms` communicators.
-  RankWalk(Rank rank, std::size_t num_comms, report::CallTree& calls,
-           RankComm& rc);
+  explicit CallPathPool(std::size_t ranks) : at_(ranks) {}
 
-  /// Walks the next event and returns its call path (for an Enter, the
-  /// entered one). Throws Error ("malformed trace: rank R event I: ...")
-  /// on an Exit without Enter, a negative region duration, a collective
-  /// on an unknown communicator, or a message event outside any region.
-  CallPathId step(const tracing::Event& e);
+  /// Files rank `r`'s call paths (local ids, by first appearance) and
+  /// their exclusive seconds; safe to call from many threads.
+  void add(std::size_t r, const report::CallTree& calls,
+           const std::vector<double>& excl);
 
-  /// Ends the rank; throws Error on an unclosed region. Returns the
-  /// number of events walked.
-  std::uint32_t finish() const;
+  /// Inserts each rank's call paths into `global` with get_or_add, ranks
+  /// ascending and each rank's in local-id order, and returns per rank
+  /// the global id of each local id. That assigns exactly the ids one
+  /// walk of every rank in order into one tree assigns, since a rank
+  /// meets the paths the tree lacks in the order its local ids number
+  /// them, and costs O(call paths), not O(events). `excl_time[r]`
+  /// receives rank r's exclusive times under the global ids, sorted by
+  /// global id: the order the region pass adds them in.
+  std::vector<std::vector<CallPathId>> unify(
+      report::CallTree& global,
+      std::vector<std::vector<ExclusiveTime>>& excl_time) const;
 
  private:
-  struct Frame {
-    CallPathId cnode;
-    double enter_time;
+  struct Slot {
+    std::size_t first{0};
+    std::size_t count{0};
   };
-  [[noreturn]] void fail(const char* what) const;
-
-  Rank rank_;
-  report::CallTree& calls_;
-  RankComm& rc_;
-  std::vector<Frame> stack_;
-  std::uint32_t index_{0};
+  std::mutex mutex_;
+  std::vector<report::CallPathNode> nodes_;
+  std::vector<double> excl_;
+  std::vector<Slot> at_;  ///< by rank
 };
 
-/// The op walk of one rank, shared by both analysis modes: prepare()
-/// feeds it each rank's event vector, analyze_streaming each window's
-/// decoded events. Fed the events RankWalk accepted, in order, against
-/// the finished call tree, it appends one OpRecord per Send, Recv and
-/// CollExit to `ops` and sums exclusive time per call path. A Send/Recv
-/// record's window is filled when its enclosing region exits, so
-/// `ops` may be cleared (or consumed) whenever open() is zero.
-class OpWalk {
+/// The walk of one rank, shared by both analysis modes: prepare() feeds
+/// it the rank's event vector, analyze_streaming the events a
+/// TraceStream decodes (after the quarantine rule, so event indices
+/// match the pruned collection's). Fed every event in order, it numbers
+/// the rank's call paths in a private tree — get_or_add at every Enter —
+/// runs every structural check, appends one OpRecord per Send, Recv and
+/// CollExit to `ops` (call paths in local ids) and sums exclusive time
+/// per call path. A Send/Recv record's window is filled when its
+/// enclosing region exits, so `ops` may be cleared (or consumed)
+/// whenever open() is zero.
+class RankWalk {
  public:
-  OpWalk(const report::CallTree& calls, std::vector<OpRecord>& ops);
+  RankWalk(Rank rank, std::size_t num_comms, std::vector<OpRecord>& ops);
 
   /// Walks the next event; returns true when it appended a record.
-  /// Throws Error on an Enter whose call path is not in the tree.
+  /// Throws Error ("malformed trace: rank R event I: ...") on an Exit
+  /// without Enter, a negative region duration, a collective on an
+  /// unknown communicator, or a message event outside any region.
   bool step(const tracing::Event& e);
 
   /// Send/Recv records still waiting for their region's exit.
   [[nodiscard]] std::size_t open() const { return open_.size(); }
 
-  /// Exclusive seconds per call path visited so far, by call-path id.
-  [[nodiscard]] std::vector<ExclusiveTime> exclusive_times() const;
+  /// The call paths numbered so far.
+  [[nodiscard]] const report::CallTree& calls() const { return calls_; }
+
+  /// Ends the rank: throws Error on an unclosed region, else files its
+  /// call paths and exclusive times with `paths`.
+  void finish(CallPathPool& paths) const;
 
  private:
   struct Frame {
@@ -145,43 +158,45 @@ class OpWalk {
     double child_time;
     std::size_t open_base;  ///< open_.size() when the region was entered
   };
+  [[noreturn]] void fail(const char* what) const;
 
-  const report::CallTree& calls_;
+  Rank rank_;
+  std::size_t num_comms_;
   std::vector<OpRecord>& ops_;
+  report::CallTree calls_;
+  std::vector<double> excl_;  ///< by local id
   std::vector<Frame> stack_;
   /// Positions in ops_ of the Send/Recv records awaiting an exit,
   /// innermost region last.
   std::vector<std::uint32_t> open_;
-  std::map<int, double> excl_;
   std::uint32_t index_{0};
 };
 
-/// Builds the tables from every rank's contribution (`ranks` is indexed
-/// by rank; its send_peers are sorted in place on up to `max_workers`
-/// threads) and validates collective completeness: every member of a
-/// communicator must record the same number of collectives on it, and
-/// no other rank may record any. Throws Error otherwise, so no replay
-/// task can wait on an instance that never completes.
+/// Builds the tables from every rank's finished contribution (`ranks`
+/// is indexed by rank) and validates collective completeness: every
+/// member of a communicator must record the same number of collectives
+/// on it, and no other rank may record any. Throws Error otherwise, so
+/// no replay task can wait on an instance that never completes.
 CommTables build_comm_tables(const tracing::TraceDefs& defs,
-                             std::vector<RankComm>& ranks,
-                             std::size_t max_workers);
+                             const std::vector<RankComm>& ranks);
 
 struct PreparedTrace {
   report::CallTree calls;
-  /// Per rank: the OpWalk records, in trace order. The replay iterates
-  /// these and never touches Enter/Exit events.
+  /// Per rank: the RankWalk records in global ids, in trace order. The
+  /// replay iterates these and never touches Enter/Exit events.
   std::vector<std::vector<OpRecord>> ops;
   /// Exclusive time per call path, per rank (summed over occurrences).
   std::vector<std::vector<ExclusiveTime>> excl_time;
   CommTables comm;
 };
 
-/// Walks all ranks. Throws Error on malformed traces (unbalanced
-/// Enter/Exit, events outside any region) and on incomplete collective
-/// instances (a communicator member missing from a collective), so both
-/// analyzers fail fast before any replay starts. The per-rank op walk
-/// runs on up to `max_workers` threads (0 = hardware concurrency);
-/// results are identical for every worker count.
+/// Walks all ranks on up to `max_workers` threads (0 = hardware
+/// concurrency), then unifies their call paths; results are identical
+/// for every worker count. Throws Error on malformed traces (unbalanced
+/// Enter/Exit, events outside any region; the lowest failing rank's
+/// error, whatever the schedule) and on incomplete collective instances
+/// (a communicator member missing from a collective), so analysis fails
+/// fast before any replay starts.
 PreparedTrace prepare(const tracing::TraceCollection& tc,
                       std::size_t max_workers = 0);
 

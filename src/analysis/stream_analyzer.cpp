@@ -8,17 +8,21 @@
 //
 // Two streaming passes replace prepare():
 //
-//  - a *light* pass (serial, ranks in order) feeds the type/time/region/
-//    comm/peer columns (TraceStream::scan_light) through RankWalk, the
-//    structural walk the materializing prepare runs: identical call-path
-//    ids, identical diagnostics, and each rank's communication counted
-//    for the replay's CommTables (collective completeness is validated
-//    there, before any task runs);
-//  - the *window* pass inside each replay task: each rank's OpWalk (the
-//    walk prepare() runs over a materialized rank) records call paths,
-//    enclosing-op windows and exclusive times as events decode, against
-//    the tree the light pass built; only the communication events and
-//    their records stay resident.
+//  - a *light* pass (it keeps no event) inside the open fan-out, one
+//    task per rank, drains the rank's TraceStream through next() in
+//    bounded chunks and feeds every event to RankWalk, the walk the
+//    materializing prepare runs: the rank's local call tree, every
+//    structural check, its exclusive times and its share of the
+//    replay's CommTables. Decoding every column here raises payload
+//    corruption before any replay starts.
+//    Definition unification (CallPathPool::unify, ranks ascending over
+//    call-tree nodes) then gives the materializing prepare's global ids,
+//    and collective completeness is validated before any task runs;
+//  - the *window* pass inside each replay task re-opens the stream and
+//    walks it again: the RankWalk rebuilds the same local tree and
+//    records call paths and enclosing-op windows as events decode, each
+//    window's records mapped through the rank's local-to-global ids;
+//    only the communication events and their records stay resident.
 //
 // A window nominally holds budget/(ranks * per-op footprint) events and
 // extends only while a Send/Recv in it still awaits its enclosing
@@ -104,7 +108,8 @@ class Residency {
 
 /// Everything one rank task owns: its mapped blob (the page-aligned
 /// window of its container extent) and the windowed cursor over it, the
-/// op walk bridging windows, and the current window.
+/// walk bridging windows, the rank's local-to-global call-path ids, and
+/// the current window.
 struct RankStream {
   MappedFile file;
   /// The blob's offset in its container: cursor errors count from the
@@ -116,16 +121,18 @@ struct RankStream {
   std::vector<Event> raw;
   std::size_t rpos{0};
 
+  std::vector<CallPathId> ids;  ///< global id of each local call path
+
   // Current window: the retained communication events and their op
-  // records, index-aligned; `walk` appends to `ops`.
+  // records (in global ids), index-aligned; `walk` appends to `ops`.
   std::vector<Event> win;
   std::vector<OpRecord> ops;
-  std::optional<OpWalk> walk;
+  std::optional<RankWalk> walk;
   std::size_t wpos{0};
   std::size_t resident{0};  ///< bytes this rank currently accounts
   std::uint32_t windows_filled{0};
 
-  // Tallies from the structural walk.
+  // Tallies from the light pass.
   std::uint64_t events_kept{0};
   std::uint64_t pruned{0};
 };
@@ -143,86 +150,6 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
 
   const tracing::Quarantine quarantine(tc, src.quarantined);
 
-  AnalysisResult res;
-  report::CallTree calls;
-  std::vector<RankStream> streams(n);
-  std::vector<RankComm> comm_in(n);
-  CommTables comm_tables;
-  Residency residency;
-  telemetry::Counter& windows_counter =
-      telemetry::counter("analysis.stream.windows");
-
-  // Streaming prepare: map every surviving rank's blob and run the
-  // light pass, ranks in ascending order so call-path ids match the
-  // materializing prepare exactly. Quarantined ranks stay closed and
-  // stream zero events.
-  {
-    telemetry::ScopedSpan span("prepare");
-    // Opening + header/type-stream validation is per-rank independent
-    // and syscall-heavy (open, mmap, first page faults), so it fans out
-    // like read_traces' decode. The call-path walk below stays serial in
-    // rank order — that order is what makes the ids match the
-    // materializing prepare. An open error is stashed, not thrown: the
-    // serial walk rethrows it at the rank's slot, so the surfacing rank
-    // is the lowest failing one exactly as under the old serial loop.
-    std::vector<std::exception_ptr> open_err(n);
-    parallel_for(n, opts.max_workers, [&](std::size_t r) {
-      if (quarantine.holds(static_cast<Rank>(r))) return;
-      RankStream& rs = streams[r];
-      const tracing::TraceExtent& at = src.extents[r];
-      try {
-        rs.base = at.offset;
-        rs.file = MappedFile::open(at.path, at.offset,
-                                   static_cast<std::size_t>(at.length));
-        try {
-          rs.ts.emplace(rs.file.data(), rs.file.size(), at.path);
-        } catch (const Error& e) {
-          throw e.offset_by(rs.base);
-        }
-      } catch (const Error&) {
-        open_err[r] = std::current_exception();
-      }
-    });
-    for (std::size_t r = 0; r < n; ++r) {
-      RankStream& rs = streams[r];
-      if (quarantine.holds(static_cast<Rank>(r))) continue;
-      try {
-        if (open_err[r]) std::rethrow_exception(open_err[r]);
-        RankWalk walk(static_cast<Rank>(r), defs.comms.size(), calls,
-                      comm_in[r]);
-        try {
-          rs.ts->scan_light([&](const Event& scanned) {
-            Event e = scanned;
-            const tracing::Pruned p = quarantine.apply(e);
-            if (p != tracing::Pruned::No) ++rs.pruned;
-            if (p != tracing::Pruned::Dropped) (void)walk.step(e);
-          });
-        } catch (const Error& e) {
-          throw e.offset_by(rs.base);
-        }
-        rs.events_kept = walk.finish();
-        rs.walk.emplace(calls, rs.ops);
-      } catch (const Error& e) {
-        throw e.with_context(
-            ErrorContext{src.extents[r].path, static_cast<Rank>(r), -1});
-      }
-      // Sync records are materialized for the stream's whole lifetime;
-      // window bytes come and go on top of this floor.
-      rs.resident =
-          rs.ts->sync().size() * sizeof(tracing::OffsetRecord);
-      residency.adjust(static_cast<std::ptrdiff_t>(rs.resident));
-    }
-
-    comm_tables = build_comm_tables(defs, comm_in, opts.max_workers);
-    telemetry::counter("prepare.ranks").add(n);
-    telemetry::counter("prepare.call_paths").add(calls.size());
-  }
-
-  PatternRegistry registry = PatternRegistry::standard();
-  registry.select(opts.patterns);
-  PatternEngine engine(registry, res.cube);
-  res.patterns = engine.install_trees(tc, calls);
-
   // Window sizing: the budget bounds the bytes of retained events and
   // their records resident across all ranks at once; the floor of one
   // event per rank keeps a pathological budget from stalling (it
@@ -237,26 +164,102 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
   const std::size_t chunk =
       std::max<std::size_t>(1, std::min(window_events, kMaxDecodeChunk));
 
+  AnalysisResult res;
+  report::CallTree calls;
+  std::vector<RankStream> streams(n);
+  std::vector<RankComm> comm_in(n);
+  std::vector<std::vector<ExclusiveTime>> excl_time(n);
+  CommTables comm_tables;
+  Residency residency;
+  telemetry::Counter& windows_counter =
+      telemetry::counter("analysis.stream.windows");
+
+  // Streaming prepare: one task per surviving rank maps its blob, runs
+  // the light pass and re-opens the stream for the window pass.
+  // Quarantined ranks stay closed and stream zero events.
+  {
+    telemetry::ScopedSpan span("prepare");
+    CallPathPool paths(n);
+    // An error is stashed, not thrown, so the lowest failing rank
+    // surfaces whatever the schedule.
+    std::vector<std::exception_ptr> err(n);
+    parallel_for(n, opts.max_workers, [&](std::size_t r) {
+      if (quarantine.holds(static_cast<Rank>(r))) return;
+      RankStream& rs = streams[r];
+      const tracing::TraceExtent& at = src.extents[r];
+      try {
+        rs.base = at.offset;
+        rs.file = MappedFile::open(at.path, at.offset,
+                                   static_cast<std::size_t>(at.length));
+        try {
+          tracing::TraceStream ts(rs.file.data(), rs.file.size(), at.path);
+          // Records are complete whenever none is open; the light pass
+          // drops them there, the window pass keeps them.
+          std::vector<OpRecord> ops;
+          RankWalk walk(static_cast<Rank>(r), defs.comms.size(), ops);
+          std::vector<Event> raw;
+          while (ts.next(raw, chunk) != 0) {
+            for (Event& e : raw) {
+              const tracing::Pruned p = quarantine.apply(e);
+              if (p != tracing::Pruned::No) ++rs.pruned;
+              if (p == tracing::Pruned::Dropped) continue;
+              ++rs.events_kept;
+              if (walk.step(e)) comm_in[r].add(e);
+              if (walk.open() == 0) ops.clear();
+            }
+            raw.clear();
+          }
+          walk.finish(paths);
+          comm_in[r].finish(n);
+          rs.ts.emplace(rs.file.data(), rs.file.size(), at.path);
+        } catch (const Error& e) {
+          throw e.offset_by(rs.base);
+        }
+      } catch (const Error& e) {
+        err[r] = std::make_exception_ptr(
+            e.with_context(ErrorContext{at.path, static_cast<Rank>(r), -1}));
+        return;
+      }
+      rs.walk.emplace(static_cast<Rank>(r), defs.comms.size(), rs.ops);
+      // Sync records are materialized for the stream's whole lifetime;
+      // window bytes come and go on top of this floor.
+      rs.resident = rs.ts->sync().size() * sizeof(tracing::OffsetRecord);
+      residency.adjust(static_cast<std::ptrdiff_t>(rs.resident));
+    });
+    for (const std::exception_ptr& e : err)
+      if (e) std::rethrow_exception(e);
+
+    // Definition unification, ranks ascending over call-tree nodes.
+    auto ids = paths.unify(calls, excl_time);
+    for (std::size_t r = 0; r < n; ++r) streams[r].ids = std::move(ids[r]);
+
+    comm_tables = build_comm_tables(defs, comm_in);
+    telemetry::counter("prepare.ranks").add(n);
+    telemetry::counter("prepare.call_paths").add(calls.size());
+  }
+
+  PatternRegistry registry = PatternRegistry::standard();
+  registry.select(opts.patterns);
+  PatternEngine engine(registry, res.cube);
+  res.patterns = engine.install_trees(tc, calls);
+
   // Evicts the consumed window and walks the next one. The window
   // extends past its nominal size only while a Send/Recv in it still
   // awaits its enclosing call's exit, which is what guarantees every op
-  // window is complete before the replay consumes the event.
+  // window is complete before the replay consumes the event. The light
+  // pass decoded these bytes already, so no decode error is left.
   auto fill_window = [&](RankStream& rs) {
     rs.win.clear();
     rs.ops.clear();
     rs.wpos = 0;
     tracing::TraceStream& ts = *rs.ts;
-    OpWalk& walk = *rs.walk;
+    RankWalk& walk = *rs.walk;
     while (rs.ops.size() < window_events || walk.open() > 0) {
       if (rs.rpos == rs.raw.size()) {
         if (ts.at_end()) break;
         rs.raw.clear();
         rs.rpos = 0;
-        try {
-          ts.next(rs.raw, chunk);
-        } catch (const Error& e) {
-          throw e.offset_by(rs.base);
-        }
+        ts.next(rs.raw, chunk);
         continue;
       }
       Event& e = rs.raw[rs.rpos++];
@@ -265,6 +268,13 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
     }
     MSC_CHECK(walk.open() == 0,
               "streaming window closed with unfilled message ops");
+    // The walk rebuilds the light pass's local tree, id for id.
+    for (OpRecord& op : rs.ops) {
+      const auto c = static_cast<std::size_t>(op.cnode.get());
+      MSC_CHECK(c < rs.ids.size(),
+                "window pass met a call path the light pass never numbered");
+      op.cnode = rs.ids[c];
+    }
     const std::size_t now =
         rs.win.capacity() * sizeof(Event) +
         rs.ops.capacity() * sizeof(OpRecord) +
@@ -297,6 +307,9 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
           rs.raw = {};
           rs.win = {};
           rs.ops = {};
+          MSC_CHECK(rs.walk->calls().size() == rs.ids.size(),
+                    "window pass rebuilt a different call tree");
+          rs.walk.reset();
           // Unmap here, on the worker, rather than in the analyzer's
           // epilogue: the stream is consumed, and a thousand munmaps
           // overlap the still-running ranks instead of serializing
@@ -332,10 +345,7 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
 
   // Region pass before dispatch — the same cube add order as the
   // materializing analyzers (install's region pass precedes their
-  // replay): per-rank exclusive times come out of the op walks.
-  std::vector<std::vector<ExclusiveTime>> excl_time(n);
-  for (std::size_t r = 0; r < n; ++r)
-    if (streams[r].walk) excl_time[r] = streams[r].walk->exclusive_times();
+  // replay), over the light pass's exclusive times.
   engine.region_pass(excl_time);
   replay.finish(engine, res.stats);
 

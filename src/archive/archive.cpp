@@ -567,8 +567,8 @@ tracing::StreamSource ExperimentArchive::stream_source(
         // once — windows are decoded and discarded, nothing is
         // materialized — so every rank is classified up front. Strict
         // mode skips the drain: payload corruption surfaces from
-        // whichever replay window decodes it, with the same error code
-        // and container/rank context.
+        // analyze_streaming's prepare, whose light pass decodes every
+        // column, with the same error code and container/rank context.
         std::vector<tracing::Event> sink;
         while (!s.at_end()) {
           sink.clear();
@@ -579,35 +579,6 @@ tracing::StreamSource ExperimentArchive::stream_source(
   for (const auto& q : quarantined) src.quarantined.push_back(q.rank);
   if (report) report->quarantined = std::move(quarantined);
   return src;
-}
-
-tracing::LocalTrace ExperimentArchive::read_local_trace(
-    const simnet::Topology& topo, Rank r) const {
-  const std::string& dir = dir_of(topo.metahost_of(r));
-  for (const PartialArchive& part :
-       partial_archives(dir_by_metahost_, ranks_by_metahost_)) {
-    if (part.dir != dir) continue;
-    try {
-      std::atomic<std::uint64_t> bytes_read{0};
-      tracing::LocalTrace trace;
-      visit_blob(r, read_index(part, bytes_read).find(r),
-                 [&](const MappedFile& f, const auto& claim) {
-                   trace = tracing::decode_local_trace(f.data(), f.size(),
-                                                       part.container());
-                   claim(trace.rank);
-                 });
-      return trace;
-    } catch (const Error& e) {
-      throw e.with_context(ErrorContext{part.container(), r, -1});
-    }
-  }
-  throw Error("rank " + std::to_string(r) + " has no partial archive");
-}
-
-tracing::TraceCollection ExperimentArchive::read_defs(MetahostId m) const {
-  const std::string path = dir_of(m) + "/" + tracing::defs_filename();
-  const MappedFile f = MappedFile::open(path);
-  return tracing::decode_defs(f.data(), f.size(), path);
 }
 
 }  // namespace metascope::archive

@@ -163,8 +163,9 @@ class ExperimentArchive {
                     std::size_t max_workers = 0) const;
 
   /// Re-assembles the full collection from all partial archives (what a
-  /// post-mortem analysis with access to all file systems would do; the
-  /// parallel analyzer instead reads only local files — see analysis/).
+  /// post-mortem analysis with access to all file systems does; the
+  /// streaming analyzer instead maps each rank's blob, see
+  /// stream_source).
   /// Each container's index is read and validated once, before any
   /// blob; then each rank maps only its blob's pages and decodes it, on
   /// up to ReadOptions::max_workers threads. Strict by default; see
@@ -191,16 +192,6 @@ class ExperimentArchive {
   /// are VersionMismatch — materialize them with read_traces).
   [[nodiscard]] tracing::StreamSource stream_source(
       const ReadOptions& opts, ReadReport* report = nullptr) const;
-
-  /// Loads one rank's trace from the partial archive of its metahost —
-  /// the parallel analyzer's access pattern (local data only): reads
-  /// that container's index, then maps and decodes the rank's blob.
-  /// Safe to call from many threads at once.
-  [[nodiscard]] tracing::LocalTrace read_local_trace(
-      const simnet::Topology& topo, Rank r) const;
-  /// Loads the shared definitions from the partial archive visible to
-  /// the given metahost.
-  [[nodiscard]] tracing::TraceCollection read_defs(MetahostId m) const;
 
  private:
   std::string name_;

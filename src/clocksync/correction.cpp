@@ -26,7 +26,23 @@ const OffsetRecord& record_of_phase(const tracing::LocalTrace& t, int phase) {
     if (r.phase == phase) return r;
   std::ostringstream os;
   os << "rank " << t.rank << " lacks phase-" << phase << " offset record";
-  throw Error(os.str());
+  throw Error(ErrorCode::Corrupt, os.str(), ErrorContext{"", t.rank, -1});
+}
+
+/// Whether rank r's clock needs mapping through its offset records. The
+/// metamaster (rank 0, as the measurement layer chooses it) defines the
+/// global domain, and a rank with neither records nor events (a
+/// permissive read quarantined it) has nothing to map: both keep the
+/// identity. A rank with events but no records cannot be mapped.
+bool needs_records(const TraceCollection& tc, Rank r) {
+  if (r == 0) return false;
+  const auto& t = tc.ranks[static_cast<std::size_t>(r)];
+  if (!t.sync.empty()) return true;
+  if (t.events.empty()) return false;
+  throw Error(ErrorCode::Corrupt,
+              "rank " + std::to_string(r) +
+                  " has events but no offset records",
+              ErrorContext{"", r, -1});
 }
 
 /// Correction mapping this process's clock onto its reference process's
@@ -56,6 +72,7 @@ std::vector<LinearCorrection> build_corrections(const TraceCollection& tc) {
       return out;
     case SyncScheme::FlatSingle: {
       for (int r = 1; r < n; ++r) {
+        if (!needs_records(tc, r)) continue;
         const auto& t = tc.ranks[static_cast<std::size_t>(r)];
         const auto& rec = record_of_phase(t, 0);
         MSC_CHECK(rec.ref_rank == 0, "flat record must reference rank 0");
@@ -65,6 +82,7 @@ std::vector<LinearCorrection> build_corrections(const TraceCollection& tc) {
     }
     case SyncScheme::FlatTwo: {
       for (int r = 1; r < n; ++r) {
+        if (!needs_records(tc, r)) continue;
         const auto& t = tc.ranks[static_cast<std::size_t>(r)];
         const auto& rb = record_of_phase(t, 0);
         const auto& re = record_of_phase(t, 1);
@@ -75,26 +93,19 @@ std::vector<LinearCorrection> build_corrections(const TraceCollection& tc) {
       return out;
     }
     case SyncScheme::HierarchicalTwo: {
-      // Every non-metamaster rank has records against exactly one
-      // reference; chase the reference chain (slave -> local master ->
-      // metamaster) composing interpolations. Chains are at most two
+      // Every other rank that needs mapping has records against exactly
+      // one reference; chase the reference chain (slave -> local master
+      // -> metamaster) composing interpolations. Chains are at most two
       // deep, but the resolver is generic with cycle detection.
       std::vector<int> state(static_cast<std::size_t>(n), 0);  // 0/1/2
-      // Recursive lambda via explicit stack-free recursion.
       const std::function<const LinearCorrection&(Rank)> resolve =
           [&](Rank r) -> const LinearCorrection& {
         auto& slot = out[static_cast<std::size_t>(r)];
         auto& st = state[static_cast<std::size_t>(r)];
-        if (st == 2) return slot;
+        if (r == 0 || st == 2) return slot;
         MSC_CHECK(st != 1, "cycle in offset-record references");
         st = 1;
         const auto& t = tc.ranks[static_cast<std::size_t>(r)];
-        if (t.sync.empty()) {
-          // The metamaster: defines the global domain.
-          slot = LinearCorrection::identity();
-          st = 2;
-          return slot;
-        }
         const auto& rb = record_of_phase(t, 0);
         const auto& re = record_of_phase(t, 1);
         MSC_CHECK(rb.ref_rank == re.ref_rank,
@@ -108,12 +119,23 @@ std::vector<LinearCorrection> build_corrections(const TraceCollection& tc) {
                           " references nonexistent rank " +
                           std::to_string(rb.ref_rank),
                       ErrorContext{"", r, -1});
+        // A reference without records of its own (a quarantined local
+        // master) leaves this rank's clock with no path to the global
+        // domain.
+        if (rb.ref_rank != 0 &&
+            tc.ranks[static_cast<std::size_t>(rb.ref_rank)].sync.empty())
+          throw Error(ErrorCode::Corrupt,
+                      "offset records of rank " + std::to_string(r) +
+                          " reference rank " + std::to_string(rb.ref_rank) +
+                          ", which has no offset records",
+                      ErrorContext{"", r, -1});
         const LinearCorrection to_ref = from_two(rb, re);
         slot = LinearCorrection::compose(resolve(rb.ref_rank), to_ref);
         st = 2;
         return slot;
       };
-      for (Rank r = 0; r < n; ++r) resolve(r);
+      for (Rank r = 0; r < n; ++r)
+        if (needs_records(tc, r)) resolve(r);
       return out;
     }
   }

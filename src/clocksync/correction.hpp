@@ -47,6 +47,12 @@ struct LinearCorrection {
 ///    composed with the local master's interpolation against the
 ///    metamaster — row (iii), this paper's contribution;
 ///  - None: identities.
+///
+/// Rank 0, the metamaster, keeps the identity, and so does a rank with
+/// neither offset records nor events (one a permissive read quarantined).
+/// Throws a Corrupt Error naming the rank when any other rank has events
+/// but no records, or when its records reference a rank other than 0
+/// that has none (naming both ranks): its clock cannot be mapped.
 std::vector<LinearCorrection> build_corrections(
     const tracing::TraceCollection& tc);
 

@@ -112,11 +112,6 @@ CallPathId CallTree::get_or_add(CallPathId parent, RegionId region) {
   return n.id;
 }
 
-CallPathId CallTree::find(CallPathId parent, RegionId region) const {
-  const auto it = index_.find(call_key(parent, region));
-  return it == index_.end() ? CallPathId{} : it->second;
-}
-
 const CallPathNode& CallTree::node(CallPathId id) const {
   MSC_CHECK(id.valid() && static_cast<std::size_t>(id.get()) < nodes_.size(),
             "unknown call path id");

@@ -61,12 +61,6 @@ class CallTree {
   /// Returns the node for `region` under `parent`, creating it if new.
   CallPathId get_or_add(CallPathId parent, RegionId region);
 
-  /// Read-only lookup: the node for `region` under `parent`, or an
-  /// invalid id if no such path exists. Safe to call concurrently once
-  /// the tree is fully built (the streaming replay resolves call paths
-  /// per rank task against the tree its prepare pass constructed).
-  [[nodiscard]] CallPathId find(CallPathId parent, RegionId region) const;
-
   [[nodiscard]] const CallPathNode& node(CallPathId id) const;
   [[nodiscard]] std::size_t size() const { return nodes_.size(); }
   [[nodiscard]] const std::vector<CallPathId>& children(CallPathId id) const;

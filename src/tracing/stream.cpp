@@ -16,7 +16,6 @@ using colcodec::DoubleColumnCursor;
 using colcodec::IntColumnCursor;
 using v3::kNumEventTypes;
 using v3::type_at;
-constexpr std::size_t kScanChunk = 4096;
 
 // Cheapest possible encodings, used to validate header counts against
 // the bytes actually present before reserving anything: a sync record
@@ -271,66 +270,6 @@ void TraceStream::check_walked_columns() const {
   read_column(data_, size_, coll_bytes_, vals);
   read_column(data_, size_, coll_sent_, vals);
   read_column(data_, size_, coll_recvd_, vals);
-}
-
-void TraceStream::scan_light(const std::function<void(const Event&)>& cb) const {
-  DoubleColumnCursor time(data_, size_, time_);
-  IntColumnCursor enter_region(data_, size_, enter_region_);
-  IntColumnCursor send_peer(data_, size_, send_peer_);
-  IntColumnCursor recv_peer(data_, size_, recv_peer_);
-  IntColumnCursor coll_region(data_, size_, coll_region_);
-  IntColumnCursor coll_comm(data_, size_, coll_comm_);
-
-  std::vector<double> t;
-  std::vector<std::int64_t> er, sp, rp, cr, cc;
-  std::size_t done = 0;
-  try {
-    while (done < nev_) {
-      const std::size_t k =
-          std::min(kScanChunk, static_cast<std::size_t>(nev_) - done);
-      std::array<std::size_t, kNumEventTypes> cnt{};
-      for (std::size_t i = 0; i < k; ++i)
-        ++cnt[static_cast<std::size_t>(type_at(nibbles_, done + i))];
-      const double* tv = pull(time, t, k);
-      const std::int64_t* erv = pull(enter_region, enter_region_, er, cnt[0]);
-      const std::int64_t* spv = pull(send_peer, send_peer_, sp, cnt[2]);
-      const std::int64_t* rpv = pull(recv_peer, recv_peer_, rp, cnt[3]);
-      const std::int64_t* crv = pull(coll_region, coll_region_, cr, cnt[4]);
-      const std::int64_t* ccv = pull(coll_comm, coll_comm_, cc, cnt[4]);
-      for (std::size_t i = 0; i < k; ++i) {
-        Event ev;
-        ev.type = type_at(nibbles_, done + i);
-        ev.time = tv[i];
-        switch (ev.type) {
-          case EventType::Enter:
-            ev.region = RegionId{static_cast<int>(*erv++)};
-            break;
-          case EventType::Exit:
-            break;
-          case EventType::Send:
-            ev.peer = static_cast<Rank>(*spv++);
-            break;
-          case EventType::Recv:
-            ev.peer = static_cast<Rank>(*rpv++);
-            break;
-          case EventType::CollExit:
-            ev.region = RegionId{static_cast<int>(*crv++)};
-            ev.comm = CommId{static_cast<int>(*ccv++)};
-            break;
-        }
-        cb(ev);
-      }
-      done += k;
-    }
-    time.finish();
-    enter_region.finish();
-    send_peer.finish();
-    recv_peer.finish();
-    coll_region.finish();
-    coll_comm.finish();
-  } catch (const Error& e) {
-    rethrow(e, done);
-  }
 }
 
 void TraceStream::finish_window_cursors() {

@@ -8,7 +8,9 @@
 // next() asks for events. Per-column codec state lives in chunked
 // cursors (common/column_codec.hpp), so the events do not depend on the
 // window size: decode_local_trace reads a v3 file as one window that
-// spans it, and the streaming replay pulls bounded windows.
+// spans it, and analyze_streaming drains each rank's stream twice in
+// bounded windows, once for its prepare and once, re-opened, for its
+// replay.
 //
 // Errors: magic/version/header corruption, implausible rank ids,
 // count-sum mismatches, bad type nibbles, truncated column frames and
@@ -26,7 +28,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -49,12 +50,6 @@ class TraceStream {
     return sync_;
   }
   [[nodiscard]] const std::string& path() const { return path_; }
-
-  /// One cheap pass over the columns the structural walk reads (fresh
-  /// cursors; does not move the window position): each event carries
-  /// its type, time, region, comm and peer — tag, root and byte counts
-  /// stay at their defaults. Used by the streaming prepare pass.
-  void scan_light(const std::function<void(const Event&)>& cb) const;
 
   /// Decodes the next up-to-`max_events` events, appending them to
   /// `out` (a vector of Event, any allocator), and returns how many (0

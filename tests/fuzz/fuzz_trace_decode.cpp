@@ -16,12 +16,12 @@
 //
 // The v3 reader (tracing::TraceStream — decode_local_trace reads a v3
 // file as one window spanning it) runs on the same input in windows of
-// three events, which forces per-window cursor refills mid-column, plus
-// the light prepare-pass scan. The two reads are held to each other:
-// whenever the input opens as a stream, the whole-file decode and the
-// windowed drain must both succeed with identical events and sync
-// records, or both throw; anything else traps. The truncated-mid-block
-// corpus mutants aim the mutator straight at the window boundaries.
+// three events, which forces per-window cursor refills mid-column. The
+// two reads are held to each other: whenever the input opens as a
+// stream, the whole-file decode and the windowed drain must both
+// succeed with identical events and sync records, or both throw;
+// anything else traps. The truncated-mid-block corpus mutants aim the
+// mutator straight at the window boundaries.
 #include <algorithm>
 #include <cstdint>
 #include <optional>
@@ -59,10 +59,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     s.emplace(bytes.data(), bytes.size(), "<fuzz>");
   } catch (const Error&) {
     return 0;  // not a v3 file that opens: nothing to hold side by side
-  }
-  try {
-    s->scan_light([](const tracing::Event&) {});
-  } catch (const Error&) {
   }
   std::vector<tracing::Event> windowed;
   bool drained = true;

@@ -1,11 +1,12 @@
 // Replay-core, join and scheduler properties: the pooled parallel
 // analyzer must produce a cube *bit-identical* to the serial analyzer for
 // any worker count and any interleaving (the canonical-order accumulation
-// makes floating-point sums order-independent across runs); the message
-// join pairs exactly what the map matcher it replaced paired, in
-// canonical order; a streamed replay task suspends only for a message
-// that has not been sent yet; malformed traces fail fast instead of
-// hanging a worker forever.
+// makes floating-point sums order-independent across runs); the
+// definition unification assigns the serial walk's call-path ids in both
+// analysis modes; the message join pairs exactly what the map matcher it
+// replaced paired, in canonical order; a streamed replay task suspends
+// only for a message that has not been sent yet; malformed traces fail
+// fast instead of hanging a worker forever.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,6 +31,7 @@
 #include "tracing/matching.hpp"
 #include "workloads/experiment.hpp"
 #include "workloads/metatrace.hpp"
+#include "workloads/microworkloads.hpp"
 
 namespace metascope::analysis {
 namespace {
@@ -438,22 +440,18 @@ std::vector<tracing::Event> op_walk_rank() {
 
 TEST(OpWalk, RecordsMatchWhenConsumedWheneverNoneIsOpen) {
   const auto events = op_walk_rank();
-  report::CallTree calls;
-  RankComm rc;
-  RankWalk structural(0, 1, calls, rc);
-  for (const auto& e : events) (void)structural.step(e);
-  ASSERT_EQ(structural.finish(), events.size());
-
   std::vector<OpRecord> whole;
-  OpWalk one_pass(calls, whole);
-  for (const auto& e : events) (void)one_pass.step(e);
+  RankWalk one_pass(0, 1, whole);
+  RankComm rc;
+  for (const auto& e : events)
+    if (one_pass.step(e)) rc.add(e);
   EXPECT_EQ(one_pass.open(), 0u);
 
   // The stream analyzer's pattern: hand the records on and clear them
   // whenever no Send/Recv awaits its region's exit.
   std::vector<OpRecord> window;
   std::vector<OpRecord> consumed;
-  OpWalk windowed(calls, window);
+  RankWalk windowed(0, 1, window);
   for (const auto& e : events) {
     (void)windowed.step(e);
     if (windowed.open() == 0) {
@@ -462,22 +460,45 @@ TEST(OpWalk, RecordsMatchWhenConsumedWheneverNoneIsOpen) {
     }
   }
   EXPECT_EQ(consumed, whole);
-  EXPECT_EQ(windowed.exclusive_times(), one_pass.exclusive_times());
+  EXPECT_EQ(windowed.calls(), one_pass.calls());
 
-  const CallPathId main = calls.find(CallPathId{}, RegionId{kMain});
-  const CallPathId sendrecv = calls.find(main, RegionId{kSendrecv});
-  const CallPathId allreduce = calls.find(main, RegionId{kAllreduce});
+  // The rank's own ids, by first appearance: main 0, Sendrecv 1, work 2,
+  // Allreduce 3, finalize 4, cleanup 5.
+  const report::CallTree& local = one_pass.calls();
+  ASSERT_EQ(local.size(), 6u);
+  const CallPathId main{0};
+  const CallPathId sendrecv{1};
+  const CallPathId allreduce{3};
+  EXPECT_EQ(local.node(allreduce).region, RegionId{kAllreduce});
+  EXPECT_EQ(local.node(allreduce).parent, main);
   const std::vector<OpRecord> want{{2, sendrecv, 1.0, 2.0},
                                    {3, sendrecv, 1.0, 2.0},
                                    {7, main, 0.0, 7.0},
                                    {9, allreduce, 5.0, 6.0}};
   EXPECT_EQ(whole, want);
-  // main 7 - (1 + 1.5 + 1); Sendrecv 1; work 1.5; Allreduce 1;
-  // finalize 1.5 - 0.5; cleanup 0.5 — in call-path id order.
+  // RankComm counts what the walk recorded.
+  EXPECT_EQ(rc.send_peers, (std::vector<Rank>{1, 1}));
+  EXPECT_EQ(rc.recvs, 1u);
+  EXPECT_EQ(rc.colls, std::vector<int>{1});
+
+  // Unified alone into an empty tree, the rank keeps its ids. main 7 -
+  // (1 + 1.5 + 1); Sendrecv 1; work 1.5; Allreduce 1; finalize 1.5 -
+  // 0.5; cleanup 0.5 — in call-path id order, the same from both walks.
   const std::vector<ExclusiveTime> excl{
       {CallPathId{0}, 3.5}, {CallPathId{1}, 1.0}, {CallPathId{2}, 1.5},
       {CallPathId{3}, 1.0}, {CallPathId{4}, 1.0}, {CallPathId{5}, 0.5}};
-  EXPECT_EQ(one_pass.exclusive_times(), excl);
+  for (const RankWalk* walk : {&one_pass, &windowed}) {
+    CallPathPool paths(1);
+    walk->finish(paths);
+    report::CallTree global;
+    std::vector<std::vector<ExclusiveTime>> excl_time(1);
+    EXPECT_EQ(paths.unify(global, excl_time),
+              (std::vector<std::vector<CallPathId>>{
+                  {CallPathId{0}, CallPathId{1}, CallPathId{2},
+                   CallPathId{3}, CallPathId{4}, CallPathId{5}}}));
+    EXPECT_EQ(global, local);
+    EXPECT_EQ(excl_time[0], excl);
+  }
 }
 
 TEST(OpWalk, PrepareRecordsEveryOpOnceInIndexOrder) {
@@ -502,6 +523,162 @@ TEST(OpWalk, PrepareRecordsEveryOpOnceInIndexOrder) {
     }
     EXPECT_EQ(got, want) << "rank " << trace.rank;
   }
+}
+
+// --- definition unification ---------------------------------------------------
+
+/// The serial walk definition unification replaced, kept as the
+/// reference: every rank in order, get_or_add at every Enter into one
+/// tree.
+report::CallTree serial_call_tree(const tracing::TraceCollection& tc) {
+  report::CallTree calls;
+  for (const auto& t : tc.ranks) {
+    std::vector<CallPathId> stack;
+    for (const auto& e : t.events) {
+      if (e.type == EventType::Enter)
+        stack.push_back(calls.get_or_add(
+            stack.empty() ? CallPathId{} : stack.back(), e.region));
+      else if (e.type == EventType::Exit || e.type == EventType::CollExit)
+        stack.pop_back();
+    }
+  }
+  return calls;
+}
+
+/// Ranks that meet shared call paths in different orders: rank 1 has a
+/// path of its own under one nobody else enters first, rank 2 meets b
+/// before a.
+tracing::TraceCollection divergent_paths_traces() {
+  simmpi::ProgramBuilder b(3);
+  b.on(0).enter("main").enter("a").exit().enter("b").barrier().exit().exit();
+  b.on(1).enter("main").enter("c").enter("a").exit().exit();
+  b.on(1).enter("b").barrier().exit().exit();
+  b.on(2).enter("main").enter("b").barrier().exit().enter("a").exit().exit();
+  return perfect_traces(simnet::make_ibm_power(3), b.take());
+}
+
+struct Workload {
+  std::string name;
+  simnet::Topology topo;
+  tracing::TraceCollection traces;
+};
+
+/// The MetaTrace trace, the golden fixture's programs and a divergent
+/// one.
+std::vector<Workload> unification_workloads() {
+  const auto viola = simnet::make_viola_experiment1();
+  const auto two = simnet::make_ibm_power(2);
+  const auto four = simnet::make_ibm_power(4);
+  const auto run = [](const simnet::Topology& topo,
+                      const simmpi::Program& prog) {
+    return perfect_traces(topo, prog);
+  };
+  std::vector<Workload> out;
+  out.push_back({"metatrace", viola, run(viola, workloads::build_metatrace())});
+  out.push_back(
+      {"late-sender", two, run(two, workloads::late_sender_program(0.25))});
+  out.push_back({"late-receiver", two,
+                 run(two, workloads::late_receiver_program(0.3, 1 << 20))});
+  out.push_back(
+      {"wait-nxn", four,
+       run(four, workloads::wait_nxn_program({0.0, 0.1, 0.2, 0.4}))});
+  out.push_back(
+      {"wait-barrier", four,
+       run(four, workloads::wait_barrier_program({0.3, 0.0, 0.1, 0.2}))});
+  out.push_back(
+      {"early-reduce", four,
+       run(four, workloads::early_reduce_program({0.0, 0.2, 0.5, 0.1}))});
+  out.push_back({"late-broadcast", four,
+                 run(four, workloads::late_broadcast_program(4, 0.35))});
+  out.push_back({"random-viola", viola, jittered_traces(viola, 1ULL, 12)});
+  out.push_back({"divergent-paths", simnet::make_ibm_power(3),
+                 divergent_paths_traces()});
+  return out;
+}
+
+/// A fresh temp directory for one test's archives.
+std::filesystem::path test_dir(const std::string& tag) {
+  const auto base = std::filesystem::temp_directory_path() /
+                    ("msc_" + tag + "_" +
+                     std::to_string(::testing::UnitTest::GetInstance()
+                                        ->random_seed()));
+  std::filesystem::remove_all(base);
+  std::filesystem::create_directories(base);
+  return base;
+}
+
+/// `tc` written to a fresh archive under `base`, as a stream source.
+tracing::StreamSource stream_of(const std::filesystem::path& base,
+                                const std::string& name,
+                                const simnet::Topology& topo,
+                                const tracing::TraceCollection& tc) {
+  auto arch = archive::ExperimentArchive::create(
+      topo,
+      archive::FileSystemLayout::shared(base.string(), topo.num_metahosts()),
+      name);
+  arch.write_traces(topo, tc);
+  return arch.stream_source(archive::ReadOptions{});
+}
+
+TEST(DefinitionUnification, IdsEqualTheSerialWalksInBothModes) {
+  const auto base = test_dir("unification");
+  for (const Workload& w : unification_workloads()) {
+    const report::CallTree want = serial_call_tree(w.traces);
+    for (const std::size_t workers :
+         {std::size_t{1}, std::size_t{2}, std::size_t{8}})
+      EXPECT_EQ(prepare(w.traces, workers).calls, want)
+          << w.name << " at " << workers << " workers";
+    const auto src = stream_of(base, w.name, w.topo, w.traces);
+    for (const std::size_t budget : {std::size_t{1}, std::size_t{0}}) {
+      ReplayOptions opts;
+      opts.memory_budget_bytes = budget;
+      EXPECT_EQ(analyze_streaming(src, opts).cube.calls, want)
+          << w.name << " streamed at budget " << budget;
+    }
+  }
+  std::filesystem::remove_all(base);
+}
+
+TEST(DefinitionUnification, LowestMalformedRankReportsWhateverTheSchedule) {
+  const auto topo = simnet::make_ibm_power(8);
+  auto tc = perfect_traces(topo, jittered_program(8, 5ULL, 6));
+  // Rank 3 ends in 100,000 more regions and loses its last Exit, which
+  // only the end of its walk can tell; rank 5 starts with an Exit, its
+  // first event. On eight workers rank 5's walk fails long before rank
+  // 3's.
+  auto& three = tc.ranks[3].events;
+  tracing::Event enter = three.front();
+  tracing::Event exit = three.back();
+  three.pop_back();
+  enter.time = exit.time;
+  for (int i = 0; i < 100000; ++i) three.insert(three.end(), {enter, exit});
+  auto& five = tc.ranks[5].events;
+  tracing::Event stray = five.back();
+  stray.time = five.front().time;
+  five.insert(five.begin(), stray);
+  const std::string want = "malformed trace: rank 3 event " +
+                           std::to_string(tc.ranks[3].events.size()) +
+                           ": unclosed region";
+
+  const auto message = [](const std::function<void()>& analyze) {
+    try {
+      analyze();
+    } catch (const Error& e) {
+      return e.base_message();
+    }
+    return std::string("no error");
+  };
+  const auto base = test_dir("lowest_malformed");
+  const auto src = stream_of(base, "exp", topo, tc);
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{8}}) {
+    ReplayOptions opts;
+    opts.max_workers = workers;
+    EXPECT_EQ(message([&] { (void)analyze_parallel(tc, opts); }), want)
+        << workers << " workers";
+    EXPECT_EQ(message([&] { (void)analyze_streaming(src, opts); }), want)
+        << workers << " workers, streamed";
+  }
+  std::filesystem::remove_all(base);
 }
 
 // --- the message join ---------------------------------------------------------

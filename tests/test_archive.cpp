@@ -2,10 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <filesystem>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/binary_io.hpp"
@@ -206,26 +204,6 @@ TEST_F(ArchiveTest, FilesWrittenCounterCountsArchiveFiles) {
   EXPECT_EQ(telemetry::counter("archive.bytes_on_disk").value(), on_disk);
 }
 
-TEST_F(ArchiveTest, LocalTraceAccessReadsOnlyLocalArchive) {
-  const auto topo = simnet::make_viola_experiment1();
-  auto prog = workloads::build_metatrace();
-  workloads::ExperimentConfig cfg;
-  const auto data = workloads::run_experiment(topo, prog, cfg);
-  const auto layout =
-      FileSystemLayout::per_metahost(base_, topo.num_metahosts());
-  const auto arch = ExperimentArchive::create(topo, layout, "mt");
-  arch.write_traces(topo, data.traces);
-  for (Rank r : {0, 8, 16, 31}) {
-    const auto t = arch.read_local_trace(topo, r);
-    EXPECT_EQ(t, data.traces.ranks[static_cast<std::size_t>(r)]);
-  }
-  // Definitions are visible from every metahost.
-  for (int m = 0; m < topo.num_metahosts(); ++m) {
-    const auto defs = arch.read_defs(MetahostId{m});
-    EXPECT_EQ(defs.defs.metahosts, data.traces.defs.metahosts);
-  }
-}
-
 TEST_F(ArchiveTest, ManifestsWrittenPerMetahost) {
   const auto topo = simnet::make_viola_experiment1();
   auto prog = workloads::build_metatrace();
@@ -354,35 +332,6 @@ TEST_F(ArchiveTest, ParallelWriteAndReadMatchSerial) {
   for (int r = 0; r < loaded.num_ranks(); ++r)
     EXPECT_EQ(loaded.ranks[static_cast<std::size_t>(r)],
               data.traces.ranks[static_cast<std::size_t>(r)]);
-}
-
-TEST_F(ArchiveTest, ConcurrentLocalTraceReadsAreSafe) {
-  const auto topo = simnet::make_viola_experiment1();
-  auto prog = workloads::build_metatrace();
-  workloads::ExperimentConfig cfg;
-  const auto data = workloads::run_experiment(topo, prog, cfg);
-  const auto layout =
-      FileSystemLayout::per_metahost(base_, topo.num_metahosts());
-  const auto arch = ExperimentArchive::create(topo, layout, "mt");
-  arch.write_traces(topo, data.traces);
-  // The parallel analyzer's access pattern: many threads pulling local
-  // traces from the same archive object concurrently. Run under the
-  // TSan preset via the "replay" label.
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> readers;
-  for (int w = 0; w < 4; ++w) {
-    readers.emplace_back([&, w] {
-      for (int iter = 0; iter < 3; ++iter) {
-        for (Rank r = w; r < topo.num_ranks(); r += 4) {
-          const auto t = arch.read_local_trace(topo, r);
-          if (!(t == data.traces.ranks[static_cast<std::size_t>(r)]))
-            mismatches.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (auto& th : readers) th.join();
-  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST_F(ArchiveTest, TruncatedTraceFileFailsWithClearError) {

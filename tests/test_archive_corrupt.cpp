@@ -12,14 +12,17 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include "analysis/analyzer.hpp"
+#include "clocksync/correction.hpp"
 #include "common/binary_io.hpp"
 #include "common/error.hpp"
 #include "container_edit.hpp"
+#include "simnet/presets.hpp"
 #include "simnet/topology.hpp"
 #include "tracing/epilog_io.hpp"
 #include "workloads/experiment.hpp"
@@ -650,6 +653,89 @@ TEST_F(ArchiveCorruptTest, StrictAndPermissiveAgreeOnCleanArchives) {
   for (int r = 0; r < strict.num_ranks(); ++r)
     EXPECT_EQ(permissive.ranks[static_cast<std::size_t>(r)],
               strict.ranks[static_cast<std::size_t>(r)]);
+}
+
+// --- permissive reads and clock synchronization ----------------------------
+
+/// VIOLA Experiment 1's MetaTrace measured under `scheme`, archived under
+/// `dir`, and read back permissively after rank `victim`'s blob lost its
+/// second half. `clean` is the collection as measured.
+struct DamagedRead {
+  tracing::TraceCollection clean;
+  tracing::TraceCollection read;
+  ReadReport report;
+};
+
+DamagedRead read_with_truncated_rank(const std::string& dir,
+                                     const simnet::Topology& topo,
+                                     tracing::SyncScheme scheme,
+                                     Rank victim) {
+  workloads::ExperimentConfig cfg;
+  cfg.measurement.scheme = scheme;
+  DamagedRead out;
+  out.clean =
+      workloads::run_experiment(topo, workloads::build_metatrace(), cfg)
+          .traces;
+  auto arch = ExperimentArchive::create(
+      topo, FileSystemLayout::shared(dir, topo.num_metahosts()), "viola");
+  arch.write_traces(topo, out.clean);
+  const std::string container =
+      dir + "/viola.msc/" + tracing::container_filename();
+  auto blob = test::read_blob(container, victim);
+  blob.resize(blob.size() / 2);
+  test::replace_blob(container, victim, blob);
+  ReadOptions opts;
+  opts.permissive = true;
+  out.read = arch.read_traces(opts, &out.report);
+  return out;
+}
+
+TEST_F(ArchiveCorruptTest, PermissiveReadKeepsSurvivorsClockCorrections) {
+  const auto topo = simnet::make_viola_experiment1();
+  auto d = read_with_truncated_rank(base_ + "/flat", topo,
+                                    tracing::SyncScheme::FlatTwo, 1);
+  ASSERT_EQ(d.report.quarantined_ranks(), std::vector<Rank>{1});
+  const auto want = clocksync::synchronize(d.clean);
+  const auto got = clocksync::synchronize(d.read);
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(got[1], clocksync::LinearCorrection::identity());
+  for (std::size_t r = 0; r < got.size(); ++r) {
+    if (r == 1) continue;
+    // Bit for bit: the same records, through the same arithmetic.
+    EXPECT_EQ(std::memcmp(&got[r], &want[r], sizeof(got[r])), 0)
+        << "rank " << r;
+  }
+}
+
+TEST_F(ArchiveCorruptTest, PermissiveReadRejectsALostLocalMaster) {
+  const auto topo = simnet::make_viola_experiment1();
+  // The first local master after the metamaster, and the first rank
+  // whose records reference it.
+  Rank master = kNoRank;
+  for (const Rank m : topo.local_masters())
+    if (m != 0 && (master == kNoRank || m < master)) master = m;
+  ASSERT_NE(master, kNoRank);
+  Rank dependent = kNoRank;
+  for (Rank r = 0; r < topo.num_ranks() && dependent == kNoRank; ++r)
+    if (r != master && topo.metahost_of(r) == topo.metahost_of(master))
+      dependent = r;
+  ASSERT_NE(dependent, kNoRank);
+
+  auto d = read_with_truncated_rank(base_ + "/hierarchical", topo,
+                                    tracing::SyncScheme::HierarchicalTwo,
+                                    master);
+  ASSERT_EQ(d.report.quarantined_ranks(), std::vector<Rank>{master});
+  try {
+    (void)clocksync::synchronize(d.read);
+    FAIL() << "ranks whose local master was quarantined were synchronized";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::Corrupt) << e.what();
+    EXPECT_EQ(e.context().rank, dependent) << e.what();
+    EXPECT_EQ(e.base_message(),
+              "offset records of rank " + std::to_string(dependent) +
+                  " reference rank " + std::to_string(master) +
+                  ", which has no offset records");
+  }
 }
 
 }  // namespace

@@ -227,6 +227,32 @@ TEST(Corrections, OutOfRangeRefRankRejected) {
   }
 }
 
+TEST(Corrections, RankWithEventsButNoRecordsRejected) {
+  const auto topo = simnet::make_viola_experiment1();
+  auto prog = workloads::build_clock_bench(32, {});
+  for (const auto scheme : {SyncScheme::FlatSingle, SyncScheme::FlatTwo,
+                            SyncScheme::HierarchicalTwo}) {
+    workloads::ExperimentConfig cfg;
+    cfg.measurement.scheme = scheme;
+    auto data = workloads::run_experiment(topo, prog, cfg);
+    // Without its events too, the rank keeps the identity instead.
+    auto quiet = data.traces;
+    quiet.ranks[5].sync.clear();
+    quiet.ranks[5].events.clear();
+    EXPECT_EQ(build_corrections(quiet)[5], LinearCorrection::identity());
+
+    data.traces.ranks[5].sync.clear();
+    try {
+      build_corrections(data.traces);
+      ADD_FAILURE() << "a rank without records was corrected";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::Corrupt);
+      EXPECT_EQ(e.context().rank, 5);
+      EXPECT_EQ(e.base_message(), "rank 5 has events but no offset records");
+    }
+  }
+}
+
 TEST(ClockCondition, CountsKnownViolation) {
   tracing::TraceCollection tc;
   tc.ranks.resize(2);
