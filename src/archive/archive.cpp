@@ -80,13 +80,6 @@ bool is_visible(const std::string& path, CreationStats* stats) {
   return fs::exists(path);
 }
 
-/// Ranks encoded per write batch. A worker keeps the blobs it encoded
-/// until the batch is appended, and they fragment its malloc arena: at
-/// 8 ranks (4 per worker at 2 workers) the analyze phase of metabench's
-/// stream-512 peaked ~0.9 MB higher than with a file per rank; at 2 it
-/// peaked the same.
-constexpr std::size_t kWriteBatch = 2;
-
 /// One partial archive: its directory and the ranks its trace container
 /// holds, ascending.
 struct PartialArchive {
@@ -275,17 +268,6 @@ std::vector<QuarantineRecord> read_ranks(
   return quarantined;
 }
 
-/// Sums per-batch parallel_for summaries into one per-stage summary.
-void accumulate(ParallelForStats& total, const ParallelForStats& batch) {
-  total.workers = std::max(total.workers, batch.workers);
-  total.items += batch.items;
-  total.steals += batch.steals;
-  if (total.items_per_worker.size() < batch.items_per_worker.size())
-    total.items_per_worker.resize(batch.items_per_worker.size());
-  for (std::size_t w = 0; w < batch.items_per_worker.size(); ++w)
-    total.items_per_worker[w] += batch.items_per_worker[w];
-}
-
 }  // namespace
 
 ExperimentArchive ExperimentArchive::create(const simnet::Topology& topo,
@@ -418,40 +400,39 @@ void ExperimentArchive::write_traces(const simnet::Topology& topo,
     ++files_written;
   }
 
-  // Each container is appended in rank order, one fixed batch at a
-  // time: the batch's ranks encode in parallel, then go out in order.
-  // The bytes do not depend on the worker count, and only one batch of
-  // blobs is ever resident. One slice per batch is recorded.
-  telemetry::RecordingObserver rec_obs("archive_write", kWriteBatch);
-  ParallelForStats pst;
-  std::vector<std::vector<std::uint8_t>> blobs(kWriteBatch);
+  // One ordered fan-out per container: its ranks encode on up to
+  // max_workers threads into a ring of reused writers and are appended
+  // in rank order through one file, so the bytes do not depend on the
+  // worker count, two blobs per worker are the most ever resident, and
+  // once each writer has grown to the largest blob no rank allocates
+  // one.
   for (const PartialArchive& part : parts) {
+    const std::size_t n = part.ranks.size();
     FileWriter out(part.container());
     std::vector<tracing::ContainerExtent> index;
-    index.reserve(part.ranks.size());
-    for (std::size_t b = 0; b < part.ranks.size(); b += kWriteBatch) {
-      const std::size_t k = std::min(kWriteBatch, part.ranks.size() - b);
-      accumulate(pst, parallel_for(
-                          k, opts.max_workers,
-                          [&](std::size_t i) {
-                            const auto& t = tc.ranks[static_cast<std::size_t>(
-                                part.ranks[b + i])];
-                            MSC_CHECK(t.rank == part.ranks[b + i],
-                                      "collection rank slot mismatch");
-                            blobs[i] = tracing::encode_local_trace(t);
-                          },
-                          &rec_obs));
-      for (std::size_t i = 0; i < k; ++i) {
-        out.write(blobs[i]);
-        index.push_back({part.ranks[b + i], 0, blobs[i].size()});
-      }
-    }
+    index.reserve(n);
+    std::vector<BufWriter> ring(ordered_for_slots(n, opts.max_workers));
+    telemetry::RecordingObserver rec_obs(
+        "archive_write", telemetry::RecordingObserver::fanout_stride(n));
+    const auto pst = ordered_for(
+        n, opts.max_workers,
+        [&](std::size_t i, std::size_t slot) {
+          const auto& t = tc.ranks[static_cast<std::size_t>(part.ranks[i])];
+          MSC_CHECK(t.rank == part.ranks[i], "collection rank slot mismatch");
+          ring[slot].clear();
+          tracing::encode_local_trace(t, ring[slot]);
+        },
+        [&](std::size_t i, std::size_t slot) {
+          out.write(ring[slot].data());
+          index.push_back({part.ranks[i], 0, ring[slot].size()});
+        },
+        &rec_obs);
+    telemetry::record_stage_parallelism("archive_write", pst);
     out.write(tracing::encode_container_index(index));
     out.close();
     bytes_on_disk += out.size();
     ++files_written;
   }
-  telemetry::record_stage_parallelism("archive_write", pst);
   telemetry::counter("archive.bytes_on_disk").add(bytes_on_disk);
   telemetry::counter("archive.bytes_in_memory")
       .add(tracing::in_memory_bytes(tc));

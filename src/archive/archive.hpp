@@ -145,11 +145,16 @@ class ExperimentArchive {
 
   /// Writes each rank's local trace into the trace container of its
   /// metahost's partial archive, plus the shared definitions into every
-  /// partial archive and one manifest per metahost. A container is
-  /// appended through one file in rank order, a fixed batch of ranks at
-  /// a time: each batch encodes on up to `max_workers` threads (0 =
-  /// hardware concurrency), so the bytes are identical for any count
-  /// and one batch of blobs is resident at most. Telemetry:
+  /// partial archive and one manifest per metahost. Each container is
+  /// one ordered fan-out (common/parallel ordered_for): its ranks
+  /// encode on up to `max_workers` threads (0 = hardware concurrency),
+  /// claimed in rank order, into a ring of two reused writers per
+  /// worker, and whichever thread finishes the lowest unwritten rank
+  /// appends it and every encoded successor through the one file. The
+  /// bytes are identical for any count, at most two blobs per worker
+  /// are resident, and threads start once per container, not per
+  /// rank. The first encode or append error stops every worker and is
+  /// rethrown (an append failure is Io naming the container). Telemetry:
   /// "archive.files_written" counts the files created,
   /// "archive.bytes_on_disk" the bytes (defs replicas + containers,
   /// index and trailer included) and "archive.bytes_in_memory" the

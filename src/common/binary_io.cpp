@@ -15,27 +15,12 @@
 
 namespace metascope {
 
-void BufWriter::put_u8(std::uint8_t v) { buf_.push_back(v); }
-
 void BufWriter::put_u32(std::uint32_t v) {
   for (int i = 0; i < 4; ++i) buf_.push_back((v >> (8 * i)) & 0xFF);
 }
 
 void BufWriter::put_u64(std::uint64_t v) {
   for (int i = 0; i < 8; ++i) buf_.push_back((v >> (8 * i)) & 0xFF);
-}
-
-void BufWriter::put_varint(std::uint64_t v) {
-  while (v >= 0x80) {
-    buf_.push_back(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  buf_.push_back(static_cast<std::uint8_t>(v));
-}
-
-void BufWriter::put_svarint(std::int64_t v) {
-  const auto u = static_cast<std::uint64_t>(v);
-  put_varint((u << 1) ^ static_cast<std::uint64_t>(v >> 63));
 }
 
 void BufWriter::put_f64(double v) {
@@ -52,6 +37,18 @@ void BufWriter::put_string(const std::string& s) {
 void BufWriter::put_bytes(const void* data, std::size_t n) {
   const auto* p = static_cast<const std::uint8_t*>(data);
   buf_.insert(buf_.end(), p, p + n);
+}
+
+void BufWriter::insert_varint(std::size_t pos, std::uint64_t v) {
+  std::uint8_t bytes[10];
+  std::size_t n = 0;
+  while (v >= 0x80) {
+    bytes[n++] = static_cast<std::uint8_t>(v) | 0x80;
+    v >>= 7;
+  }
+  bytes[n++] = static_cast<std::uint8_t>(v);
+  buf_.insert(buf_.begin() + static_cast<std::ptrdiff_t>(pos), bytes,
+              bytes + n);
 }
 
 // --- Decoder -------------------------------------------------------------

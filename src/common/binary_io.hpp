@@ -24,23 +24,40 @@
 
 namespace metascope {
 
+/// An append-only byte buffer. clear() keeps the capacity, so a writer
+/// that is reused reaches a steady state with no allocation at all.
 class BufWriter {
  public:
-  void put_u8(std::uint8_t v);
+  void put_u8(std::uint8_t v) { buf_.push_back(v); }
   void put_u32(std::uint32_t v);
   void put_u64(std::uint64_t v);
   /// Unsigned LEB128.
-  void put_varint(std::uint64_t v);
+  void put_varint(std::uint64_t v) {
+    while (v >= 0x80) {
+      buf_.push_back(static_cast<std::uint8_t>(v) | 0x80);
+      v >>= 7;
+    }
+    buf_.push_back(static_cast<std::uint8_t>(v));
+  }
   /// Zig-zag signed LEB128.
-  void put_svarint(std::int64_t v);
+  void put_svarint(std::int64_t v) {
+    const auto u = static_cast<std::uint64_t>(v);
+    put_varint((u << 1) ^ static_cast<std::uint64_t>(v >> 63));
+  }
   void put_f64(double v);
   /// Varint length prefix + raw bytes.
   void put_string(const std::string& s);
   void put_bytes(const void* data, std::size_t n);
+  /// Inserts `v` as a varint at byte `pos` (<= size()), moving the
+  /// bytes after it up: how a length prefix goes in front of a payload
+  /// that was written first.
+  void insert_varint(std::size_t pos, std::uint64_t v);
 
   [[nodiscard]] const std::vector<std::uint8_t>& data() const { return buf_; }
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
   void clear() { buf_.clear(); }
+  /// Hands the bytes over without copying; the writer is left empty.
+  [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
 
  private:
   std::vector<std::uint8_t> buf_;

@@ -1,9 +1,9 @@
 #include "common/column_codec.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
-#include <limits>
 
 namespace metascope::colcodec {
 
@@ -56,131 +56,159 @@ std::uint64_t from_ordered(std::uint64_t o) {
 }
 
 std::size_t varint_len(std::uint64_t u) {
-  std::size_t n = 1;
-  while (u >= 0x80) {
-    u >>= 7;
-    ++n;
-  }
-  return n;
+  return (static_cast<std::size_t>(std::bit_width(u | 1)) + 6) / 7;
 }
 
 std::size_t svarint_len(std::int64_t v) { return varint_len(zigzag(v)); }
 
-/// One scale's quotients and ULP-domain residuals: k_i = llround(v_i/s),
-/// r_i = ordered(v_i) - ordered(fl(k_i*s)). The residual is exact by
-/// construction (the ordered mapping is bijective), so *any* scale gives
-/// a lossless encoding; exact == true means every residual is zero and
-/// the cheaper residual-free modes apply. `usable` is false when some
-/// value is non-finite or the quotient overflows llround's domain.
-struct ScaleFit {
-  bool usable{false};
-  bool exact{true};
-  std::vector<std::int64_t> k;
-  std::vector<std::int64_t> res;
-};
-
-ScaleFit fit_scale(const double* v, std::size_t n, double scale) {
-  ScaleFit f;
-  f.k.reserve(n);
-  f.res.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!std::isfinite(v[i])) return f;
-    const double q = v[i] / scale;
-    if (!(std::fabs(q) < 9.0e15)) return f;  // keep llround defined
-    const std::int64_t ki = std::llround(q);
-    const double approx = static_cast<double>(ki) * scale;
-    const std::int64_t ri =
-        static_cast<std::int64_t>(to_ordered(bits_of(v[i])) -
-                                  to_ordered(bits_of(approx)));
-    if (ri != 0) f.exact = false;
-    f.k.push_back(ki);
-    f.res.push_back(ri);
+/// std::llround(q) for |q| < 9e15, inline: below 2^53 the truncation
+/// and the fraction q - trunc(q) are exact, so rounding half away from
+/// zero is one compare either way.
+std::int64_t round_half_away(double q) {
+  auto k = static_cast<std::int64_t>(q);
+  const double frac = q - static_cast<double>(k);
+  if (frac >= 0.5) {
+    ++k;
+  } else if (frac <= -0.5) {
+    --k;
   }
-  f.usable = true;
-  return f;
+  return k;
 }
 
-std::size_t delta_stream_len(const std::vector<std::int64_t>& k) {
-  std::size_t len = 0;
-  std::int64_t prev = 0;
-  for (const std::int64_t ki : k) {
-    len += svarint_len(ki - prev);
-    prev = ki;
-  }
-  return len;
-}
-
-std::size_t dod_stream_len(const std::vector<std::int64_t>& k) {
-  std::size_t len = 0;
-  std::int64_t prev = 0;
-  std::int64_t prev_delta = 0;
-  for (const std::int64_t ki : k) {
-    const std::int64_t d = ki - prev;
-    len += svarint_len(d - prev_delta);
-    prev_delta = d;
-    prev = ki;
-  }
-  return len;
-}
-
-/// Bits needed per residual when the column's residuals are bit-packed:
-/// the widest zigzagged residual decides for everyone (they cluster at
-/// 0/±1 ULP, so this is typically 0-2 bits).
-int res_bit_width(const std::vector<std::int64_t>& res) {
-  std::uint64_t all = 0;
-  for (const std::int64_t ri : res) all |= zigzag(ri);
-  return std::bit_width(all);
+/// Fits one value to a scale: its quotient k = round(v/s) and its
+/// zigzagged residual, the distance ordered(v) - ordered(fl(k*s)) in
+/// the total-order ULP domain. The residual is exact by construction
+/// (the ordered mapping is bijective), so *any* scale gives a lossless
+/// encoding. False when v/s is not below 9e15 in magnitude (v
+/// non-finite, or the quotient past what the rounding is exact for).
+bool fit_value(double v, double scale, std::int64_t& k, std::uint64_t& res) {
+  const double q = v / scale;
+  if (!(std::fabs(q) < 9.0e15)) return false;
+  k = round_half_away(q);
+  const double approx = static_cast<double>(k) * scale;
+  res = zigzag(static_cast<std::int64_t>(to_ordered(bits_of(v)) -
+                                         to_ordered(bits_of(approx))));
+  return true;
 }
 
 std::size_t res_packed_len(std::size_t n, int w) {
   return (n * static_cast<std::size_t>(w) + 7) / 8;
 }
 
-void put_delta_stream(BufWriter& w, const std::vector<std::int64_t>& k) {
-  std::int64_t prev = 0;
-  for (const std::int64_t ki : k) {
-    w.put_svarint(ki - prev);
-    prev = ki;
-  }
-}
+/// A scale's candidate sizes: the Δk and ΔΔk varint stream lengths and
+/// the OR of the zigzagged residuals, whose bit width is the residual
+/// width W (0: the scale reproduces every value exactly).
+struct ScaleCost {
+  std::size_t dlen{0};
+  std::size_t ddlen{0};
+  std::uint64_t res_or{0};
+};
 
-void put_dod_stream(BufWriter& w, const std::vector<std::int64_t>& k) {
+// The sample prune: a scale whose first kSampleN values already need
+// residuals wider than kHopelessResBits (≈ 2.5 B/value packed) is not
+// costed on the rest of the column. It decides which mode some columns
+// get, so it is part of the format.
+constexpr std::size_t kSampleN = 64;
+constexpr int kHopelessResBits = 20;
+
+/// Costs one scale in a single pass without allocating. False as soon
+/// as the scale cannot win: a value does not fit, the sample prune
+/// fires, or a lower bound on every candidate of this scale reaches
+/// `best`. The bound is the scale-index byte, the shorter stream so
+/// far, at least one byte per value left, and (once a residual is
+/// nonzero, so only the residual modes remain) the residual stream at
+/// the width seen so far.
+bool cost_scale(const double* v, std::size_t n, double scale,
+                std::size_t best, ScaleCost& c) {
+  const std::size_t sample_n = n < kSampleN ? n : kSampleN;
   std::int64_t prev = 0;
   std::int64_t prev_delta = 0;
-  for (const std::int64_t ki : k) {
-    const std::int64_t d = ki - prev;
-    w.put_svarint(d - prev_delta);
+  std::size_t dlen = 0;
+  std::size_t ddlen = 0;
+  std::uint64_t res_or = 0;
+  std::size_t res_len = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::int64_t k = 0;
+    std::uint64_t res = 0;
+    if (!fit_value(v[i], scale, k, res)) return false;
+    const std::int64_t d = k - prev;
+    dlen += svarint_len(d);
+    ddlen += svarint_len(d - prev_delta);
     prev_delta = d;
-    prev = ki;
+    prev = k;
+    if ((res & ~res_or) != 0) {
+      res_or |= res;
+      res_len = 1 + res_packed_len(n, std::bit_width(res_or));
+    }
+    if (i + 1 == sample_n && std::bit_width(res_or) > kHopelessResBits)
+      return false;
+    if (1 + std::min(dlen, ddlen) + (n - i - 1) + res_len >= best)
+      return false;
   }
+  c = ScaleCost{dlen, ddlen, res_or};
+  return true;
 }
 
-/// LSB-first bit-packing of the zigzagged residuals at `width` bits
-/// each; the final partial byte is zero-padded.
-void put_res_bits(BufWriter& w, const std::vector<std::int64_t>& res,
-                  int width) {
-  std::uint64_t buf = 0;
-  int filled = 0;
-  for (const std::int64_t ri : res) {
-    std::uint64_t u = zigzag(ri);
-    int left = width;
-    while (left > 0) {
-      const int take = left < 8 - filled ? left : 8 - filled;
-      buf |= (u & ((1ULL << take) - 1)) << filled;
-      u >>= take;
-      filled += take;
-      left -= take;
-      if (filled == 8) {
-        w.put_u8(static_cast<std::uint8_t>(buf));
-        buf = 0;
-        filled = 0;
-      }
+/// LSB-first bit packing at a fixed width per value; the final partial
+/// byte is zero-padded.
+class BitPacker {
+ public:
+  explicit BitPacker(BufWriter& w) : w_(w) {}
+
+  /// Appends the low `width` bits of `u` (which has no higher bits).
+  void put(std::uint64_t u, int width) {
+    if (width > 56) {  // keep filled_ + width within the accumulator
+      put(u & 0xFFFFFFFFULL, 32);
+      put(u >> 32, width - 32);
+      return;
+    }
+    acc_ |= u << filled_;
+    filled_ += width;
+    while (filled_ >= 8) {
+      w_.put_u8(static_cast<std::uint8_t>(acc_));
+      acc_ >>= 8;
+      filled_ -= 8;
     }
   }
-  if (filled != 0) w.put_u8(static_cast<std::uint8_t>(buf));
+
+  void finish() {
+    if (filled_ != 0) w_.put_u8(static_cast<std::uint8_t>(acc_));
+  }
+
+ private:
+  BufWriter& w_;
+  std::uint64_t acc_{0};
+  int filled_{0};
+};
+
+/// Writes a scaled mode's stream(s) for the winning scale, recomputing
+/// the quotients: Δk (or ΔΔk) varints, then — when `width` > 0 — the
+/// bit-packed residuals.
+void put_scaled(BufWriter& w, const double* v, std::size_t n, double scale,
+                bool dod, int width) {
+  std::int64_t prev = 0;
+  std::int64_t prev_delta = 0;
+  std::int64_t k = 0;
+  std::uint64_t res = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    (void)fit_value(v[i], scale, k, res);
+    const std::int64_t d = k - prev;
+    w.put_svarint(dod ? d - prev_delta : d);
+    prev_delta = d;
+    prev = k;
+  }
+  if (width == 0) return;
+  BitPacker bits(w);
+  for (std::size_t i = 0; i < n; ++i) {
+    (void)fit_value(v[i], scale, k, res);
+    bits.put(res, width);
+  }
+  bits.finish();
 }
 
-std::size_t xor_stream_len(const double* v, std::size_t n) {
+/// The byte-aligned XOR stream of a column: appended to `w` when one is
+/// given; its length is returned either way.
+std::size_t xor_stream(const double* v, std::size_t n, BufWriter* w) {
   std::size_t len = 0;
   std::uint64_t prev = 0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -189,37 +217,24 @@ std::size_t xor_stream_len(const double* v, std::size_t n) {
     prev = bits;
     if (x == 0) {
       ++len;
-      continue;
-    }
-    const int lz = std::countl_zero(x) / 8;
-    const int tz = std::countr_zero(x) / 8;
-    len += 1 + static_cast<std::size_t>(8 - lz - tz);
-  }
-  return len;
-}
-
-void put_xor_stream(BufWriter& w, const double* v, std::size_t n) {
-  std::uint64_t prev = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t bits = bits_of(v[i]);
-    const std::uint64_t x = bits ^ prev;
-    prev = bits;
-    if (x == 0) {
-      w.put_u8(0);
+      if (w) w->put_u8(0);
       continue;
     }
     const int lz = std::countl_zero(x) / 8;
     const int tz = std::countr_zero(x) / 8;
     const int m = 8 - lz - tz;
+    len += 1 + static_cast<std::size_t>(m);
+    if (!w) continue;
     // Lead byte: 0 is reserved for "same value", so the window is
     // encoded off by one: ((lz << 3) | (m - 1)) + 1, range 1..64.
-    w.put_u8(static_cast<std::uint8_t>(((lz << 3) | (m - 1)) + 1));
+    w->put_u8(static_cast<std::uint8_t>(((lz << 3) | (m - 1)) + 1));
     std::uint64_t y = x >> (8 * tz);
     for (int j = 0; j < m; ++j) {
-      w.put_u8(static_cast<std::uint8_t>(y & 0xFF));
+      w->put_u8(static_cast<std::uint8_t>(y & 0xFF));
       y >>= 8;
     }
   }
+  return len;
 }
 
 }  // namespace
@@ -244,90 +259,65 @@ void encode_double_column(BufWriter& w, const double* v, std::size_t n) {
   // per-value ULP residual repairs the rounding, so they stay lossless
   // even when the data is only *near* a grid — e.g. quantized
   // timestamps nudged by a monotonicity fix-up). The smallest encoding
-  // wins. Sizes below exclude the shared mode byte; the scaled modes
-  // carry a one-byte scale index, the residual ones also a one-byte
-  // residual bit width plus the packed residuals.
+  // wins, the earlier candidate on a tie. Sizes below exclude the
+  // shared mode byte; the scaled modes carry a one-byte scale index,
+  // the residual ones also a one-byte residual bit width plus the
+  // packed residuals.
   std::size_t best_len = 8 * n;
   std::uint8_t best_mode = kModeRaw;
-  std::uint8_t best_scale_idx = 0;
+  std::size_t best_scale_idx = 0;
   int best_width = 0;
-  ScaleFit best_fit;
 
-  const std::size_t xor_len = xor_stream_len(v, n);
+  const std::size_t xor_len = xor_stream(v, n, nullptr);
   if (xor_len < best_len) {
     best_len = xor_len;
     best_mode = kModeXor;
   }
 
-  // Sample-based prune before the O(n) fits: a prefix's residual bit
-  // width only grows with more values, so a scale whose sample already
-  // needs wide residuals (> 20 bits ≈ 2.5 B/value packed) cannot beat
-  // XOR/raw on the full column and is skipped without a full pass.
-  constexpr std::size_t kSampleN = 64;
-  constexpr int kHopelessResBits = 20;
-  const std::size_t sample_n = n < kSampleN ? n : kSampleN;
   for (std::size_t si = 0; si < kNumScales; ++si) {
-    ScaleFit sample = fit_scale(v, sample_n, kScales[si]);
-    if (!sample.usable) continue;
-    if (!sample.exact && res_bit_width(sample.res) > kHopelessResBits)
-      continue;
-    ScaleFit f = sample_n == n ? std::move(sample)
-                               : fit_scale(v, n, kScales[si]);
-    if (!f.usable) continue;
-    const std::size_t dlen = delta_stream_len(f.k);
-    const std::size_t ddlen = dod_stream_len(f.k);
-    const int width = res_bit_width(f.res);
+    // A scaled candidate costs at least the scale index plus one byte
+    // per value, so once the best is that small no scale can beat it.
+    if (best_len <= 1 + n) break;
+    ScaleCost c;
+    if (!cost_scale(v, n, kScales[si], best_len, c)) continue;
+    const int width = std::bit_width(c.res_or);
+    const bool exact = c.res_or == 0;
     const std::size_t rlen = 1 + res_packed_len(n, width);
     struct Candidate {
       std::uint8_t mode;
       std::size_t len;
       bool valid;
     } const candidates[] = {
-        {kModeScaledDelta, 1 + dlen, f.exact},
-        {kModeScaledDod, 1 + ddlen, f.exact},
-        {kModeScaledDeltaRes, 1 + dlen + rlen, true},
-        {kModeScaledDodRes, 1 + ddlen + rlen, true},
+        {kModeScaledDelta, 1 + c.dlen, exact},
+        {kModeScaledDod, 1 + c.ddlen, exact},
+        {kModeScaledDeltaRes, 1 + c.dlen + rlen, true},
+        {kModeScaledDodRes, 1 + c.ddlen + rlen, true},
     };
-    bool took = false;
-    for (const auto& c : candidates) {
-      if (!c.valid || c.len >= best_len) continue;
-      best_len = c.len;
-      best_mode = c.mode;
-      best_scale_idx = static_cast<std::uint8_t>(si);
+    for (const auto& cand : candidates) {
+      if (!cand.valid || cand.len >= best_len) continue;
+      best_len = cand.len;
+      best_mode = cand.mode;
+      best_scale_idx = si;
       best_width = width;
-      took = true;
     }
-    if (took) best_fit = std::move(f);
   }
 
   w.put_u8(best_mode);
   switch (best_mode) {
     case kModeRaw:
       for (std::size_t i = 0; i < n; ++i) w.put_f64(v[i]);
-      break;
+      return;
     case kModeXor:
-      put_xor_stream(w, v, n);
-      break;
-    case kModeScaledDelta:
-      w.put_u8(best_scale_idx);
-      put_delta_stream(w, best_fit.k);
-      break;
-    case kModeScaledDod:
-      w.put_u8(best_scale_idx);
-      put_dod_stream(w, best_fit.k);
-      break;
-    case kModeScaledDeltaRes:
-      w.put_u8(best_scale_idx);
-      w.put_u8(static_cast<std::uint8_t>(best_width));
-      put_delta_stream(w, best_fit.k);
-      put_res_bits(w, best_fit.res, best_width);
-      break;
-    case kModeScaledDodRes:
-      w.put_u8(best_scale_idx);
-      w.put_u8(static_cast<std::uint8_t>(best_width));
-      put_dod_stream(w, best_fit.k);
-      put_res_bits(w, best_fit.res, best_width);
-      break;
+      (void)xor_stream(v, n, &w);
+      return;
+    default:
+      // An exact mode won only with width 0, a residual one with > 0.
+      w.put_u8(static_cast<std::uint8_t>(best_scale_idx));
+      if (best_mode == kModeScaledDeltaRes || best_mode == kModeScaledDodRes)
+        w.put_u8(static_cast<std::uint8_t>(best_width));
+      put_scaled(w, v, n, kScales[best_scale_idx],
+                 best_mode == kModeScaledDod || best_mode == kModeScaledDodRes,
+                 best_width);
   }
 }
 

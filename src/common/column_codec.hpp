@@ -63,7 +63,15 @@ void encode_int_column(BufWriter& w, const std::int64_t* v, std::size_t n);
 
 /// Encodes a double column with the smallest of the mode payloads
 /// described above (mode byte + payload appended to `w`; nothing at all
-/// for n == 0).
+/// for n == 0); on a tie the earlier candidate wins (raw, XOR, then per
+/// scale in table order Δ, ΔΔ, Δ+r, ΔΔ+r). The search allocates
+/// nothing: each scale is costed in one pass and abandoned once a lower
+/// bound on its sizes cannot beat the best so far, and no scale is
+/// tried once the best is within 1 + n bytes, the least a scaled mode
+/// can take. Only the winner's quotients are computed again, to write
+/// them. A scale whose first 64 values need residuals wider than 20
+/// bits is skipped without looking further; that prune decides some
+/// columns' mode, so it is part of the format (DESIGN.md §5e).
 void encode_double_column(BufWriter& w, const double* v, std::size_t n);
 
 // --- chunked cursors ---------------------------------------------------

@@ -287,4 +287,133 @@ ParallelForStats parallel_for(std::size_t n, std::size_t max_workers,
   return st;
 }
 
+std::size_t ordered_for_slots(std::size_t n, std::size_t max_workers) {
+  return std::min(n == 0 ? std::size_t{1} : n,
+                  2 * WorkerPool::resolve_workers(n, max_workers));
+}
+
+namespace {
+
+/// Shared state of one ordered_for run; every field is guarded by `m`.
+/// `ready[s]` marks slot s produced but not yet consumed, and `consuming`
+/// is the token of the one thread that consumes at a time.
+struct OrderedRun {
+  using ItemFn = std::function<void(std::size_t, std::size_t)>;
+
+  OrderedRun(std::size_t n_, std::size_t slots_, const ItemFn& produce_,
+             const ItemFn& consume_, WorkerPool::Observer* obs_)
+      : n(n_),
+        slots(slots_),
+        produce(produce_),
+        consume(consume_),
+        obs(obs_),
+        ready(slots_, 0) {}
+
+  std::size_t n;
+  std::size_t slots;
+  const ItemFn& produce;
+  const ItemFn& consume;
+  WorkerPool::Observer* obs;  // nullptr unless it wants events
+
+  std::mutex m;
+  std::condition_variable slot_free;  // consumed advanced, or a failure
+  std::size_t next_claim{0};
+  std::size_t consumed{0};
+  std::vector<char> ready;
+  bool consuming{false};
+  std::exception_ptr error;
+
+  void fail(std::exception_ptr e) {
+    if (!error) error = std::move(e);
+    slot_free.notify_all();
+  }
+
+  /// Claims, produces and (holding the token) consumes until every item
+  /// is claimed or a call failed. Returns the items this thread
+  /// produced.
+  std::size_t work() {
+    std::size_t produced = 0;
+    std::unique_lock<std::mutex> lock(m);
+    while (!error && next_claim < n) {
+      const std::size_t i = next_claim++;
+      const std::size_t s = i % slots;
+      slot_free.wait(lock, [&] { return error || consumed + slots > i; });
+      if (error) break;
+      lock.unlock();
+      try {
+        if (obs) obs->on_task_begin(i);
+        produce(i, s);
+        if (obs) obs->on_task_end(i, false);
+      } catch (...) {
+        lock.lock();
+        fail(std::current_exception());
+        break;
+      }
+      ++produced;
+      lock.lock();
+      ready[s] = 1;
+      if (consuming) continue;  // the token holder will reach item i
+      consuming = true;
+      while (!error && consumed < n && ready[consumed % slots]) {
+        const std::size_t j = consumed;
+        lock.unlock();
+        try {
+          consume(j, j % slots);
+        } catch (...) {
+          lock.lock();
+          fail(std::current_exception());
+          break;
+        }
+        lock.lock();
+        ready[j % slots] = 0;
+        ++consumed;
+        slot_free.notify_all();
+      }
+      consuming = false;
+    }
+    return produced;
+  }
+};
+
+}  // namespace
+
+ParallelForStats ordered_for(
+    std::size_t n, std::size_t max_workers,
+    const std::function<void(std::size_t, std::size_t)>& produce,
+    const std::function<void(std::size_t, std::size_t)>& consume,
+    WorkerPool::Observer* obs) {
+  ParallelForStats st;
+  st.items = n;
+  if (n == 0) return st;
+  const std::size_t workers = WorkerPool::resolve_workers(n, max_workers);
+  OrderedRun run(n, ordered_for_slots(n, max_workers), produce, consume,
+                 obs != nullptr && obs->wants_events() ? obs : nullptr);
+  st.workers = workers;
+  st.items_per_worker.assign(workers, 0);
+
+  // Worker 0 is the calling thread. Nothing escapes a worker: a failure
+  // is recorded for the rethrow after the join.
+  const auto worker = [&run, &st](std::size_t w) {
+    try {
+      if (w != 0 && run.obs) run.obs->on_worker_attach(w);
+      st.items_per_worker[w] = run.work();
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(run.m);
+      run.fail(std::current_exception());
+    }
+  };
+  std::vector<std::thread> threads;
+  threads.reserve(workers - 1);
+  try {
+    for (std::size_t w = 1; w < workers; ++w) threads.emplace_back(worker, w);
+  } catch (...) {
+    const std::lock_guard<std::mutex> lock(run.m);
+    run.fail(std::current_exception());
+  }
+  worker(0);
+  for (auto& t : threads) t.join();
+  if (run.error) std::rethrow_exception(run.error);
+  return st;
+}
+
 }  // namespace metascope

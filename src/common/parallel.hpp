@@ -29,6 +29,10 @@
 //    one worker (or one item) is requested, so serial baselines pay no
 //    threading cost.
 //
+//  - ordered_for: n items produced in parallel and consumed strictly in
+//    order (encode on every worker, append to one file), through a
+//    fixed ring of reusable slots.
+//
 // This layer is deliberately telemetry-free (common sits below
 // telemetry in the library stack): the pool keeps *exact* internal
 // counters (merged from per-thread tallies when workers exit) and
@@ -235,5 +239,32 @@ struct ParallelForStats {
 ParallelForStats parallel_for(std::size_t n, std::size_t max_workers,
                               const std::function<void(std::size_t)>& body,
                               WorkerPool::Observer* obs = nullptr);
+
+/// Ring slots ordered_for cycles through for `n` items under
+/// `max_workers` (0 = hardware concurrency): two per worker, at most n.
+[[nodiscard]] std::size_t ordered_for_slots(std::size_t n,
+                                            std::size_t max_workers);
+
+/// Runs produce(i, slot) for every i in [0, n) on up to `max_workers`
+/// threads and consume(i, slot) for every i in ascending order, one
+/// call at a time. Item i owns slot i % ordered_for_slots(n,
+/// max_workers) from its produce to its consume, so the caller keeps
+/// one reusable buffer per slot and at most that many items are ever
+/// resident. Workers claim items in ascending order; a claim waits
+/// while its slot still holds an unconsumed item, and whichever thread
+/// finishes the lowest unconsumed item consumes it and every produced
+/// successor. The calling thread is one of the workers, so one worker
+/// (or one item) runs inline with no thread started. The first
+/// exception produce or consume throws stops every worker at its next
+/// claim or slot wait (nothing is consumed after it) and is rethrown
+/// after the join.
+///
+/// `obs` receives worker-attach hooks for the started threads and task
+/// begin/end around each produce, as for parallel_for.
+ParallelForStats ordered_for(
+    std::size_t n, std::size_t max_workers,
+    const std::function<void(std::size_t item, std::size_t slot)>& produce,
+    const std::function<void(std::size_t item, std::size_t slot)>& consume,
+    WorkerPool::Observer* obs = nullptr);
 
 }  // namespace metascope

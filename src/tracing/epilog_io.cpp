@@ -121,12 +121,14 @@ struct EventColumns {
   std::vector<double> coll_bytes, coll_sent, coll_recvd;
 };
 
+/// Encodes a column straight into `w`, then puts its byte length in
+/// front of it (the payload moves up by the prefix's one to three bytes
+/// instead of passing through a buffer of its own).
 template <typename EncodeFn>
 void put_framed_column(BufWriter& w, EncodeFn&& encode_fn) {
-  BufWriter col;
-  encode_fn(col);
-  w.put_varint(col.size());
-  if (col.size() != 0) w.put_bytes(col.data().data(), col.size());
+  const std::size_t at = w.size();
+  encode_fn(w);
+  w.insert_varint(at, w.size() - at);
 }
 
 void put_int_column(BufWriter& w, const std::vector<std::int64_t>& v) {
@@ -170,11 +172,21 @@ void encode_sync_v3(BufWriter& w, const std::vector<OffsetRecord>& sync) {
 void encode_events_v3(BufWriter& w, const EventVector& events,
                       const std::array<std::uint64_t, kNumEventTypes>& counts) {
   EventColumns c;
+  const auto count = [&](EventType t) {
+    return static_cast<std::size_t>(counts[static_cast<std::size_t>(t)]);
+  };
   c.time.reserve(events.size());
-  c.enter_region.reserve(static_cast<std::size_t>(counts[0]));
-  c.send_peer.reserve(static_cast<std::size_t>(counts[2]));
-  c.recv_peer.reserve(static_cast<std::size_t>(counts[3]));
-  c.coll_region.reserve(static_cast<std::size_t>(counts[4]));
+  c.enter_region.reserve(count(EventType::Enter));
+  for (auto* col : {&c.send_peer, &c.send_tag, &c.send_comm})
+    col->reserve(count(EventType::Send));
+  c.send_bytes.reserve(count(EventType::Send));
+  for (auto* col : {&c.recv_peer, &c.recv_tag, &c.recv_comm})
+    col->reserve(count(EventType::Recv));
+  c.recv_bytes.reserve(count(EventType::Recv));
+  for (auto* col : {&c.coll_region, &c.coll_comm, &c.coll_root})
+    col->reserve(count(EventType::CollExit));
+  for (auto* col : {&c.coll_bytes, &c.coll_sent, &c.coll_recvd})
+    col->reserve(count(EventType::CollExit));
   for (const auto& e : events) {
     c.time.push_back(e.time);
     switch (e.type) {
@@ -355,6 +367,11 @@ TraceCollection decode_defs(const std::vector<std::uint8_t>& bytes,
 
 std::vector<std::uint8_t> encode_local_trace(const LocalTrace& trace) {
   BufWriter w;
+  encode_local_trace(trace, w);
+  return w.take();
+}
+
+void encode_local_trace(const LocalTrace& trace, BufWriter& w) {
   w.put_u32(kTraceMagic);
   w.put_u32(kTraceFormatVersion);
   w.put_svarint(trace.rank);
@@ -371,7 +388,6 @@ std::vector<std::uint8_t> encode_local_trace(const LocalTrace& trace) {
 
   encode_sync_v3(w, trace.sync);
   encode_events_v3(w, trace.events, counts);
-  return w.data();
 }
 
 LocalTrace decode_local_trace(const std::uint8_t* data, std::size_t size,

@@ -46,6 +46,7 @@
 #include <string>
 #include <vector>
 
+#include "common/binary_io.hpp"
 #include "tracing/trace.hpp"
 
 namespace metascope::tracing {
@@ -71,6 +72,10 @@ TraceCollection decode_defs(const std::vector<std::uint8_t>& bytes,
 
 /// Serialization of one process's events + sync records.
 std::vector<std::uint8_t> encode_local_trace(const LocalTrace& trace);
+/// The same bytes appended to `out`: a writer that is cleared and
+/// reused for rank after rank stops allocating once it has grown to the
+/// largest trace.
+void encode_local_trace(const LocalTrace& trace, BufWriter& out);
 
 /// Decodes a trace file of any known version (the header's version
 /// field selects the layout). The pointer overload borrows the buffer —

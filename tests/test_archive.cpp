@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <future>
 #include <string>
 #include <vector>
 
@@ -301,37 +305,137 @@ TEST_F(ArchiveTest, MetahostWithoutRanksRoundTrips) {
                   tracing::container_filename());
 }
 
+/// `tc` with very uneven blobs: ranks 1, 2 and 9 empty, and rank 0 —
+/// first in its container — a hundred times its size, so the ranks after
+/// it finish encoding long before it does.
+tracing::TraceCollection uneven_blobs(tracing::TraceCollection tc) {
+  for (const std::size_t r : {1, 2, 9}) {
+    tc.ranks[r].events.clear();
+    tc.ranks[r].sync.clear();
+  }
+  auto& big = tc.ranks[0].events;
+  const tracing::EventVector one = big;
+  const double span = one.back().time - one.front().time + 1.0;
+  for (int k = 1; k < 100; ++k) {
+    for (tracing::Event e : one) {
+      e.time += k * span;
+      big.push_back(e);
+    }
+  }
+  return tc;
+}
+
 TEST_F(ArchiveTest, ParallelWriteAndReadMatchSerial) {
   const auto topo = simnet::make_viola_experiment1();
   auto prog = workloads::build_metatrace();
   workloads::ExperimentConfig cfg;
   const auto data = workloads::run_experiment(topo, prog, cfg);
-  const auto layout_s =
-      FileSystemLayout::per_metahost(base_ + "/serial", topo.num_metahosts());
-  const auto layout_p = FileSystemLayout::per_metahost(
-      base_ + "/parallel", topo.num_metahosts());
-  const auto layout_2 =
-      FileSystemLayout::per_metahost(base_ + "/two", topo.num_metahosts());
-  const auto arch_s = ExperimentArchive::create(topo, layout_s, "w");
-  const auto arch_2 = ExperimentArchive::create(topo, layout_2, "w");
-  const auto arch_p = ExperimentArchive::create(topo, layout_p, "w");
-  arch_s.write_traces(topo, data.traces, 1);
-  arch_2.write_traces(topo, data.traces, 2);
-  arch_p.write_traces(topo, data.traces, 8);
-  // Byte-identical containers regardless of worker count.
-  for (int m = 0; m < topo.num_metahosts(); ++m) {
-    const std::string rel = "/w.msc/" + tracing::container_filename();
-    const auto serial = read_file_bytes(layout_s.root_of(MetahostId{m}) + rel);
-    EXPECT_EQ(serial, read_file_bytes(layout_2.root_of(MetahostId{m}) + rel))
-        << "metahost " << m;
-    EXPECT_EQ(serial, read_file_bytes(layout_p.root_of(MetahostId{m}) + rel))
-        << "metahost " << m;
+  const tracing::TraceCollection collections[] = {
+      data.traces, uneven_blobs(data.traces)};
+  const int m = topo.num_metahosts();
+  const std::string rel = "/w.msc/" + tracing::container_filename();
+  for (std::size_t c = 0; c < std::size(collections); ++c) {
+    for (const bool shared : {false, true}) {
+      const auto layout = [&](std::size_t workers) {
+        const std::string root = base_ + "/c" + std::to_string(c) +
+                                 (shared ? "shared" : "split") + "_w" +
+                                 std::to_string(workers);
+        return shared ? FileSystemLayout::shared(root, m)
+                      : FileSystemLayout::per_metahost(root, m);
+      };
+      std::vector<std::vector<std::uint8_t>> serial;
+      for (const std::size_t workers :
+           {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+        const auto arch = ExperimentArchive::create(topo, layout(workers), "w");
+        arch.write_traces(topo, collections[c], workers);
+        // Byte-identical containers regardless of worker count.
+        for (int mh = 0; mh < m; ++mh) {
+          const auto bytes =
+              read_file_bytes(layout(workers).root_of(MetahostId{mh}) + rel);
+          if (workers == 1) {
+            serial.push_back(bytes);
+          } else {
+            EXPECT_EQ(bytes, serial[static_cast<std::size_t>(mh)])
+                << "collection " << c << (shared ? ", shared" : ", split")
+                << ", metahost " << mh << ", " << workers << " workers";
+          }
+        }
+        // And the parallel read reassembles the same collection.
+        const auto loaded = arch.read_traces(8);
+        for (int r = 0; r < loaded.num_ranks(); ++r)
+          EXPECT_EQ(loaded.ranks[static_cast<std::size_t>(r)],
+                    collections[c].ranks[static_cast<std::size_t>(r)])
+              << "collection " << c << ", rank " << r;
+      }
+    }
   }
-  // And the parallel read reassembles the same collection.
-  const auto loaded = arch_p.read_traces(8);
-  for (int r = 0; r < loaded.num_ranks(); ++r)
-    EXPECT_EQ(loaded.ranks[static_cast<std::size_t>(r)],
-              data.traces.ranks[static_cast<std::size_t>(r)]);
+}
+
+/// Runs `write` on a thread of its own and aborts the test binary if it
+/// has not returned within a minute: a writer stuck in a wait cannot be
+/// joined, and a crash names the case where a hang would not.
+template <typename Write>
+void within_a_minute(const std::string& what, Write write) {
+  auto done = std::async(std::launch::async, write);
+  if (done.wait_for(std::chrono::minutes(1)) != std::future_status::ready) {
+    std::fprintf(stderr, "write_traces hung: %s\n", what.c_str());
+    std::abort();
+  }
+  done.get();
+}
+
+TEST_F(ArchiveTest, WriteErrorStopsEveryWorker) {
+  const auto topo = simnet::make_viola_experiment1();
+  const auto data = workloads::run_experiment(
+      topo, workloads::build_metatrace(), workloads::ExperimentConfig{});
+  const int m = topo.num_metahosts();
+  for (const std::size_t workers :
+       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    // A trace filed in another rank's slot, in mid-container (metahost
+    // 0 holds ranks 0..7).
+    auto misfiled = data.traces;
+    misfiled.ranks[5].rank = 6;
+    const auto arch = ExperimentArchive::create(
+        topo,
+        FileSystemLayout::per_metahost(
+            base_ + "/slot" + std::to_string(workers), m),
+        "w");
+    const std::string what = std::to_string(workers) + " workers";
+    try {
+      within_a_minute("rank slot mismatch, " + what, [&] {
+        arch.write_traces(topo, misfiled, workers);
+      });
+      FAIL() << "misfiled rank written at " << what;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("collection rank slot mismatch"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  for (const std::size_t workers :
+       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    // Metahost 1's container lives on a full file system.
+    const auto arch = ExperimentArchive::create(
+        topo,
+        FileSystemLayout::per_metahost(
+            base_ + "/full" + std::to_string(workers), m),
+        "w");
+    const std::string container =
+        arch.dir_of(MetahostId{1}) + "/" + tracing::container_filename();
+    fs::create_symlink("/dev/full", container);
+    const std::string what = std::to_string(workers) + " workers";
+    try {
+      within_a_minute("full container, " + what, [&] {
+        arch.write_traces(topo, data.traces, workers);
+      });
+      FAIL() << "write to a full container succeeded at " << what;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::Io) << e.what();
+      EXPECT_EQ(e.context().path, container) << e.what();
+    }
+  }
 }
 
 TEST_F(ArchiveTest, TruncatedTraceFileFailsWithClearError) {

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -24,14 +25,17 @@
 #include <vector>
 
 #include "analysis/analyzer.hpp"
+#include "clocksync/correction.hpp"
 #include "common/binary_io.hpp"
 #include "common/column_codec.hpp"
+#include "column_codec_reference.hpp"
 #include "common/error.hpp"
 #include "simnet/presets.hpp"
 #include "simnet/topology.hpp"
 #include "tracing/epilog_io.hpp"
 #include "tracing/stream.hpp"
 #include "workloads/experiment.hpp"
+#include "workloads/metatrace.hpp"
 #include "workloads/microworkloads.hpp"
 
 namespace metascope {
@@ -159,6 +163,144 @@ TEST(DoubleColumn, EmptyColumnEncodesToNothing) {
   colcodec::encode_double_column(w, nullptr, 0);
   EXPECT_EQ(w.size(), 0u);
   EXPECT_TRUE(decode_doubles(w.data(), 0, 1).empty());
+}
+
+/// Encodes `v` with the production encoder and the reference search and
+/// requires identical bytes and a bit-exact round trip.
+void expect_reference_bytes(const std::vector<double>& v,
+                            const std::string& label) {
+  BufWriter got;
+  colcodec::encode_double_column(got, v.data(), v.size());
+  BufWriter want;
+  test::refcodec::encode_double_column(want, v.data(), v.size());
+  ASSERT_EQ(got.data(), want.data())
+      << label << " (n = " << v.size() << ", mode "
+      << (got.size() != 0 ? static_cast<int>(got.data()[0]) : -1) << " vs "
+      << (want.size() != 0 ? static_cast<int>(want.data()[0]) : -1) << ")";
+  const std::vector<double> out = decode_doubles(got.data(), v.size(), 3);
+  for (std::size_t i = 0; i < v.size(); ++i)
+    ASSERT_EQ(bits_of(out[i]), bits_of(v[i])) << label << ", index " << i;
+}
+
+TEST(DoubleColumn, ModeSearchMatchesParentSearch) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double sub = std::numeric_limits<double>::denorm_min();
+  const double scales[] = {1.0, 1e-3, 1e-6, 1e-7, 1e-9};
+
+  // Quotients at exactly ±k.5 (round half away from zero), and their
+  // neighbours one ULP either side.
+  std::vector<double> halves;
+  for (const double h : {0.5, 1.5, 2.5, 1e6 + 0.5, 4503599627370494.5,
+                         4503599627370495.5}) {
+    for (const double s : {h, -h}) {
+      halves.push_back(s);
+      halves.push_back(std::nextafter(s, 0.0));
+      halves.push_back(std::nextafter(s, 2 * s));
+    }
+  }
+  expect_reference_bytes(halves, "half quotients");
+  for (const double h : halves) {
+    expect_reference_bytes({h}, "half quotient alone");
+    expect_reference_bytes({h, h, -h}, "half quotient repeated");
+  }
+  // Half-unit steps from 2^51, where the ULP is 0.5: every other
+  // quotient is an exact k.5 one ULP from either neighbour, and the
+  // winning Δ+r column's residual bits depend on which way it rounds.
+  for (const double sign : {1.0, -1.0}) {
+    std::vector<double> v;
+    for (int i = 0; i < 100; ++i)
+      v.push_back(sign * (2251799813685248.0 + 0.5 * i));
+    expect_reference_bytes(v, "k.5 quotients one ULP off the grid");
+  }
+  for (const double s : scales) {
+    std::vector<double> v;
+    for (int k = -40; k <= 40; ++k) v.push_back((k + 0.5) * s);
+    expect_reference_bytes(v, "k.5 grid at scale " + std::to_string(s));
+    for (const double h : v) expect_reference_bytes({h, h + s}, "k.5 pair");
+  }
+
+  // |q| just below and above the 9e15 quotient cap, at every scale and
+  // on both sides of the 64-value sample.
+  for (const double s : scales) {
+    const double edge = 9.0e15 * s;
+    for (const double e : {std::nextafter(edge, 0.0), edge,
+                           std::nextafter(edge, inf), edge - 2 * s}) {
+      for (const double x : {e, -e}) {
+        expect_reference_bytes({x}, "quotient cap");
+        expect_reference_bytes({0.0, x, x}, "quotient cap mid");
+        std::vector<double> late(70, 3 * s);
+        late[66] = x;
+        expect_reference_bytes(late, "quotient cap after the sample");
+      }
+    }
+  }
+
+  // Non-finite values, signed zero and subnormals, alone, in front of
+  // a grid, and past the sample.
+  for (const double x : {nan, -nan, inf, -inf, -0.0, 0.0, sub, -sub,
+                         4 * sub, DBL_MIN, -DBL_MIN}) {
+    expect_reference_bytes({x}, "special alone");
+    expect_reference_bytes({x, x, x}, "special repeated");
+    std::vector<double> v = {x};
+    for (int i = 1; i < 80; ++i) v.push_back(i * 1e-7);
+    expect_reference_bytes(v, "special then grid");
+    std::swap(v.front(), v[70]);
+    expect_reference_bytes(v, "grid then special past the sample");
+  }
+
+  // Every length from 1 to 65 values: grids, 1-ULP-nudged grids, wide
+  // residuals that start inside or just past the sample, and constants.
+  for (std::size_t n = 1; n <= 66; ++n) {
+    std::vector<double> grid, nudged, wide_in, wide_after;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double g = static_cast<double>(1000 + 17 * i) * 1e-7;
+      grid.push_back(g);
+      nudged.push_back(i % 3 == 0   ? std::nextafter(g, inf)
+                       : i % 3 == 1 ? std::nextafter(g, 0.0)
+                                    : g);
+      wide_in.push_back(i + 1 == std::min<std::size_t>(n, 64) ? g * 1.0001
+                                                              : g);
+      wide_after.push_back(i >= 64 ? g * 1.0001 : g);
+    }
+    expect_reference_bytes(grid, "grid");
+    expect_reference_bytes(nudged, "1-ULP-nudged grid");
+    expect_reference_bytes(wide_in, "wide residual at the sample's end");
+    expect_reference_bytes(wide_after, "wide residual past the sample");
+    for (const double c : {0.0, -0.0, 1.0, 1e-7, 3.14159, 1e300, nan})
+      expect_reference_bytes(std::vector<double>(n, c), "constant");
+  }
+
+  // Measurement-shaped columns: quantized timestamps with monotonicity
+  // nudges, integral byte counts, clock-corrected (off-grid) stamps, and
+  // arbitrary bit patterns.
+  std::uint64_t x = 0x9E3779B97F4A7C15ULL;
+  const auto next = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  for (int round = 0; round < 40; ++round) {
+    const std::size_t n = 1 + next() % 300;
+    std::vector<double> stamps, bytes, corrected, patterns;
+    double base = 1.0 + static_cast<double>(next() % 1000);
+    double last = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      base += static_cast<double>(next() % 50000) * 1e-9;
+      double stamp = std::floor(base / 1e-7) * 1e-7;
+      if (stamp <= last) stamp = last + 1e-9;
+      last = stamp;
+      stamps.push_back(stamp);
+      bytes.push_back(static_cast<double>(next() % (1u << (round % 24))));
+      corrected.push_back(stamp * (1.0 + 3e-6) - 2.5e-4);
+      patterns.push_back(double_of(next()));
+    }
+    expect_reference_bytes(stamps, "quantized stamps");
+    expect_reference_bytes(bytes, "byte counts");
+    expect_reference_bytes(corrected, "corrected stamps");
+    expect_reference_bytes(patterns, "bit patterns");
+  }
 }
 
 TEST(IntColumn, ExtremesRoundTrip) {
@@ -328,6 +470,78 @@ TEST(TraceV3, InMemoryBytesCountsResidentSize) {
   EXPECT_EQ(tracing::in_memory_bytes(tc),
             tracing::in_memory_bytes(tc.ranks[0]) +
                 tracing::in_memory_bytes(tc.ranks[1]));
+}
+
+/// 64-bit FNV-1a of a byte string.
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+
+TEST(TraceV3, EncodedBytesArePinned) {
+  // Every rank of a small MetaTrace run, raw and synchronized, pinned
+  // by the digest of its v3 bytes. The encoder may get faster, never
+  // different: a changed mode choice or column order shows up here.
+  workloads::MetaTraceConfig mt;
+  mt.coupling_steps = 2;
+  mt.cg_iterations = 12;
+  auto data = workloads::run_experiment(simnet::make_viola_experiment1(),
+                                        workloads::build_metatrace(mt));
+  TraceCollection synced = data.traces;
+  clocksync::synchronize(synced, 1);
+  static constexpr std::uint64_t kPinned[][2] = {
+      {0xEAFF45480F7FE179ULL, 0xEAFF45480F7FE179ULL},
+      {0xC3B0E80B71DA808EULL, 0xB96A5B4A3CB06063ULL},
+      {0xEAB0C73B87E4D423ULL, 0x16648CB93BD9D85EULL},
+      {0xA12B12A665238D70ULL, 0x44EA38061FC2D3B2ULL},
+      {0xFC1B8C8E83742DA9ULL, 0x44609781B0464D45ULL},
+      {0x47481C09283E12A6ULL, 0x7D998592143D2AAEULL},
+      {0x385D36F2B6B73DC3ULL, 0xDC85EDE1AEFDD380ULL},
+      {0xAD76E744CCEB5B31ULL, 0x27B0D0AD65DC2696ULL},
+      {0xB277FCB3C8DC844EULL, 0x8EF5E7660F1AE056ULL},
+      {0x082547F9C6D697A4ULL, 0x9B1CC2BB23795B91ULL},
+      {0x5BCF3BE49A0C5C0EULL, 0xEA6AC120D3C819FEULL},
+      {0x36305C08B6634060ULL, 0xC8A41A6CE1C7731AULL},
+      {0xDC6498C61973FD20ULL, 0x5378F74147D7A230ULL},
+      {0x2A8ABC984D908BA2ULL, 0x03DC908252279CB5ULL},
+      {0xED91DC8C6317315BULL, 0x7F4AB0E2CCCCCEF6ULL},
+      {0x4BCFD40B8C813883ULL, 0x8A87DA0A8385791CULL},
+      {0xA3B60735100E3DEEULL, 0xDDACD6D14D5785F5ULL},
+      {0xFF6CDFBA79A1D217ULL, 0x6FB7FB156861A0FAULL},
+      {0x203165964DF43C42ULL, 0xADA1618A5DB2D81FULL},
+      {0xFD15AC73DDECC18DULL, 0xE967FBCEE81971B2ULL},
+      {0x0CBFFCD7A8B2BEF2ULL, 0x3FDB9FA397F386FFULL},
+      {0x6E95B6CBF49E14EDULL, 0x95EEB38C5299FD41ULL},
+      {0x35F92DDA5633BBD8ULL, 0x6E48C00EB2B4CB88ULL},
+      {0x7C7250F036152A74ULL, 0xDC623F3E1E4B3BC0ULL},
+      {0x9EFC79CE6B9C52ABULL, 0x8A26E225DC2FE57FULL},
+      {0x02A46132DC088B39ULL, 0xDB69E1A5CE3826D7ULL},
+      {0xC0B15F29FE3C519AULL, 0x11E1C0873F66834CULL},
+      {0xF88F664F10861048ULL, 0x70F01C1E9BCC14E8ULL},
+      {0x56A7570626710E9CULL, 0x0A82C5A943E1FAF3ULL},
+      {0xBE1772EFB7202C50ULL, 0xC494F45C6B5BC72CULL},
+      {0x374EB4E3539B6298ULL, 0x733A95D3B36694A2ULL},
+      {0xE2F8A491238EEAF3ULL, 0xA08773E7B4DBC8D4ULL},
+  };
+  ASSERT_EQ(data.traces.num_ranks(),
+            static_cast<int>(std::size(kPinned)));
+  std::ostringstream table;
+  bool same = true;
+  for (std::size_t r = 0; r < data.traces.ranks.size(); ++r) {
+    const std::uint64_t raw =
+        fnv1a(tracing::encode_local_trace(data.traces.ranks[r]));
+    const std::uint64_t sync =
+        fnv1a(tracing::encode_local_trace(synced.ranks[r]));
+    same = same && raw == kPinned[r][0] && sync == kPinned[r][1];
+    table << std::hex << std::uppercase << std::setfill('0') << "      {0x"
+          << std::setw(16) << raw << "ULL, 0x" << std::setw(16) << sync
+          << "ULL},\n";
+  }
+  EXPECT_TRUE(same) << "encoded bytes moved; digests now:\n" << table.str();
 }
 
 // --- v3 corruption taxonomy ----------------------------------------------

@@ -16,12 +16,17 @@
 //   <outdir>/config_json/        valid experiment configs
 //   <outdir>/archive_container/  trace containers: the experiment's own
 //                                and mutants of its trailer and index
+//   <outdir>/column_codec/       value columns for the encoders: the
+//                                experiment's timestamps and byte
+//                                counts, grids, nudged grids and
+//                                special values
 //
 // Seeding with real encodings matters: libFuzzer mutates from these, so
 // it starts past the magic/version gate instead of spending its budget
 // rediscovering four magic bytes. Deterministic output (fixed seeds) —
 // CI caches the corpus keyed on the harness sources.
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <utility>
@@ -284,6 +289,51 @@ void put_container_seeds(const fs::path& dir,
   put(dir, "container_truncated_index", with(cut));
 }
 
+/// One fuzz_column_codec input: a shape byte (see the harness) and one
+/// little-endian word per row.
+std::vector<std::uint8_t> column_seed(std::uint8_t shape,
+                                      const std::vector<std::uint64_t>& words) {
+  BufWriter w;
+  w.put_u8(shape);
+  for (const std::uint64_t x : words) w.put_u64(x);
+  return w.take();
+}
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+/// Seeds for fuzz_column_codec. Shape bytes: low two bits 0 = raw bit
+/// patterns, 1 = grid, 2 = nudged grid, 3 = nudged running sum; bits
+/// 2..4 the scale index (3 = 1e-7, the clock granularity).
+void put_column_seeds(const fs::path& dir,
+                      const tracing::TraceCollection& tc) {
+  for (const auto& t : tc.ranks) {
+    std::vector<std::uint64_t> time, bytes;
+    for (const auto& e : t.events) {
+      time.push_back(bits_of(e.time));
+      if (e.type == tracing::EventType::Send) bytes.push_back(bits_of(e.bytes));
+    }
+    const std::string stem = "rank" + std::to_string(t.rank);
+    put(dir, stem + "_time", column_seed(0, time));
+    put(dir, stem + "_send_bytes", column_seed(0, bytes));
+  }
+  std::vector<std::uint64_t> steps;
+  for (std::uint64_t i = 0; i < 200; ++i)
+    steps.push_back((13 + i % 5) | ((i % 7 == 0 ? 1ULL : 0ULL) << 32));
+  put(dir, "grid_1e-7", column_seed((3 << 2) | 1, steps));
+  put(dir, "nudged_grid_1e-7", column_seed((3 << 2) | 2, steps));
+  put(dir, "stamps_1e-7", column_seed((3 << 2) | 3, steps));
+  put(dir, "stamps_1", column_seed(3, steps));
+  put(dir, "specials",
+      column_seed(0, {bits_of(0.0), bits_of(-0.0), 0x7FF0000000000000ULL,
+                      0xFFF0000000000000ULL, 0x7FF8000000000F0FULL, 1ULL,
+                      0x8000000000000001ULL, bits_of(0.5), bits_of(-2.5),
+                      bits_of(9.0e15), bits_of(8999999999999999.0)}));
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -297,6 +347,8 @@ int main(int argc, char** argv) {
     const fs::path sync_dir = out / "sync_decode";
     const fs::path config_dir = out / "config_json";
     const fs::path container_dir = out / "archive_container";
+    const fs::path column_dir = out / "column_codec";
+    fs::create_directories(column_dir);
     fs::create_directories(trace_dir);
     fs::create_directories(sync_dir);
     fs::create_directories(config_dir);
@@ -326,6 +378,7 @@ int main(int argc, char** argv) {
     put_v3_mutants(trace_dir);
     put_midblock_mutants(trace_dir);
     put_container_seeds(container_dir, data.traces);
+    put_column_seeds(column_dir, data.traces);
     // An empty trace is valid too — seed the minimal accepting input.
     tracing::LocalTrace empty;
     empty.rank = 0;
