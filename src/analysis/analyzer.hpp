@@ -5,11 +5,11 @@
 //    post mortem by a join (tracing::match_messages), and every per-rank
 //    step fans out on a bounded worker pool;
 //  - analyze_serial: analyze_parallel on one worker;
-//  - analyze_streaming: the SCALASCA-style replay over a v3 archive. A
-//    sender's windowed records are not resident when its receiver needs
-//    them, so the replay protocol (replay_protocol.hpp) re-enacts the
-//    communication, exchanging only the few bytes each pattern needs;
-//    each rank task touches only its own local trace.
+//  - analyze_streaming: the same analysis over a v3 archive, one rank's
+//    windowed stream per task. A light pass collects each rank's join
+//    keys, the join (tracing::join_messages, as in analyze_parallel)
+//    gives every send its record slot, and a window pass fills the
+//    records; no task waits for another.
 //
 // All of them walk each rank in parallel for its call paths and op
 // records (prepare.hpp's RankWalk), unify the call paths in rank order,
@@ -35,8 +35,7 @@ namespace metascope::analysis {
 /// Per-analysis summary counters, exact whether or not telemetry is
 /// enabled. Each run also adds them to the global metrics registry
 /// (src/telemetry): "analysis.messages", "analysis.events",
-/// "replay.bytes", "replay.suspensions", "replay.steals",
-/// "replay.requeues", ….
+/// "replay.bytes", ….
 struct AnalysisStats {
   std::size_t messages{0};
   std::size_t collective_instances{0};
@@ -50,24 +49,20 @@ struct AnalysisStats {
   /// layer (telemetry counters archive.bytes_on_disk / .read.bytes).
   /// Materializing analyzers report tracing::in_memory_bytes of the
   /// whole collection; analyze_streaming counts only resident windows
-  /// (plus the always-materialized sync records) and reports the
-  /// high-water mark, which is what the memory budget bounds.
+  /// (plus the open streams' sync records) and reports the high-water
+  /// mark, which is what the memory budget bounds. Match records are
+  /// O(messages) in both modes and not in this figure.
   std::size_t trace_bytes_in_memory{0};
   std::size_t events{0};
 
-  // Replay-stage counters. The scheduling ones (suspensions, steals,
-  // requeues) are analyze_streaming's; the join never waits.
   /// Worker threads the replay stage used.
   std::size_t replay_workers{0};
-  /// Rank tasks the replay stage drove to completion (== ranks).
+  /// Rank tasks the replay stage ran (== ranks).
   std::size_t replay_tasks{0};
-  /// Times a task suspended on a Recv whose message had not been sent
-  /// yet, instead of blocking a thread (collectives never suspend).
+  /// Always 0: no analyzer suspends or reschedules a task. Kept while
+  /// metabench still reports them.
   std::size_t replay_suspensions{0};
-  /// Tasks taken from another worker's run queue.
   std::size_t replay_steals{0};
-  /// Tasks re-enqueued after a resume.
-  std::size_t replay_requeues{0};
 };
 
 struct AnalysisResult {
@@ -88,20 +83,17 @@ struct ReplayOptions {
   /// The structural category time partition is always on. Throws Error
   /// on an unknown key.
   std::vector<std::string> patterns;
-  /// analyze_streaming only: when its replay deadlocks and the flight
-  /// recorder is on, dump the last N recorded events of every worker
-  /// thread to stderr before throwing. 0 disables the postmortem.
-  std::size_t postmortem_events{32};
   /// analyze_streaming only: cap on the decoded trace events resident
-  /// across all ranks at once. Drives window *sizing* — each rank's
-  /// window holds ~budget/(ranks * per-event footprint) events, floored
-  /// at one event — never cross-rank blocking, so a tiny budget can
-  /// degrade to single-event windows but can never deadlock the
-  /// replay. A window extends past its nominal size only while a
-  /// Send/Recv inside it still awaits its enclosing call's exit (in
-  /// practice a handful of events: messages sit directly inside their
-  /// MPI call region). 0 = a generous default window (4096 events per
-  /// rank). Ignored by the materializing analyzers.
+  /// across all ranks at once. Sizes the windows — each rank's window
+  /// holds ~budget/(ranks * per-event footprint) events, floored at one
+  /// event, so a tiny budget degrades to single-event windows. A window
+  /// extends past its nominal size only while a Send/Recv inside it
+  /// still awaits its enclosing call's exit (in practice a handful of
+  /// events: messages sit directly inside their MPI call region). Only
+  /// the ranks the workers are on hold windows at once. Match records
+  /// (one per message) are not events and are not bounded by it. 0 = a
+  /// generous default window (4096 events per rank). Ignored by the
+  /// materializing analyzers.
   std::size_t memory_budget_bytes{0};
 };
 
@@ -116,15 +108,16 @@ AnalysisResult analyze_serial(const tracing::TraceCollection& tc,
 AnalysisResult analyze_parallel(const tracing::TraceCollection& tc,
                                 const ReplayOptions& opts = {});
 
-/// Out-of-core replay over a v3 archive: one resumable task per rank
-/// decodes its trace in bounded windows straight out of the mapped file
-/// (tracing::TraceStream) and re-enacts its communication over lock-free
-/// per-pair channels, suspending only for a message not yet sent. Peak
-/// trace-resident memory is bounded by ReplayOptions::memory_budget_bytes;
-/// the severity cube is bit-identical to analyze_parallel for any budget
-/// and worker count. Requires a synchronized source (or scheme None) —
-/// clock correction rewrites timestamps in memory, so archives must be
-/// written *after* synchronization to be streamable.
+/// Out-of-core analysis over a v3 archive: each rank decodes its trace in
+/// bounded windows straight out of the mapped file (tracing::TraceStream),
+/// twice — a light pass that collects its join keys, and after the join a
+/// window pass that writes its halves of the match records. Decoded
+/// events are bounded by ReplayOptions::memory_budget_bytes; the severity
+/// cube is bit-identical to analyze_parallel for any budget and worker
+/// count, and an unmatched send or receive raises the join's Error.
+/// Requires a synchronized source (or scheme None) — clock correction
+/// rewrites timestamps in memory, so archives must be written *after*
+/// synchronization to be streamable.
 AnalysisResult analyze_streaming(const tracing::StreamSource& src,
                                  const ReplayOptions& opts = {});
 

@@ -17,25 +17,13 @@ using tracing::Event;
 using tracing::EventType;
 
 void RankComm::add(const Event& e) {
-  if (e.type == EventType::Send) {
-    send_peers.push_back(e.peer);
-  } else if (e.type == EventType::Recv) {
+  if (e.type == EventType::Recv) {
     ++recvs;
-  } else {
+  } else if (e.type == EventType::CollExit) {
     const auto comm = static_cast<std::size_t>(e.comm.get());
     if (comm >= colls.size()) colls.resize(comm + 1, 0);
     ++colls[comm];
   }
-}
-
-void RankComm::finish(std::size_t num_ranks) {
-  std::sort(send_peers.begin(), send_peers.end());
-  send_peers.erase(std::unique(send_peers.begin(), send_peers.end()),
-                   send_peers.end());
-  std::erase_if(send_peers, [num_ranks](Rank p) {
-    return p < 0 || static_cast<std::size_t>(p) >= num_ranks;
-  });
-  send_peers.shrink_to_fit();
 }
 
 RankWalk::RankWalk(Rank rank, std::size_t num_comms,
@@ -138,20 +126,6 @@ std::vector<std::vector<CallPathId>> CallPathPool::unify(
   return ids;
 }
 
-std::size_t CommTables::channel(Rank src, Rank dst) const {
-  if (src < 0 || static_cast<std::size_t>(src) + 1 >= pair_begin.size())
-    return kNoChannel;
-  const auto s = static_cast<std::size_t>(src);
-  const auto first =
-      pair_dst.begin() + static_cast<std::ptrdiff_t>(pair_begin[s]);
-  const auto last =
-      pair_dst.begin() + static_cast<std::ptrdiff_t>(pair_begin[s + 1]);
-  const auto it = std::lower_bound(first, last, dst);
-  return it != last && *it == dst
-             ? static_cast<std::size_t>(it - pair_dst.begin())
-             : kNoChannel;
-}
-
 CommTables build_comm_tables(const tracing::TraceDefs& defs,
                              const std::vector<RankComm>& ranks) {
   const std::size_t n = ranks.size();
@@ -163,8 +137,8 @@ CommTables build_comm_tables(const tracing::TraceDefs& defs,
 
   // Collective completeness: every member of a communicator must have
   // recorded the same number of collectives on it, and nobody else any.
-  // Failing here (instead of mid-replay) rejects a truncated trace before
-  // any worker could wait on an instance that will never complete.
+  // Failing here rejects a truncated trace before any record is built,
+  // so every member slot a CollExit fills exists.
   t.comm_ranks.resize(ncomm);
   t.member_begin.assign(ncomm + 1, 0);
   t.instance_begin.assign(ncomm + 1, 0);
@@ -220,17 +194,9 @@ CommTables build_comm_tables(const tracing::TraceDefs& defs,
     t.member_begin[c + 1] = t.member_begin[c] + instances * members.size();
   }
 
-  // Sender-major channel directory.
-  t.pair_begin.assign(n + 1, 0);
   t.recv_begin.assign(n + 1, 0);
-  for (std::size_t r = 0; r < n; ++r) {
-    t.pair_begin[r + 1] = t.pair_begin[r] + ranks[r].send_peers.size();
+  for (std::size_t r = 0; r < n; ++r)
     t.recv_begin[r + 1] = t.recv_begin[r] + ranks[r].recvs;
-  }
-  t.pair_dst.reserve(t.pair_begin[n]);
-  for (const RankComm& rc : ranks)
-    t.pair_dst.insert(t.pair_dst.end(), rc.send_peers.begin(),
-                      rc.send_peers.end());
   return t;
 }
 
@@ -261,9 +227,9 @@ PreparedTrace prepare(const tracing::TraceCollection& tc,
           for (const Event& e : trace.events)
             if (walk.step(e)) comm_in[ri].add(e);
           walk.finish(paths);
-          comm_in[ri].finish(n);
-        } catch (const Error&) {
-          err[ri] = std::current_exception();
+        } catch (const Error& e) {
+          err[ri] = std::make_exception_ptr(
+              e.with_context(ErrorContext{{}, trace.rank, -1}));
         }
         out.ops[ri].shrink_to_fit();
       },

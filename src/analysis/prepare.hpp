@@ -37,14 +37,10 @@ struct ExclusiveTime {
   bool operator==(const ExclusiveTime&) const = default;
 };
 
-/// The communication layout the replay runs on, fixed before it starts:
-/// both prepares see every Send, Recv and CollExit, so the replay indexes
-/// dense arrays instead of hashing message envelopes.
+/// The record layout both analysis modes fill, fixed before any record
+/// is: both prepares see every Recv and CollExit, so records land in
+/// dense arrays instead of being looked up by envelope.
 ///
-///  - One message channel per communicating (sender, receiver) pair,
-///    numbered sender-major: sender s owns channels
-///    [pair_begin[s], pair_begin[s+1]), whose receivers are
-///    pair_dst[...] in ascending order.
 ///  - One record slot per Recv: rank r's k-th receive fills slot
 ///    recv_begin[r] + k, so the slots come out in canonical
 ///    (receiver, receive position) order.
@@ -54,35 +50,22 @@ struct ExclusiveTime {
 ///    (comm_ranks[c]); member_begin[c] counts the member slots of the
 ///    communicators before c.
 struct CommTables {
-  static constexpr std::size_t kNoChannel = static_cast<std::size_t>(-1);
-
-  std::vector<std::size_t> pair_begin;  ///< ranks + 1 entries
-  std::vector<Rank> pair_dst;
   std::vector<std::size_t> recv_begin;      ///< ranks + 1 entries
   std::vector<std::size_t> member_begin;    ///< comms + 1 entries
   std::vector<std::size_t> instance_begin;  ///< comms + 1 entries
   std::vector<std::vector<Rank>> comm_ranks;
 
-  /// Channel of the pair (src, dst), or kNoChannel when src never sends
-  /// to dst (or either rank is out of range).
-  [[nodiscard]] std::size_t channel(Rank src, Rank dst) const;
-  [[nodiscard]] std::size_t num_channels() const { return pair_dst.size(); }
   [[nodiscard]] std::size_t num_records() const { return recv_begin.back(); }
 };
 
 /// What one rank's trace contributes to the CommTables.
 struct RankComm {
-  std::vector<Rank> send_peers;  ///< destination of every Send, any order
   std::size_t recvs{0};
   std::vector<int> colls;  ///< CollExit count per communicator id
 
-  /// Counts one event RankWalk::step recorded (a Send, Recv or CollExit
-  /// on a communicator the walk checked).
+  /// Counts one event RankWalk::step recorded (a Recv, or a CollExit on
+  /// a communicator the walk checked; a Send adds nothing).
   void add(const tracing::Event& e);
-  /// Ends the rank: send_peers becomes its distinct destinations in
-  /// [0, num_ranks), ascending, without spare capacity (every rank's
-  /// counts wait for build_comm_tables at once).
-  void finish(std::size_t num_ranks);
 };
 
 /// Definition unification. Each rank's walk files its call paths here,
@@ -176,7 +159,7 @@ class RankWalk {
 /// is indexed by rank) and validates collective completeness: every
 /// member of a communicator must record the same number of collectives
 /// on it, and no other rank may record any. Throws Error otherwise, so
-/// no replay task can wait on an instance that never completes.
+/// every member slot exists before any record is written.
 CommTables build_comm_tables(const tracing::TraceDefs& defs,
                              const std::vector<RankComm>& ranks);
 

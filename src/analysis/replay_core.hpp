@@ -1,8 +1,10 @@
-// Match records, where both analysis modes meet. analyze_parallel joins
-// its messages post mortem (tracing::match_messages) and groups the
-// collectives from each rank's op records; analyze_streaming collects
-// the same records from its replay (replay_protocol.hpp). Either way they
-// land in the CommTables slot layout, which is the canonical order
+// Match records, where both analysis modes meet. Both pair their
+// messages with the same join (tracing::join_messages): analyze_parallel
+// resolves the pairs against each rank's op records and groups the
+// collectives from them; analyze_streaming's window pass writes each
+// send's and receive's half of its record and each CollExit's member
+// slot as it decodes. Either way they land in the CommTables slot
+// layout, which is the canonical order
 // PatternEngine::dispatch (pattern_engine.hpp) evaluates them in — p2p
 // records by (receiver rank, receive position), collective instances by
 // (communicator, sequence) with members sorted by rank — so the
@@ -71,7 +73,7 @@ P2pSide make_side(const report::CallTree& calls, Rank rank,
 /// Groups every CollExit event into its (comm, seq) instance, walking
 /// each rank's op records on up to `max_workers` threads (0 = hardware
 /// concurrency). analyze_streaming fills the same CollectiveSlots during
-/// its replay.
+/// its window pass.
 std::vector<CollInstance> group_collectives(const tracing::TraceCollection& tc,
                                             const PreparedTrace& prep,
                                             std::size_t max_workers = 0);

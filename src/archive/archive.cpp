@@ -4,7 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <filesystem>
-#include <mutex>
+#include <optional>
 #include <utility>
 
 #include "common/binary_io.hpp"
@@ -202,18 +202,20 @@ void visit_blob(Rank r, const tracing::TraceExtent& at, Step step) {
 /// `step(rank, extent, file, claim)` (see visit_blob). A container
 /// whose trailer or index fails fails every rank it holds; a blob that
 /// fails fails only its rank. A failure is rethrown with container/rank
-/// context in strict mode and quarantines the rank in permissive mode.
-/// Adds `bytes_read` to telemetry and returns the quarantine records
-/// sorted by rank (deterministic whatever the reader interleaving).
+/// context in strict mode (a blob failure once every blob was visited,
+/// the lowest failing rank's, whatever the schedule) and quarantines
+/// the rank in permissive mode. Adds `bytes_read` to telemetry and
+/// returns the quarantine records sorted by rank (deterministic
+/// whatever the reader interleaving).
 template <typename Step>
 std::vector<QuarantineRecord> read_ranks(
     const std::vector<PartialArchive>& parts, const ReadOptions& opts,
     const char* stage, std::atomic<std::uint64_t>& bytes_read, Step step) {
-  std::mutex quarantine_mu;
+  // Called on the calling thread only: blob failures are collected
+  // during the fan-out and filed after it, lowest rank first.
   std::vector<QuarantineRecord> quarantined;
   const auto fail = [&](Rank r, const std::string& path, const Error& e) {
     if (!opts.permissive) throw e.with_context(ErrorContext{path, r, -1});
-    const std::lock_guard<std::mutex> lock(quarantine_mu);
     quarantined.push_back(
         QuarantineRecord{r, path, e.code(), e.base_message()});
   };
@@ -237,6 +239,7 @@ std::vector<QuarantineRecord> read_ranks(
     }
   }
 
+  std::vector<std::optional<Error>> blob_err(blobs.size());
   telemetry::RecordingObserver rec_obs(
       stage, telemetry::RecordingObserver::fanout_stride(blobs.size()));
   const auto pst = parallel_for(
@@ -251,11 +254,19 @@ std::vector<QuarantineRecord> read_ranks(
             });
           });
         } catch (const Error& e) {
-          fail(r, at.path, e);
+          blob_err[i] = e;
         }
       },
       &rec_obs);
   telemetry::record_stage_parallelism(stage, pst);
+  std::vector<std::size_t> failed;
+  for (std::size_t i = 0; i < blobs.size(); ++i)
+    if (blob_err[i]) failed.push_back(i);
+  std::sort(failed.begin(), failed.end(), [&](std::size_t a, std::size_t b) {
+    return blobs[a].first < blobs[b].first;
+  });
+  for (const std::size_t i : failed)
+    fail(blobs[i].first, blobs[i].second.path, *blob_err[i]);
   telemetry::counter("archive.read.bytes")
       .add(bytes_read.load(std::memory_order_relaxed));
   if (!quarantined.empty()) {

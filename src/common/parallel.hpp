@@ -1,31 +1,19 @@
-// Reusable bounded worker pool with work stealing and resumable tasks.
+// Bounded worker pools with work stealing, for per-rank fan-outs.
 //
-// Extracted from the parallel replay (analysis/replay_protocol) so the
-// whole pre-replay pipeline — archive encode/decode and file I/O, clock
-// correction, amortization, prepare — can fan out per-rank work on the
-// same machinery the parallel replay uses, instead of each stage staying
-// a serial loop that Amdahl's law turns into the bottleneck at large
-// rank counts.
+// Every per-rank stage of the pipeline — archive encode/decode and file
+// I/O, clock correction, amortization, prepare, the message join and
+// the streamed window pass — fans out here instead of staying a serial
+// loop that Amdahl's law turns into the bottleneck at large rank
+// counts.
 //
-// Two entry points:
+//  - WorkerPool: a fixed pool of workers (hardware concurrency by
+//    default) that runs n independent tasks. Each worker owns a deque
+//    of tasks, dealt round-robin, and steals from the back of a peer's
+//    deque when its own runs dry. No task waits for another and none is
+//    added once the run starts, so a worker that finds every deque
+//    empty is done.
 //
-//  - WorkerPool: the full resumable-task scheduler. Each task's step
-//    function either finishes (Done) or *suspends* (returns control to
-//    the pool after registering with the awaited resource); the task
-//    that satisfies the resource calls resume(). A fixed pool of
-//    workers — hardware concurrency by default — drives all tasks, each
-//    worker owning a deque of runnable tasks and stealing from its
-//    peers when it runs dry. A resumed task goes to the front of the
-//    resuming worker's deque and runs next, while the data that woke it
-//    is still in cache; thieves steal from the back, where the coldest
-//    tasks wait. The suspend/resume race is resolved with a
-//    per-task Running/Parked/Notified state machine, so a wakeup is
-//    never lost and a task never runs on two workers at once. If every
-//    unfinished task is parked, the pool throws DeadlockError instead
-//    of hanging.
-//
-//  - parallel_for: the embarrassingly parallel special case — n
-//    independent items, none of which ever suspends. Runs inline when
+//  - parallel_for: the same run with per-call stats. Runs inline when
 //    one worker (or one item) is requested, so serial baselines pay no
 //    threading cost.
 //
@@ -34,20 +22,17 @@
 //    fixed ring of reusable slots.
 //
 // This layer is deliberately telemetry-free (common sits below
-// telemetry in the library stack): the pool keeps *exact* internal
-// counters (merged from per-thread tallies when workers exit) and
-// exposes sampled timing hooks through an Observer, which clients like
-// the replay protocol wire into the metrics registry.
+// telemetry in the library stack): the pool keeps exact counters and
+// exposes its task lifecycle through an Observer, which
+// telemetry::RecordingObserver streams into the flight recorder.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -55,34 +40,12 @@
 
 namespace metascope {
 
-enum class StepOutcome {
-  Done,     ///< the task finished all of its work
-  Suspend,  ///< the task registered with a resource and yields its worker
-};
-
-/// Thrown by WorkerPool::run when no unfinished task is runnable and no
-/// running task remains to ever resume one.
-class DeadlockError : public Error {
- public:
-  DeadlockError(std::size_t stuck, std::size_t total);
-
-  [[nodiscard]] std::size_t stuck_tasks() const { return stuck_; }
-  [[nodiscard]] std::size_t total_tasks() const { return total_; }
-
- private:
-  std::size_t stuck_;
-  std::size_t total_;
-};
-
-/// Exact per-run behaviour counters, valid after run() returns (merged
-/// from per-thread tallies under the join barrier, so they are exact
-/// regardless of telemetry state).
+/// Exact per-run counters, valid after run() returns (each worker writes
+/// its own entries; the join publishes them).
 struct PoolStats {
-  std::size_t workers{0};      ///< pool size actually used
-  std::size_t tasks{0};        ///< tasks driven to completion
-  std::size_t suspensions{0};  ///< times a step returned Suspend
-  std::size_t steals{0};       ///< tasks taken from another worker's deque
-  std::size_t requeues{0};     ///< tasks re-enqueued after a resume
+  std::size_t workers{0};  ///< pool size actually used
+  std::size_t tasks{0};    ///< tasks run
+  std::size_t steals{0};   ///< tasks taken from another worker's deque
   /// Tasks completed per worker (index = worker id); the load-balance
   /// figure stages feed into their per-stage worker histograms.
   std::vector<std::size_t> tasks_per_worker;
@@ -90,47 +53,26 @@ struct PoolStats {
 
 class WorkerPool {
  public:
-  /// Sampled/stateful hooks a client may attach; all callbacks arrive on
-  /// worker threads and must be thread-safe.
+  /// Lifecycle hooks a client may attach; every call arrives on the
+  /// thread the event happened on, which is what lets an observer keep
+  /// per-thread timelines, and must be thread-safe.
   class Observer {
    public:
     virtual ~Observer() = default;
-    /// True if the pool should pay for the sampled timing hooks
-    /// (on_task_runtime_us / on_queue_depth); consulted once per run().
-    [[nodiscard]] virtual bool wants_samples() const { return false; }
-    /// True if the pool should fire the per-event lifecycle hooks below
-    /// (worker attach, task begin/end/resume/steal); consulted once per
-    /// run(). This is the seam the telemetry flight recorder plugs into
+    /// True if the pool should fire the hooks below; consulted once per
+    /// run. This is the seam the telemetry flight recorder plugs into
     /// (telemetry::RecordingObserver) — off by default, so pools pay
     /// nothing unless a recording is requested.
     [[nodiscard]] virtual bool wants_events() const { return false; }
-    /// Called on every task completion with the running done count.
-    virtual void on_task_done(std::size_t done, std::size_t total) {
-      (void)done;
-      (void)total;
-    }
-    /// One-in-16 sampled step wall time, microseconds.
-    virtual void on_task_runtime_us(double us) { (void)us; }
-    /// One-in-16 sampled run-queue depth after a push.
-    virtual void on_queue_depth(double depth) { (void)depth; }
-
-    // Lifecycle hooks, fired only when wants_events() — every call
-    // arrives on the thread the event happened on, which is what lets
-    // an observer keep per-thread timelines.
     /// Once per spawned worker thread, before it runs any task. Not
     /// fired for the inline (single-worker) parallel_for path, which
     /// stays on the caller's thread.
     virtual void on_worker_attach(std::size_t wid) { (void)wid; }
-    /// A worker starts driving `task` (first run or after a resume).
+    /// A worker starts running `task`.
     virtual void on_task_begin(std::size_t task) { (void)task; }
-    /// The step returned; `suspended` distinguishes Suspend from Done.
-    /// Not fired when the step threw (the pool is tearing down).
-    virtual void on_task_end(std::size_t task, bool suspended) {
-      (void)task;
-      (void)suspended;
-    }
-    /// This thread marked suspended `task` runnable again.
-    virtual void on_task_resume(std::size_t task) { (void)task; }
+    /// `task` returned. Not fired when it threw (the pool is tearing
+    /// down).
+    virtual void on_task_end(std::size_t task) { (void)task; }
     /// This thread stole `task` from another worker's deque.
     virtual void on_task_steal(std::size_t task) { (void)task; }
   };
@@ -144,24 +86,15 @@ class WorkerPool {
   [[nodiscard]] static std::size_t resolve_workers(std::size_t num_tasks,
                                                    std::size_t max_workers);
 
-  using StepFn = std::function<StepOutcome(std::size_t task)>;
+  using TaskFn = std::function<void(std::size_t task)>;
 
   /// Attach before run(); the pool never owns the observer.
   void set_observer(Observer* obs) { obs_ = obs; }
 
-  /// Drives every task to Done. `step(t)` advances task t until it
-  /// finishes or suspends; a suspending step must arrange for resume(t)
-  /// to be called by whichever task satisfies the awaited resource.
-  /// Throws DeadlockError if all unfinished tasks are suspended with
-  /// nothing left running, and rethrows the first exception any step
-  /// raised.
-  void run(const StepFn& step);
-
-  /// Marks a suspended task runnable; it runs next on the calling
-  /// worker. Must be called from inside a running step (i.e. on a worker
-  /// thread). Safe against the suspend/resume race; at most one resume
-  /// may be issued per suspension.
-  void resume(std::size_t task);
+  /// Runs task(t) once for every t in [0, num_tasks) on the pool's
+  /// workers. The first exception a task throws stops every worker at
+  /// its next claim and is rethrown after the join.
+  void run(const TaskFn& task);
 
   [[nodiscard]] const PoolStats& stats() const { return stats_; }
 
@@ -171,46 +104,19 @@ class WorkerPool {
     std::deque<std::size_t> dq;
   };
 
-  void worker_loop(std::size_t wid, const StepFn& step);
-  void run_task(std::size_t task, const StepFn& step);
-  /// Queues `task` on worker `wid`: at the back, or at the front (to run
-  /// next) when `next` is set.
-  void push(std::size_t wid, std::size_t task, bool next = false);
+  void worker_loop(std::size_t wid, const TaskFn& task);
   bool pop_local(std::size_t wid, std::size_t& task);
   bool steal(std::size_t wid, std::size_t& task);
-  void fail(std::exception_ptr err);
-  /// Adds the calling thread's batched tally into the pool counters.
-  void flush_tally();
 
   std::size_t num_tasks_;
   std::size_t num_workers_;
   std::vector<WorkerQueue> queues_;
-  std::unique_ptr<std::atomic<int>[]> state_;
-
-  std::atomic<std::size_t> done_{0};
-  /// Tasks queued or currently running (not parked). When this reaches
-  /// zero with done_ < num_tasks_, the run has deadlocked.
-  std::atomic<std::size_t> inflight_{0};
   std::atomic<bool> stop_{false};
-  std::atomic<bool> deadlock_{false};
-
-  std::mutex idle_m_;
-  std::condition_variable idle_cv_;
-
   std::mutex err_m_;
   std::exception_ptr first_error_;
-
   Observer* obs_{nullptr};
-  bool sample_{false};  ///< obs_ wants the sampled hooks (fixed per run)
   bool events_{false};  ///< obs_ wants the lifecycle hooks (fixed per run)
-
-  // Per-thread tallies flush into these under tally_m_ when a worker
-  // exits; stats_ is assembled after the join, so reads are race-free.
-  std::mutex tally_m_;
-  std::uint64_t total_suspensions_{0};
-  std::uint64_t total_steals_{0};
-  std::uint64_t total_requeues_{0};
-  std::vector<std::size_t> tasks_by_worker_;
+  std::vector<std::size_t> steals_by_worker_;
 
   PoolStats stats_;
 };

@@ -1,8 +1,8 @@
 // Pipeline-wide metrics registry: counters, gauges, and fixed-bucket
-// histograms, addressable by dotted name ("replay.steals").
+// histograms, addressable by dotted name ("replay.bytes").
 //
-// Hot-path discipline: the replay workers increment counters from every
-// step, so an increment must never contend on a lock or even a shared
+// Hot-path discipline: pool workers increment counters from every rank
+// task, so an increment must never contend on a lock or even a shared
 // cache line. Counters (and histogram buckets) are therefore *sharded*:
 // each holds a small array of cache-line-padded atomic cells, a thread
 // adds into its own cell with a relaxed fetch_add, and the cells are

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <sstream>
 
 namespace metascope::telemetry {
 
@@ -39,10 +37,6 @@ const char* trace_event_kind_name(TraceEventKind kind) {
       return "task-begin";
     case TraceEventKind::TaskEnd:
       return "task-end";
-    case TraceEventKind::TaskSuspend:
-      return "suspend";
-    case TraceEventKind::TaskResume:
-      return "resume";
     case TraceEventKind::TaskSteal:
       return "steal";
     case TraceEventKind::SpanBegin:
@@ -277,36 +271,6 @@ void set_thread_label(const std::string& label) {
   Recorder::instance().set_thread_label(label);
 }
 
-std::string postmortem_report(std::size_t last_n) {
-  if (last_n == 0) return {};
-  const auto logs = Recorder::instance().snapshot();
-  std::uint64_t total = 0;
-  for (const auto& log : logs) total += log.events.size();
-  if (total == 0) return {};
-  std::ostringstream os;
-  os << "flight recorder postmortem (last " << last_n
-     << " events per thread):\n";
-  std::size_t tid = 0;
-  for (const auto& log : logs) {
-    os << "  [" << (log.label.empty() ? "thread " + std::to_string(tid)
-                                      : log.label)
-       << "]";
-    if (log.dropped > 0) os << " (" << log.dropped << " older dropped)";
-    os << "\n";
-    const std::size_t n = std::min(last_n, log.events.size());
-    for (std::size_t i = log.events.size() - n; i < log.events.size();
-         ++i) {
-      const TraceEvent& e = log.events[i];
-      char ts[32];
-      std::snprintf(ts, sizeof ts, "%+12.6f s", e.ts_ns * 1e-9);
-      os << "    " << ts << "  " << trace_event_kind_name(e.kind) << "  "
-         << (e.name ? e.name : "?") << " #" << e.id << "\n";
-    }
-    ++tid;
-  }
-  return os.str();
-}
-
 void RecordingObserver::on_worker_attach(std::size_t wid) {
   set_thread_label(std::string(stage_) + " worker " + std::to_string(wid));
 }
@@ -317,16 +281,9 @@ void RecordingObserver::on_task_begin(std::size_t task) {
                static_cast<std::uint32_t>(task));
 }
 
-void RecordingObserver::on_task_end(std::size_t task, bool suspended) {
+void RecordingObserver::on_task_end(std::size_t task) {
   if (!keep(task)) return;
-  record_event(suspended ? TraceEventKind::TaskSuspend
-                         : TraceEventKind::TaskEnd,
-               stage_, static_cast<std::uint32_t>(task));
-}
-
-void RecordingObserver::on_task_resume(std::size_t task) {
-  if (!keep(task)) return;
-  record_event(TraceEventKind::TaskResume, stage_,
+  record_event(TraceEventKind::TaskEnd, stage_,
                static_cast<std::uint32_t>(task));
 }
 

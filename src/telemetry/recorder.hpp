@@ -7,12 +7,11 @@
 // in aggregates. The recorder closes that gap the same way the source
 // paper closes it for MPI codes — by keeping a timeline. Every thread
 // that records owns a bounded ring buffer of timestamped events (task
-// begin/end/suspend/resume/steal from the worker pools, span begin/end
+// begin/end/steal from the worker pools, span begin/end
 // from ScopedSpan, progress marks, per-rank item begin/end from the
 // parallelized stages); when a ring wraps, the oldest events are
 // overwritten and counted as dropped, so memory stays bounded no matter
-// how long the run is. The retained tail is exactly what a postmortem
-// needs: "what was every worker doing just before the hang?"
+// how long the run is.
 //
 // Hot-path discipline matches the registry: recording off (the default)
 // costs one relaxed atomic load per call site; recording on costs a
@@ -40,10 +39,8 @@
 namespace metascope::telemetry {
 
 enum class TraceEventKind : std::uint8_t {
-  TaskBegin,    ///< a pool worker started (or resumed) driving a task
-  TaskEnd,      ///< the step returned Done
-  TaskSuspend,  ///< the step returned Suspend (yielded its worker)
-  TaskResume,   ///< this thread marked a suspended task runnable
+  TaskBegin,    ///< a pool worker started running a task
+  TaskEnd,      ///< the task returned
   TaskSteal,    ///< this thread took a task from another worker's deque
   SpanBegin,    ///< a ScopedSpan opened (pipeline phase)
   SpanEnd,      ///< a ScopedSpan closed
@@ -164,8 +161,8 @@ class Recorder {
   };
 
   /// Copies every live ring, in thread-registration order. Exact when
-  /// the recording threads have quiesced (after a pool join, after a
-  /// deadlock unwound); concurrent writers cost at most a conservatively
+  /// the recording threads have quiesced (after a pool join, after an
+  /// error unwound); concurrent writers cost at most a conservatively
   /// trimmed tail, never a torn read being reported as valid.
   [[nodiscard]] std::vector<ThreadLog> snapshot() const;
 
@@ -233,20 +230,12 @@ inline void record_event(TraceEventKind kind, const char* name,
 /// Labels the calling thread's timeline track; no-op when disabled.
 void set_thread_label(const std::string& label);
 
-/// Human-readable dump of the last `last_n` events of every thread —
-/// what each worker was doing just before a hang. Empty when the
-/// recorder is disabled or has recorded nothing. The replay protocol
-/// prints this to stderr when the replay deadlocks
-/// (ReplayOptions::postmortem_events).
-[[nodiscard]] std::string postmortem_report(std::size_t last_n);
-
 /// WorkerPool observer that streams the pool's task lifecycle into the
 /// recorder: thread labels "<stage> worker <wid>", TaskBegin/TaskEnd/
-/// TaskSuspend/TaskResume/TaskSteal events named after the stage with
-/// the task index as id. Every parallelized pipeline stage passes one of
-/// these to parallel_for; the replay protocol's observer derives from
-/// it to add the sampled registry hooks. Stateless beyond the stage
-/// name, so one instance serves any number of runs.
+/// TaskSteal events named after the stage with the task index as id.
+/// Every parallelized pipeline stage passes one of these to
+/// parallel_for. Stateless beyond the stage name, so one instance serves
+/// any number of runs.
 class RecordingObserver : public WorkerPool::Observer {
  public:
   /// `stage` must be a string literal (event names are stored by
@@ -270,8 +259,7 @@ class RecordingObserver : public WorkerPool::Observer {
   }
   void on_worker_attach(std::size_t wid) override;
   void on_task_begin(std::size_t task) override;
-  void on_task_end(std::size_t task, bool suspended) override;
-  void on_task_resume(std::size_t task) override;
+  void on_task_end(std::size_t task) override;
   void on_task_steal(std::size_t task) override;
 
   [[nodiscard]] const char* stage() const { return stage_; }

@@ -1,8 +1,8 @@
 // Time-resolved metrics sampler: a background thread that snapshots the
 // registry's counters, dcounters, and gauges every `interval_ms`,
 // building the time-series the end-of-run aggregates cannot express —
-// when the replay's suspension count exploded, how steal traffic ramps
-// as a stage drains, whether progress stalls before a hang.
+// how the streamed window count and resident bytes grow, how steal
+// traffic ramps as a stage drains, whether progress stalls.
 //
 // The samples land in the telemetry snapshot as a "timeseries" section
 // (snapshot.hpp), so `msc_run --metrics --sample-interval-ms=<n>`

@@ -76,20 +76,10 @@ Json chrome_trace_json() {
           ++total_events;
           break;
         case TraceEventKind::TaskEnd:
-        case TraceEventKind::TaskSuspend:
         case TraceEventKind::SpanEnd:
           if (open.empty()) break;  // begin lost to wrap-around
           open.pop_back();
           events.push_back(slice_event("E", tid, ts_us, ev.name, ev.id));
-          ++total_events;
-          if (ev.kind == TraceEventKind::TaskSuspend) {
-            events.push_back(
-                instant_event(tid, ts_us, "suspend", ev.id));
-            ++total_events;
-          }
-          break;
-        case TraceEventKind::TaskResume:
-          events.push_back(instant_event(tid, ts_us, "resume", ev.id));
           ++total_events;
           break;
         case TraceEventKind::TaskSteal:

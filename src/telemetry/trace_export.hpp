@@ -4,8 +4,8 @@
 // load the file in Perfetto (ui.perfetto.dev) or chrome://tracing and
 // the analyzer's own run appears as one track per recording thread:
 // the main thread's track carries the pipeline-phase spans (ScopedSpan
-// begin/end), each worker track carries its task slices with suspend /
-// resume / steal instants in between.
+// begin/end), each worker track carries its task slices with steal
+// instants in between.
 //
 // Structural guarantees (validated by tests/test_telemetry_trace.cpp
 // and tools/validate_chrome_trace.py in CI):

@@ -9,8 +9,8 @@
 // cursors (common/column_codec.hpp), so the events do not depend on the
 // window size: decode_local_trace reads a v3 file as one window that
 // spans it, and analyze_streaming drains each rank's stream twice in
-// bounded windows, once for its prepare and once, re-opened, for its
-// replay.
+// bounded windows, once for its light pass and once, re-opened, for its
+// window pass.
 //
 // Errors: magic/version/header corruption, implausible rank ids,
 // count-sum mismatches, bad type nibbles, truncated column frames and
@@ -50,6 +50,9 @@ class TraceStream {
     return sync_;
   }
   [[nodiscard]] const std::string& path() const { return path_; }
+  /// Send and Recv events in the stream (the header's per-type counts).
+  [[nodiscard]] std::size_t sends() const { return send_peer_.n; }
+  [[nodiscard]] std::size_t recvs() const { return recv_peer_.n; }
 
   /// Decodes the next up-to-`max_events` events, appending them to
   /// `out` (a vector of Event, any allocator), and returns how many (0
@@ -110,7 +113,7 @@ class TraceStream {
   // Window cursors, one per column, and one row buffer each, reused
   // across next() calls: tiny windows mean many calls, and a fresh
   // vector per call would put a malloc/free pair per column on the
-  // replay hot path.
+  // window pass's hot path.
   std::size_t decoded_{0};
   colcodec::DoubleColumnCursor c_time_, c_send_bytes_, c_recv_bytes_;
   colcodec::DoubleColumnCursor c_coll_bytes_, c_coll_sent_, c_coll_recvd_;

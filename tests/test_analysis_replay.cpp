@@ -1,28 +1,24 @@
-// Replay-core, join and scheduler properties: the pooled parallel
-// analyzer must produce a cube *bit-identical* to the serial analyzer for
-// any worker count and any interleaving (the canonical-order accumulation
-// makes floating-point sums order-independent across runs); the
-// definition unification assigns the serial walk's call-path ids in both
-// analysis modes; the message join pairs exactly what the map matcher it
-// replaced paired, in canonical order; a streamed replay task suspends
-// only for a message that has not been sent yet; malformed traces fail
-// fast instead of hanging a worker forever.
+// Replay-core and join properties: the pooled parallel analyzer must
+// produce a cube *bit-identical* to the serial analyzer for any worker
+// count and any interleaving (the canonical-order accumulation makes
+// floating-point sums order-independent across runs); the definition
+// unification assigns the serial walk's call-path ids in both analysis
+// modes; the message join pairs exactly what the map matcher it replaced
+// paired, in canonical order, and the streamed analysis built on it
+// matches analyze_parallel on envelope-stress traces; malformed traces
+// fail the same way in every analyzer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <deque>
 #include <filesystem>
 #include <functional>
 #include <map>
 #include <string>
-#include <thread>
 #include <tuple>
 
 #include "analysis/analyzer.hpp"
 #include "analysis/prepare.hpp"
-#include "analysis/replay_protocol.hpp"
 #include "archive/archive.hpp"
 #include "clocksync/correction.hpp"
 #include "common/error.hpp"
@@ -150,12 +146,9 @@ TEST(ReplayScaling, ManyRanksOnFourWorkers) {
   EXPECT_TRUE(s.cube.approx_equal(p.cube, 0.0));
   EXPECT_EQ(p.stats.replay_workers, 4u);
   EXPECT_EQ(p.stats.replay_tasks, static_cast<std::size_t>(n));
-  // A task suspends only at a receive whose message is not there yet, and
-  // every suspension is ended by a distinct send.
-  EXPECT_LE(p.stats.replay_suspensions, p.stats.messages);
 }
 
-// --- suspension only for messages ------------------------------------------
+// --- collectives and envelopes ------------------------------------------------
 
 TEST(ReplayWaits, CollectivesNeverSuspend) {
   const int n = 256;
@@ -175,14 +168,12 @@ TEST(ReplayWaits, CollectivesNeverSuspend) {
     const auto p = analyze_parallel(tc, opts);
     EXPECT_TRUE(s.cube.approx_equal(p.cube, 0.0)) << workers;
     EXPECT_EQ(p.stats.collective_instances, 5u);
-    EXPECT_EQ(p.stats.replay_suspensions, 0u) << workers;
   }
 }
 
 /// Rank 0 posts 40 nonblocking sends to rank 1, tags cycling 0..3; rank 1
 /// receives them tag by tag, highest tag first. Every receive but the
-/// first few must skip messages addressed to other tags, and the pair
-/// channel holds more messages than one chunk.
+/// first few must skip messages addressed to other tags.
 tracing::TraceCollection interleaved_tag_traces() {
   constexpr int kMessages = 40;
   constexpr int kTags = 4;
@@ -211,51 +202,31 @@ TEST(ReplayWaits, OutOfOrderTagsOnOnePairMatchSerial) {
     const auto p = analyze_parallel(tc, opts);
     ASSERT_TRUE(s.cube.approx_equal(p.cube, 0.0)) << "run " << run;
     ASSERT_EQ(p.stats.messages, 40u);
-    ASSERT_LE(p.stats.replay_suspensions, p.stats.messages);
   }
 }
 
-/// Two threads drive one channel directly. The sender publishes message
-/// i only once the receiver has taken message i - 1, so every receive
-/// races its message's send: the receiver finds the queue empty and
-/// parks while the send lands. A wakeup lost in that window stalls both
-/// threads until the deadline.
-TEST(ReplayWaits, ChannelNeverLosesAWakeup) {
-  constexpr int kMessages = 20000;
-  MessageChannel ch;
-  std::atomic<int> taken{0};
-  std::atomic<bool> woken{false};
-  std::atomic<bool> stop{false};
-  std::thread sender([&] {
-    for (int i = 0; i < kMessages; ++i) {
-      while (taken.load() < i)
-        if (stop.load()) return;
-      if (ch.send(Message{static_cast<double>(i), 0.0, CallPathId{0}, 0, 0}))
-        woken.store(true);
-    }
-  });
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  bool in_order = true;
-  for (int i = 0; i < kMessages && !stop.load(); ++i) {
-    Message m;
-    while (!ch.receive(0, 0, m)) {
-      while (!woken.exchange(false)) {
-        if (std::chrono::steady_clock::now() > deadline) {
-          stop.store(true);
-          break;
-        }
-      }
-      if (stop.load()) break;
-    }
-    if (stop.load()) break;
-    if (m.op_enter != static_cast<double>(i)) in_order = false;
-    taken.store(i + 1);
-  }
-  sender.join();
-  EXPECT_FALSE(stop.load()) << "receiver parked and was never woken after "
-                            << taken.load() << " messages";
-  EXPECT_TRUE(in_order);
+/// A fresh temp directory for one test's archives.
+std::filesystem::path test_dir(const std::string& tag) {
+  const auto base = std::filesystem::temp_directory_path() /
+                    ("msc_" + tag + "_" +
+                     std::to_string(::testing::UnitTest::GetInstance()
+                                        ->random_seed()));
+  std::filesystem::remove_all(base);
+  std::filesystem::create_directories(base);
+  return base;
+}
+
+/// `tc` written to a fresh archive under `base`, as a stream source.
+tracing::StreamSource stream_of(const std::filesystem::path& base,
+                                const std::string& name,
+                                const simnet::Topology& topo,
+                                const tracing::TraceCollection& tc) {
+  auto arch = archive::ExperimentArchive::create(
+      topo,
+      archive::FileSystemLayout::shared(base.string(), topo.num_metahosts()),
+      name);
+  arch.write_traces(topo, tc);
+  return arch.stream_source(archive::ReadOptions{});
 }
 
 // --- malformed traces fail fast (satellite) ----------------------------------
@@ -319,16 +290,15 @@ TEST(ReplayFailFast, CollectiveOnForeignCommunicatorRaisesBeforeReplay) {
   EXPECT_THROW(analyze_serial(tc), Error);
 }
 
-TEST(ReplayFailFast, UnmatchedReceiveReportsDeadlockNotHang) {
+TEST(ReplayFailFast, UnmatchedReceiveFailsInEveryAnalyzer) {
   const auto topo = simnet::make_ibm_power(2);
   simmpi::ProgramBuilder b(2);
   b.on(0).enter("main").send(1, 5, 64.0).exit();
   b.on(1).enter("main").recv(0, 5).exit();
   auto tc = perfect_traces(topo, b.take());
 
-  // Drop the Send event: rank 1's receive can never be satisfied. The
-  // scheduler must detect the quiescent replay and raise instead of
-  // leaving the task suspended forever.
+  // Drop the Send event: rank 1's receive has no send to take. Every
+  // analyzer pairs through the same join, so every one raises its error.
   auto& events = tc.ranks[0].events;
   const auto it = std::find_if(
       events.begin(), events.end(),
@@ -336,8 +306,30 @@ TEST(ReplayFailFast, UnmatchedReceiveReportsDeadlockNotHang) {
   ASSERT_NE(it, events.end());
   events.erase(it);
 
-  EXPECT_THROW(analyze_serial(tc), Error);
-  EXPECT_THROW(analyze_parallel(tc), Error);
+  const std::string want = "unmatched RECV 0 -> 1 tag 5 (1 left)";
+  const auto message = [](const std::function<void()>& analyze) {
+    try {
+      analyze();
+    } catch (const Error& e) {
+      return e.base_message();
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(message([&] { (void)analyze_serial(tc); }), want) << "serial";
+  const auto base = test_dir("unmatched_recv");
+  const auto src = stream_of(base, "exp", topo, tc);
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+    ReplayOptions opts;
+    opts.max_workers = workers;
+    EXPECT_EQ(message([&] { (void)analyze_parallel(tc, opts); }), want)
+        << "parallel at " << workers << " workers";
+    for (const std::size_t budget : {std::size_t{1}, std::size_t{0}}) {
+      opts.memory_budget_bytes = budget;
+      EXPECT_EQ(message([&] { (void)analyze_streaming(src, opts); }), want)
+          << "streamed at " << workers << " workers, budget " << budget;
+    }
+  }
+  std::filesystem::remove_all(base);
 }
 
 TEST(ReplayFailFast, UnmatchedSendFailsInEveryAnalyzer) {
@@ -351,13 +343,13 @@ TEST(ReplayFailFast, UnmatchedSendFailsInEveryAnalyzer) {
                         [&](const auto& e) { return e.type == type; });
   };
 
-  // Drop the only Recv: rank 0's message stays in its channel.
+  // Drop the only Recv: rank 0's message has no receive to take it.
   auto dropped = perfect_traces(topo, prog);
   auto& receiver = dropped.ranks[1].events;
   const auto recv = find(receiver, EventType::Recv);
   ASSERT_NE(recv, receiver.end());
   receiver.erase(recv);
-  // Address the Send to a rank outside the trace: it has no channel.
+  // Address the Send to a rank outside the trace: no rank receives it.
   auto outside = perfect_traces(topo, prog);
   const auto send = find(outside.ranks[0].events, EventType::Send);
   ASSERT_NE(send, outside.ranks[0].events.end());
@@ -477,7 +469,6 @@ TEST(OpWalk, RecordsMatchWhenConsumedWheneverNoneIsOpen) {
                                    {9, allreduce, 5.0, 6.0}};
   EXPECT_EQ(whole, want);
   // RankComm counts what the walk recorded.
-  EXPECT_EQ(rc.send_peers, (std::vector<Rank>{1, 1}));
   EXPECT_EQ(rc.recvs, 1u);
   EXPECT_EQ(rc.colls, std::vector<int>{1});
 
@@ -594,30 +585,6 @@ std::vector<Workload> unification_workloads() {
   out.push_back({"divergent-paths", simnet::make_ibm_power(3),
                  divergent_paths_traces()});
   return out;
-}
-
-/// A fresh temp directory for one test's archives.
-std::filesystem::path test_dir(const std::string& tag) {
-  const auto base = std::filesystem::temp_directory_path() /
-                    ("msc_" + tag + "_" +
-                     std::to_string(::testing::UnitTest::GetInstance()
-                                        ->random_seed()));
-  std::filesystem::remove_all(base);
-  std::filesystem::create_directories(base);
-  return base;
-}
-
-/// `tc` written to a fresh archive under `base`, as a stream source.
-tracing::StreamSource stream_of(const std::filesystem::path& base,
-                                const std::string& name,
-                                const simnet::Topology& topo,
-                                const tracing::TraceCollection& tc) {
-  auto arch = archive::ExperimentArchive::create(
-      topo,
-      archive::FileSystemLayout::shared(base.string(), topo.num_metahosts()),
-      name);
-  arch.write_traces(topo, tc);
-  return arch.stream_source(archive::ReadOptions{});
 }
 
 TEST(DefinitionUnification, IdsEqualTheSerialWalksInBothModes) {
@@ -756,35 +723,33 @@ TEST(MessageJoin, PairsWhatTheMapMatcherPairedInCanonicalOrder) {
   }
 }
 
-// --- scheduler stats ----------------------------------------------------------
-
-TEST(SchedulerStats, CountersPopulated) {
-  const auto topo = simnet::make_viola_experiment1();
-  const auto tc = jittered_traces(topo, 3ULL, 8);
-  // The scheduler counters belong to the replay, which only
-  // analyze_streaming runs.
-  const auto base = std::filesystem::temp_directory_path() /
-                    ("msc_scheduler_stats_" +
-                     std::to_string(::testing::UnitTest::GetInstance()
-                                        ->random_seed()));
+/// The streamed light pass keys each Send and Recv by its ordinal among
+/// the rank's sends or receives; a wrong position or an unstable sort
+/// would land a record in another message's slot on exactly these
+/// traces.
+TEST(MessageJoin, EnvelopeStressTracesStreamLikeParallel) {
+  const auto base = test_dir("envelope_stress");
+  const auto topo = simnet::make_ibm_power(2);
+  for (const auto& [name, tc] :
+       {std::pair("interleaved-tags", interleaved_tag_traces()),
+        std::pair("same-tag-two-comms", same_tag_two_comms_traces())}) {
+    const auto want = analyze_parallel(tc);
+    const auto src = stream_of(base, name, topo, tc);
+    for (const std::size_t workers :
+         {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      for (const std::size_t budget :
+           {std::size_t{1}, std::size_t{16 * 1024}, std::size_t{0}}) {
+        ReplayOptions opts;
+        opts.max_workers = workers;
+        opts.memory_budget_bytes = budget;
+        const auto got = analyze_streaming(src, opts);
+        EXPECT_TRUE(want.cube.approx_equal(got.cube, 0.0))
+            << name << " at " << workers << " workers, budget " << budget;
+        EXPECT_EQ(got.stats.messages, want.stats.messages) << name;
+      }
+    }
+  }
   std::filesystem::remove_all(base);
-  std::filesystem::create_directories(base);
-  auto arch = archive::ExperimentArchive::create(
-      topo,
-      archive::FileSystemLayout::shared(base.string(), topo.num_metahosts()),
-      "exp");
-  arch.write_traces(topo, tc);
-  ReplayOptions opts;
-  opts.max_workers = 2;
-  const auto p =
-      analyze_streaming(arch.stream_source(archive::ReadOptions{}), opts);
-  std::filesystem::remove_all(base);
-  EXPECT_EQ(p.stats.replay_workers, 2u);
-  EXPECT_EQ(p.stats.replay_tasks,
-            static_cast<std::size_t>(tc.num_ranks()));
-  EXPECT_GT(p.stats.replay_suspensions, 0u);
-  // Every suspension is eventually resumed exactly once.
-  EXPECT_EQ(p.stats.replay_requeues, p.stats.replay_suspensions);
 }
 
 }  // namespace

@@ -173,51 +173,5 @@ TEST(WorkerPool, ResolveWorkersClampsToTasksAndFloor) {
   EXPECT_EQ(WorkerPool::resolve_workers(0, 4), 1u);
 }
 
-TEST(WorkerPool, SuspendedTasksCompleteViaResume) {
-  // Even tasks suspend once; each odd task resumes its left neighbour
-  // unconditionally. If the resume lands before the neighbour's suspend,
-  // the Running->Notified leg converts the suspend into an immediate
-  // requeue — either interleaving completes. Exercises the
-  // Parked/Notified handshake from a plain pool client (no replay
-  // machinery involved).
-  const std::size_t n = 32;
-  WorkerPool pool(n, 4);
-  std::vector<std::atomic<int>> phase(n);
-  for (auto& p : phase) p.store(0);
-  pool.run([&](std::size_t t) {
-    if (t % 2 == 0 && phase[t].fetch_add(1) == 0) return StepOutcome::Suspend;
-    if (t % 2 == 1) pool.resume(t - 1);
-    return StepOutcome::Done;
-  });
-  const PoolStats& st = pool.stats();
-  EXPECT_EQ(st.tasks, n);
-  EXPECT_EQ(st.suspensions, n / 2);
-  EXPECT_EQ(st.requeues, st.suspensions);
-  EXPECT_EQ(std::accumulate(st.tasks_per_worker.begin(),
-                            st.tasks_per_worker.end(), std::size_t{0}),
-            n);
-}
-
-TEST(WorkerPool, AllTasksParkedThrowsDeadlockError) {
-  const std::size_t n = 8;
-  WorkerPool pool(n, 2);
-  try {
-    pool.run([&](std::size_t) { return StepOutcome::Suspend; });
-    FAIL() << "expected DeadlockError";
-  } catch (const DeadlockError& e) {
-    EXPECT_EQ(e.stuck_tasks(), n);
-    EXPECT_EQ(e.total_tasks(), n);
-  }
-}
-
-TEST(WorkerPool, StepExceptionRethrownFromRun) {
-  WorkerPool pool(16, 4);
-  EXPECT_THROW(pool.run([&](std::size_t t) {
-    if (t == 11) throw Error("step failed");
-    return StepOutcome::Done;
-  }),
-               Error);
-}
-
 }  // namespace
 }  // namespace metascope

@@ -7,9 +7,9 @@
 // workloads (the generator family behind test_pattern_engine /
 // test_property_sweeps) through every analyzer configuration —
 //
-//   serial, parallel at workers {1, 2, 8}, streaming at three memory
-//   budgets including a pathologically tiny one (1 byte) that forces
-//   single-event windows —
+//   serial, parallel at workers {1, 2, 8}, streaming at workers
+//   {1, 2, 8} and three memory budgets including a pathologically tiny
+//   one (1 byte) that forces single-event windows —
 //
 // and asserts every cube cell is bit-identical (==, not near). The
 // golden fixture tests/golden/seed_severities.txt (exact %a hexfloats
@@ -266,20 +266,22 @@ TEST_P(StreamDifferential, CubeBitIdenticalAcrossAllAnalyzerConfigs) {
 
   const ArchivedWorkload ar(temp_base(c.name), topo, tc);
   const auto src = ar.source();
-  for (const std::size_t budget : kBudgets) {
-    ReplayOptions opts;
-    opts.memory_budget_bytes = budget;
-    const auto res = analyze_streaming(src, opts);
-    expect_rows_identical(want, cube_rows(res.cube),
-                          std::string(c.name) + " streaming budget=" +
-                              std::to_string(budget));
-    EXPECT_EQ(res.stats.events, serial.stats.events)
-        << c.name << " budget=" << budget;
-    EXPECT_EQ(res.stats.messages, serial.stats.messages)
-        << c.name << " budget=" << budget;
-    EXPECT_EQ(res.stats.collective_instances,
-              serial.stats.collective_instances)
-        << c.name << " budget=" << budget;
+  for (const std::size_t workers : {1u, 2u, 8u}) {
+    for (const std::size_t budget : kBudgets) {
+      ReplayOptions opts;
+      opts.max_workers = workers;
+      opts.memory_budget_bytes = budget;
+      const auto res = analyze_streaming(src, opts);
+      const std::string label = std::string(c.name) + " streaming w=" +
+                                std::to_string(workers) +
+                                " budget=" + std::to_string(budget);
+      expect_rows_identical(want, cube_rows(res.cube), label);
+      EXPECT_EQ(res.stats.events, serial.stats.events) << label;
+      EXPECT_EQ(res.stats.messages, serial.stats.messages) << label;
+      EXPECT_EQ(res.stats.collective_instances,
+                serial.stats.collective_instances)
+          << label;
+    }
   }
 }
 

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -380,6 +381,54 @@ TEST_F(StreamWindowTest, TruncatedMidBlockStreamingMatchesBatchErrorCode) {
   }
 }
 
+/// The errors a strict materialized analysis (read_traces, then
+/// analyze_parallel) and a strict streamed one raise on `arch`, at
+/// workers {1, 8}, must agree on code, rank and offset; returns the
+/// materialized ones.
+std::vector<Error> expect_same_errors(const archive::ExperimentArchive& arch) {
+  const auto caught = [](const std::function<void()>& analyze) {
+    try {
+      analyze();
+    } catch (const Error& e) {
+      return e;
+    }
+    return Error("no error");
+  };
+  std::vector<Error> out;
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{8}}) {
+    archive::ReadOptions read;
+    read.max_workers = workers;
+    ReplayOptions opts;
+    opts.max_workers = workers;
+    const Error materialized = caught(
+        [&] { (void)analyze_parallel(arch.read_traces(read), opts); });
+    const Error streamed = caught(
+        [&] { (void)analyze_streaming(arch.stream_source(read), opts); });
+    EXPECT_EQ(streamed.code(), materialized.code()) << streamed.what();
+    EXPECT_EQ(streamed.context().rank, materialized.context().rank)
+        << streamed.what();
+    EXPECT_EQ(streamed.context().byte_offset,
+              materialized.context().byte_offset)
+        << streamed.what();
+    out.push_back(materialized);
+  }
+  return out;
+}
+
+TEST_F(StreamWindowTest, TwoDamagedRanksFailOnTheLowestInBothModes) {
+  const auto topo = local_topo(3);
+  const auto arch = write_archive(topo, run_none(topo, lopsided_program(40)));
+  for (const Rank r : {2, 1}) {
+    auto bytes = read_blob(r);
+    bytes[0] ^= 0xFF;  // bad magic
+    write_blob(r, bytes);
+  }
+  for (const Error& e : expect_same_errors(arch)) {
+    EXPECT_EQ(e.code(), ErrorCode::Corrupt) << e.what();
+    EXPECT_EQ(e.context().rank, 1) << e.what();
+  }
+}
+
 TEST_F(StreamWindowTest, ZeroByteFileQuarantinedPermissivelyLikeBatch) {
   const auto topo = local_topo(3);
   const auto tc = run_none(topo, lopsided_program(10));
@@ -476,6 +525,26 @@ TEST_F(StreamWindowTest, StructuralErrorsMatchBetweenModes) {
     EXPECT_NE(materialized.find(shape.what), std::string::npos)
         << shape.what << ": " << materialized;
     EXPECT_EQ(streamed, materialized) << shape.what;
+  }
+}
+
+TEST_F(StreamWindowTest, DecodeErrorBeatsAnEarlierWalkErrorInBothModes) {
+  // Exit without Enter at event 0, and the last column's last varint
+  // made to run past its frame: the materialized read fails on the
+  // payload before prepare walks anything, so the streamed light pass
+  // must drain past its walk error to report the same.
+  std::vector<tracing::Event> events{event_at(EventType::Exit, 0.0)};
+  for (int i = 0; i < 600; ++i) {
+    events.push_back(enter_at(RegionId{i % 2}, 1.0 + i));
+    events.push_back(event_at(EventType::Exit, 1.5 + i));
+  }
+  const auto arch = write_archive(local_topo(1), one_rank(events));
+  auto bytes = read_blob(0);
+  bytes.back() |= 0x80;
+  write_blob(0, bytes);
+  for (const Error& e : expect_same_errors(arch)) {
+    EXPECT_NE(e.code(), ErrorCode::None) << e.what();
+    EXPECT_EQ(e.context().rank, 0) << e.what();
   }
 }
 

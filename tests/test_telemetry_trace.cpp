@@ -1,23 +1,19 @@
 // Flight recorder + Chrome-trace exporter + time-resolved sampler:
 // ring wrap-around drop accounting, pool lifecycle event pairing, the
 // exporter's structural guarantees (balanced B/E per thread track,
-// non-decreasing timestamps, explicit drop counts), the deadlock
-// postmortem dump, sampler time series, and the versioned snapshot's
-// run-metadata section.
+// non-decreasing timestamps, explicit drop counts), sampler time series,
+// and the versioned snapshot's run-metadata section.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <filesystem>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "analysis/analyzer.hpp"
-#include "archive/archive.hpp"
-#include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "simmpi/program.hpp"
 #include "simnet/presets.hpp"
@@ -31,8 +27,6 @@
 
 namespace metascope::telemetry {
 namespace {
-
-using tracing::EventType;
 
 class TraceTest : public ::testing::Test {
  protected:
@@ -165,7 +159,7 @@ TEST_F(TraceTest, DecimatedObserverKeepsBeginEndPaired) {
   EXPECT_EQ(obs.item_stride(), 3u);
   for (std::size_t task = 0; task < 10; ++task) {
     obs.on_task_begin(task);
-    obs.on_task_end(task, /*suspended=*/false);
+    obs.on_task_end(task);
   }
   const auto logs = Recorder::instance().snapshot();
   ASSERT_EQ(logs.size(), 1u);
@@ -187,7 +181,7 @@ TEST_F(TraceTest, FullPipelineExportIsStructurallyValid) {
   const int nranks = topo.num_ranks();
   simmpi::ProgramBuilder b(nranks);
   for (Rank r = 0; r < nranks; ++r) b.on(r).enter("main");
-  for (int s = 0; s < 6; ++s) {  // ring shifts: suspends are guaranteed
+  for (int s = 0; s < 6; ++s) {  // ring shifts
     for (Rank r = 0; r < nranks; ++r) {
       b.on(r).enter("ring").send((r + 1) % nranks, s, 2048.0);
       b.on(r).recv((r + nranks - 1) % nranks, s).exit();
@@ -235,88 +229,6 @@ TEST_F(TraceTest, WrappedRingStillExportsBalancedAndReportsDrops) {
   expect_structurally_valid(trace);
   EXPECT_GT(trace.at("otherData").at("dropped_events").at("wrappy").as_int(),
             0);
-}
-
-// --- deadlock postmortem -----------------------------------------------
-
-/// Streams `tc` out of a v3 archive in a fresh temp dir, which it removes
-/// afterwards: only analyze_streaming runs the replay that can deadlock.
-void analyze_streamed(const simnet::Topology& topo,
-                      const tracing::TraceCollection& tc,
-                      const analysis::ReplayOptions& opts) {
-  const auto base =
-      std::filesystem::temp_directory_path() /
-      ("msc_postmortem_" +
-       std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-       "_" + ::testing::UnitTest::GetInstance()->current_test_info()->name());
-  std::filesystem::remove_all(base);
-  std::filesystem::create_directories(base);
-  auto arch = archive::ExperimentArchive::create(
-      topo,
-      archive::FileSystemLayout::shared(base.string(), topo.num_metahosts()),
-      "exp");
-  arch.write_traces(topo, tc);
-  try {
-    analysis::analyze_streaming(arch.stream_source(archive::ReadOptions{}),
-                                opts);
-  } catch (...) {
-    std::filesystem::remove_all(base);
-    throw;
-  }
-  std::filesystem::remove_all(base);
-}
-
-TEST_F(TraceTest, DeadlockedReplayDumpsPostmortem) {
-  const auto topo = simnet::make_ibm_power(2);
-  simmpi::ProgramBuilder b(2);
-  b.on(0).enter("main").send(1, 5, 64.0).exit();
-  b.on(1).enter("main").recv(0, 5).exit();
-  workloads::ExperimentConfig cfg;
-  cfg.perfect_clocks = true;
-  cfg.measurement.scheme = tracing::SyncScheme::None;
-  auto tc = workloads::run_experiment(topo, b.take(), cfg).traces;
-
-  // Drop the Send: rank 1's receive can never be satisfied and the
-  // replay deadlocks.
-  auto& events = tc.ranks[0].events;
-  const auto it = std::find_if(
-      events.begin(), events.end(),
-      [](const auto& e) { return e.type == EventType::Send; });
-  ASSERT_NE(it, events.end());
-  events.erase(it);
-
-  ::testing::internal::CaptureStderr();
-  EXPECT_THROW(analyze_streamed(topo, tc, {}), Error);
-  const std::string err = ::testing::internal::GetCapturedStderr();
-  EXPECT_NE(err.find("flight recorder postmortem"), std::string::npos);
-  EXPECT_NE(err.find("replay"), std::string::npos);
-
-  // The report itself names the stage and shows the suspend.
-  const std::string report = postmortem_report(8);
-  EXPECT_NE(report.find("replay"), std::string::npos);
-  EXPECT_NE(report.find("suspend"), std::string::npos);
-}
-
-TEST_F(TraceTest, PostmortemDisabledByOption) {
-  const auto topo = simnet::make_ibm_power(2);
-  simmpi::ProgramBuilder b(2);
-  b.on(0).enter("main").send(1, 5, 64.0).exit();
-  b.on(1).enter("main").recv(0, 5).exit();
-  workloads::ExperimentConfig cfg;
-  cfg.perfect_clocks = true;
-  cfg.measurement.scheme = tracing::SyncScheme::None;
-  auto tc = workloads::run_experiment(topo, b.take(), cfg).traces;
-  auto& events = tc.ranks[0].events;
-  events.erase(std::find_if(
-      events.begin(), events.end(),
-      [](const auto& e) { return e.type == EventType::Send; }));
-
-  analysis::ReplayOptions opts;
-  opts.postmortem_events = 0;
-  ::testing::internal::CaptureStderr();
-  EXPECT_THROW(analyze_streamed(topo, tc, opts), Error);
-  const std::string err = ::testing::internal::GetCapturedStderr();
-  EXPECT_EQ(err.find("flight recorder postmortem"), std::string::npos);
 }
 
 // --- time-resolved sampler ---------------------------------------------

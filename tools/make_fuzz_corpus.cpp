@@ -20,11 +20,16 @@
 //                                experiment's timestamps and byte
 //                                counts, grids, nudged grids and
 //                                special values
+//   <outdir>/analysis_modes/     trace containers of scheme-none runs
+//                                of fuzz_analysis_modes' experiment
+//                                (tests/fuzz/analysis_modes_seed.hpp),
+//                                and damaged copies of the first
 //
 // Seeding with real encodings matters: libFuzzer mutates from these, so
 // it starts past the magic/version gate instead of spending its budget
 // rediscovering four magic bytes. Deterministic output (fixed seeds) —
 // CI caches the corpus keyed on the harness sources.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -32,6 +37,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis_modes_seed.hpp"
 #include "common/binary_io.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
@@ -289,6 +295,57 @@ void put_container_seeds(const fs::path& dir,
   put(dir, "container_truncated_index", with(cut));
 }
 
+/// Every rank's blob of `tc` in rank order, then the index and trailer:
+/// the container ExperimentArchive::write_traces writes for one shared
+/// file system.
+std::vector<std::uint8_t> container_of(const tracing::TraceCollection& tc) {
+  std::vector<std::uint8_t> out;
+  std::vector<tracing::ContainerExtent> index;
+  for (const auto& t : tc.ranks) {
+    const auto blob = tracing::encode_local_trace(t);
+    out.insert(out.end(), blob.begin(), blob.end());
+    index.push_back({t.rank, 0, blob.size()});
+  }
+  const auto tail = tracing::encode_container_index(index);
+  out.insert(out.end(), tail.begin(), tail.end());
+  return out;
+}
+
+/// Seeds for fuzz_analysis_modes: the container of each run, then two
+/// damaged copies of the first run, one with rank 0's first Send erased
+/// (an unmatched receive for both joins) and one with a byte of rank 1's
+/// blob flipped halfway through.
+void put_analysis_modes_seeds(const fs::path& dir) {
+  tracing::TraceCollection first;
+  for (const std::uint64_t seed : fuzz::kAnalysisModesSeeds) {
+    Json doc = Json::parse(fuzz::kAnalysisModesConfig);
+    doc.set("seed", static_cast<std::int64_t>(seed));
+    const auto spec = workloads::parse_experiment(doc);
+    auto data =
+        workloads::run_experiment(spec.topology, spec.program, spec.config);
+    put(dir, "run_seed" + std::to_string(seed), container_of(data.traces));
+    if (first.ranks.empty()) first = std::move(data.traces);
+  }
+
+  auto unmatched = first;
+  auto& events = unmatched.ranks[0].events;
+  const auto send = std::find_if(events.begin(), events.end(), [](const auto& e) {
+    return e.type == tracing::EventType::Send;
+  });
+  if (send != events.end()) {
+    events.erase(send);
+    put(dir, "unmatched_recv", container_of(unmatched));
+  }
+
+  auto flipped = container_of(first);
+  const std::size_t rank0 =
+      tracing::encode_local_trace(first.ranks[0]).size();
+  const std::size_t rank1 =
+      tracing::encode_local_trace(first.ranks[1]).size();
+  flipped[rank0 + rank1 / 2] ^= 0x5A;
+  put(dir, "payload_flip_rank1", flipped);
+}
+
 /// One fuzz_column_codec input: a shape byte (see the harness) and one
 /// little-endian word per row.
 std::vector<std::uint8_t> column_seed(std::uint8_t shape,
@@ -348,7 +405,9 @@ int main(int argc, char** argv) {
     const fs::path config_dir = out / "config_json";
     const fs::path container_dir = out / "archive_container";
     const fs::path column_dir = out / "column_codec";
+    const fs::path modes_dir = out / "analysis_modes";
     fs::create_directories(column_dir);
+    fs::create_directories(modes_dir);
     fs::create_directories(trace_dir);
     fs::create_directories(sync_dir);
     fs::create_directories(config_dir);
@@ -379,6 +438,7 @@ int main(int argc, char** argv) {
     put_midblock_mutants(trace_dir);
     put_container_seeds(container_dir, data.traces);
     put_column_seeds(column_dir, data.traces);
+    put_analysis_modes_seeds(modes_dir);
     // An empty trace is valid too — seed the minimal accepting input.
     tracing::LocalTrace empty;
     empty.rank = 0;
